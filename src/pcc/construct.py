@@ -41,7 +41,7 @@ from .structure import (
     minimally_2connected_spanning,
     radius,
 )
-from .verify import verify_coloring, _validate_window
+from .verify import _proper_paths, _validate_window, verify_coloring
 
 
 @dataclass(frozen=True)
@@ -772,54 +772,25 @@ def _base_cycle_pattern(r: int) -> list[int]:
 
 def _anchored_proper_path(
     adjacency: dict[int, list[int]],
-    colors: dict[Edge, int],
+    cmat: list[list[int]],
     anchors: dict[int, AnchorSet],
     u: int,
     v: int,
-) -> Optional[list[int]]:
+) -> Optional[tuple[int, ...]]:
     """Window-proper u-v path whose first two edges follow one of u's anchor
     paths and whose last two match one of v's, searched by ascending DFS."""
     end_ok = {(p[1], p[2]) for p in anchors[v].paths}
-
-    def window_ok(seq: list[int], c: int) -> bool:
-        return c not in seq[-2:]
-
     for _, w1, w2 in anchors[u].paths:
-        if w1 not in adjacency.get(u, ()) or w2 not in adjacency.get(w1, ()):
+        if not (cmat[u][w1] and cmat[w1][w2]):
             continue
         if w1 == v or (w2 == v and (w1, u) not in end_ok):
             continue
         if w2 == v:
-            return [u, w1, v]
-        path = [u, w1, w2]
-        seq = [colors[normalize_edge(u, w1)], colors[normalize_edge(w1, w2)]]
-        visited = {u, w1, w2}
-
-        def dfs(x: int) -> Optional[list[int]]:
-            for y in adjacency[x]:
-                if y in visited:
-                    continue
-                c = colors[normalize_edge(x, y)]
-                if not window_ok(seq, c):
-                    continue
-                if y == v:
-                    if (path[-1], path[-2]) in end_ok:
-                        return path + [v]
-                    continue
-                visited.add(y)
-                path.append(y)
-                seq.append(c)
-                found = dfs(y)
-                if found is not None:
-                    return found
-                seq.pop()
-                path.pop()
-                visited.remove(y)
-            return None
-
-        found = dfs(w2)
-        if found is not None:
-            return found
+            return (u, w1, v)
+        prefix_colors = [cmat[u][w1], cmat[w1][w2]]
+        for path in _proper_paths(adjacency, cmat, (u, w1, w2), prefix_colors, v, 2):
+            if (path[-2], path[-3]) in end_ok:
+                return path
     return None
 
 
@@ -837,6 +808,7 @@ def _near_window_colors(w_path: list[int], idx: int, lookup) -> set[int]:
 
 def _color_ear(
     colors: dict[Edge, int],
+    cmat: list[list[int]],
     anchors: dict[int, AnchorSet],
     adjacency: dict[int, list[int]],
     ear_index: int,
@@ -848,7 +820,7 @@ def _color_ear(
     colors and the anchor sets for the interior vertices.  Raises
     InvariantViolation when no admissible color exists in this orientation.
     """
-    found = _anchored_proper_path(adjacency, colors, anchors, u, v)
+    found = _anchored_proper_path(adjacency, cmat, anchors, u, v)
     if found is None:
         raise InvariantViolation(
             f"ear {ear_index}: no anchored window-proper path between {u} and {v}"
@@ -980,9 +952,11 @@ def color_2connected(g: Graph) -> ConstructionReport:
     cyc = list(decomp.base_cycle)
     r = len(cyc)
     colors: dict[Edge, int] = {}
+    cmat = [[0] * g.n for _ in range(g.n)]
     pattern = _base_cycle_pattern(r)
     for i in range(r):
-        colors[normalize_edge(cyc[i], cyc[(i + 1) % r])] = pattern[i]
+        a, b = cyc[i], cyc[(i + 1) % r]
+        colors[normalize_edge(a, b)] = cmat[a][b] = cmat[b][a] = pattern[i]
     anchors: dict[int, AnchorSet] = {}
     for i, x in enumerate(cyc):
         anchors[x] = AnchorSet(
@@ -1006,7 +980,7 @@ def color_2connected(g: Graph) -> ConstructionReport:
         for u, interior, v in attempts:
             try:
                 trial, new_anchors = _color_ear(
-                    colors, anchors, adjacency, ear_index, u, interior, v
+                    colors, cmat, anchors, adjacency, ear_index, u, interior, v
                 )
                 break
             except InvariantViolation as err:
@@ -1016,6 +990,8 @@ def color_2connected(g: Graph) -> ConstructionReport:
                 f"ear {ear_index} {ear} admits no orientation: {last_error}"
             )
         colors.update(trial)
+        for (a, b), c in trial.items():
+            cmat[a][b] = cmat[b][a] = c
         anchors.update(new_anchors)
         seq = [u] + interior + [v]
         for a, b in zip(seq, seq[1:]):

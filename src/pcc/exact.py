@@ -14,12 +14,12 @@ never a silent bound.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Union
 
 from .graphs import EdgeColoring, Graph
 from .structure import is_connected
-from .verify import _find_path, _validate_window
+from .verify import _first_failing_pair, _validate_window
 
 
 @dataclass(frozen=True)
@@ -103,29 +103,15 @@ def _valid_witness_at_level(
 ) -> Union[tuple[int, ...], None, str]:
     """First canonical exactly-t coloring (in canonical order) that verifies,
     None if the level is exhausted, or "timeout"."""
-    adjacency = g.adjacency
-    n = g.n
-    cmat = [[0] * n for _ in range(n)]
-    edges = g.edges
-
-    def all_pairs_ok() -> bool:
-        for u in range(n - 1):
-            row = cmat[u]
-            for v in range(u + 1, n):
-                if row[v]:
-                    continue
-                if _find_path(adjacency, cmat, u, v, ell) is None:
-                    return False
-        return True
-
+    cmat = [[0] * g.n for _ in range(g.n)]
     for assignment in canonical_colorings(g.m, t):
         counter[0] += 1
-        if counter[0] % 512 == 0 and deadline.expired():
+        if counter[0] % 512 == 1 and deadline.expired():
             return "timeout"
-        for (u, v), c in zip(edges, assignment):
+        for (u, v), c in zip(g.edges, assignment):
             cmat[u][v] = c
             cmat[v][u] = c
-        if all_pairs_ok():
+        if _first_failing_pair(g.adjacency, cmat, g.n, ell, None) is None:
             return assignment
     return None
 
@@ -169,22 +155,10 @@ def prove_lower_bound(
 ) -> Union[bool, Inconclusive]:
     """True iff no valid coloring with at most t colors exists (each level
     1..t exhaustively refuted); False as soon as some valid coloring is
-    found."""
-    ell = _validate_window(ell)
-    if not is_connected(g):
-        raise ValueError("lower bound search requires a connected graph")
-    if budget is None:
-        budget = SearchBudget()
-    if g.m > budget.max_edges:
-        return Inconclusive((), 0, f"graph has {g.m} edges, budget allows {budget.max_edges}")
-    deadline = _Deadline(budget.time_limit)
-    counter = [0]
-    exhausted: list[int] = []
-    for level in range(1, min(t, g.m) + 1):
-        outcome = _valid_witness_at_level(g, ell, level, deadline, counter)
-        if outcome == "timeout":
-            return Inconclusive(tuple(exhausted), counter[0], "time limit")
-        if outcome is not None:
-            return False
-        exhausted.append(level)
-    return True
+    found.  Runs min_colors_exact with the color count capped at t."""
+    result = min_colors_exact(g, ell, replace(budget or SearchBudget(), max_colors=t))
+    if isinstance(result, ExactResult):
+        return False
+    if len(result.exhausted_levels) == min(t, g.m):
+        return True
+    return result

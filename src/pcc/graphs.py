@@ -414,11 +414,6 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     return Graph(g.n * nh, edges)
 
 
-def product_vertex(g: Graph, h: Graph, u: int, v: int) -> int:
-    """Index of vertex (u, v) in cartesian_product(g, h)."""
-    return u * h.n + v
-
-
 def permutation_graph(g: Graph, alpha: Permutation) -> Graph:
     """Two copies of G plus the matching v_i - u_{alpha(i)}.
 

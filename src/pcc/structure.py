@@ -137,14 +137,6 @@ class EarDecomposition:
     base_cycle: tuple[int, ...]
     ears: tuple[tuple[int, ...], ...]
 
-    def edge_sets(self) -> list[set[Edge]]:
-        """Edge set of the base cycle followed by each ear's edges."""
-        cyc = self.base_cycle
-        sets = [{normalize_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))}]
-        for ear in self.ears:
-            sets.append({normalize_edge(ear[i], ear[i + 1]) for i in range(len(ear) - 1)})
-        return sets
-
 
 def _shortest_cycle(g: Graph) -> list[int]:
     """Shortest cycle, deterministically: for each edge in ascending order,
@@ -297,11 +289,6 @@ class RootedTree:
     @property
     def n(self) -> int:
         return len(self.parent)
-
-    def edges(self) -> list[Edge]:
-        return sorted(
-            normalize_edge(v, p) for v, p in enumerate(self.parent) if p is not None
-        )
 
     def path_to_root(self, v: int) -> list[int]:
         path = [v]

@@ -8,11 +8,11 @@ condition (adjacent edges differ).  A graph with a coloring is (k, l)-proper
 connected when every vertex pair is joined by k internally vertex-disjoint
 distance-l proper paths.
 
-Path searches are exhaustive DFS over simple paths carrying the trailing
-color window; the window condition is hereditary on prefixes, so pruning on
-it is sound and complete.  Neighbors are explored in ascending vertex
-order and the first witness found is returned, which makes certificates
-deterministic.
+Every path search is one exhaustive, iterative DFS over simple paths
+carrying the trailing color window (``_proper_paths``), so witnesses of any
+length are found without recursion.  Certificates are deterministic: an
+adjacent pair is witnessed by its edge, which is always proper, and every
+other pair by the first proper path in ascending-neighbor DFS order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graphs import EdgeColoring, Graph, normalize_edge
 
@@ -53,17 +53,6 @@ def _validate_window(ell: int) -> int:
     return ell
 
 
-def _window_ok(path_colors: list[int], new_color: int, ell: int) -> bool:
-    """May a path whose edge colors are path_colors be extended by an edge
-    of new_color?  Equal colors at edge positions i < j are forbidden iff
-    j - i <= ell, so the new color must avoid the last ell colors."""
-    start = max(0, len(path_colors) - ell)
-    for i in range(len(path_colors) - 1, start - 1, -1):
-        if path_colors[i] == new_color:
-            return False
-    return True
-
-
 def is_distance_proper_path(coloring: EdgeColoring, path: Path, ell: int) -> bool:
     """True iff the vertex sequence is a simple path of the colored graph
     in which every window of ell+1 consecutive edges is rainbow."""
@@ -86,82 +75,62 @@ def is_distance_proper_path(coloring: EdgeColoring, path: Path, ell: int) -> boo
 
 
 def _color_matrix(g: Graph, coloring: EdgeColoring) -> list[list[int]]:
+    """n x n edge colors of g, 0 for non-edges; colored pairs that are not
+    edges of g stay 0, so a nonzero entry always marks a real edge."""
     mat = [[0] * g.n for _ in range(g.n)]
-    for (u, v), c in coloring.colors.items():
+    for u, v in g.edges:
+        c = coloring.colors.get((u, v))
+        if c is None:
+            raise ValueError(f"partial coloring: edge {(u, v)} has no color")
         mat[u][v] = c
         mat[v][u] = c
     return mat
 
 
-def _find_path(
+def _proper_paths(
     adjacency,
     cmat: list[list[int]],
-    u: int,
+    prefix: Path,
+    prefix_colors: list[int],
     v: int,
     ell: int,
     deadline: Optional[float] = None,
-) -> Optional[Path]:
-    """First distance-ell proper simple u-v path in DFS order, or None."""
-    n = len(cmat)
-    visited = [False] * n
-    visited[u] = True
-    path = [u]
-    colors: list[int] = []
+) -> Iterator[Path]:
+    """Every distance-ell proper simple path that extends ``prefix`` (whose
+    edge colors are ``prefix_colors``) to v, in ascending-neighbor DFS order.
 
-    def dfs(x: int) -> Optional[Path]:
+    The DFS runs on an explicit stack, so path length is not bounded by the
+    recursion limit.  A frame holds the neighbor iterator of a path vertex
+    and the last ell path colors, which the next edge must avoid; the window
+    condition is hereditary on prefixes, so pruning on it is sound and
+    complete.  The deadline is checked before every step.
+    """
+    on_path = [False] * len(cmat)
+    for x in prefix:
+        on_path[x] = True
+    path = list(prefix)
+    colors = list(prefix_colors)
+    stack = [(iter(adjacency[path[-1]]), cmat[path[-1]], colors[-ell:])]
+    while stack:
         if deadline is not None and time.monotonic() > deadline:
             raise VerificationTimeout("path search exceeded the time budget")
-        for y in adjacency[x]:
-            if visited[y]:
-                continue
-            c = cmat[x][y]
-            if not _window_ok(colors, c, ell):
+        nbrs, row, recent = stack[-1]
+        for y in nbrs:
+            if on_path[y] or row[y] in recent:
                 continue
             if y == v:
-                return tuple(path) + (v,)
-            visited[y] = True
+                yield (*path, v)
+                continue
+            on_path[y] = True
             path.append(y)
-            colors.append(c)
-            found = dfs(y)
-            if found is not None:
-                return found
-            colors.pop()
-            path.pop()
-            visited[y] = False
-        return None
-
-    return dfs(u)
-
-
-def _all_proper_paths(adjacency, cmat, u: int, v: int, ell: int) -> list[Path]:
-    """Every distance-ell proper simple u-v path, in DFS order."""
-    n = len(cmat)
-    visited = [False] * n
-    visited[u] = True
-    path = [u]
-    colors: list[int] = []
-    out: list[Path] = []
-
-    def dfs(x: int) -> None:
-        for y in adjacency[x]:
-            if visited[y]:
-                continue
-            c = cmat[x][y]
-            if not _window_ok(colors, c, ell):
-                continue
-            if y == v:
-                out.append(tuple(path) + (v,))
-                continue
-            visited[y] = True
-            path.append(y)
-            colors.append(c)
-            dfs(y)
-            colors.pop()
-            path.pop()
-            visited[y] = False
-
-    dfs(u)
-    return out
+            colors.append(row[y])
+            stack.append((iter(adjacency[y]), cmat[y], colors[-ell:]))
+            break
+        else:
+            stack.pop()
+            if stack:
+                on_path[path.pop()] = False
+                colors.pop()
 
 
 def find_distance_proper_path(
@@ -172,14 +141,8 @@ def find_distance_proper_path(
     ell = _validate_window(ell)
     if u == v:
         raise ValueError("endpoints must be distinct")
-    _check_total(g, coloring)
-    return _find_path(g.adjacency, _color_matrix(g, coloring), u, v, ell)
-
-
-def _check_total(g: Graph, coloring: EdgeColoring) -> None:
-    for e in g.edges:
-        if e not in coloring.colors:
-            raise ValueError(f"partial coloring: edge {e} has no color")
+    cmat = _color_matrix(g, coloring)
+    return next(_proper_paths(g.adjacency, cmat, (u,), [], v, ell), None)
 
 
 def _disjoint_tuple(paths: list[Path], k: int) -> Optional[tuple[Path, ...]]:
@@ -228,23 +191,18 @@ def verify_coloring(
     ell = _validate_window(ell)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    _check_total(g, coloring)
     cmat = _color_matrix(g, coloring)
     witnesses: dict[Pair, tuple[Path, ...]] = {}
+    if k == 1:
+        failing = _first_failing_pair(g.adjacency, cmat, g.n, ell, witnesses, time_limit)
+        return VerificationCertificate(failing is None, witnesses, failing)
     for u, v in itertools.combinations(range(g.n), 2):
-        # the time budget applies per vertex pair
         deadline = None if time_limit is None else time.monotonic() + time_limit
-        if k == 1:
-            found = _find_path(g.adjacency, cmat, u, v, ell, deadline)
-            if found is None:
-                return VerificationCertificate(False, witnesses, (u, v))
-            witnesses[(u, v)] = (found,)
-        else:
-            candidates = _all_proper_paths(g.adjacency, cmat, u, v, ell)
-            tup = _disjoint_tuple(candidates, k)
-            if tup is None:
-                return VerificationCertificate(False, witnesses, (u, v))
-            witnesses[(u, v)] = tup
+        candidates = list(_proper_paths(g.adjacency, cmat, (u,), [], v, ell, deadline))
+        tup = _disjoint_tuple(candidates, k)
+        if tup is None:
+            return VerificationCertificate(False, witnesses, (u, v))
+        witnesses[(u, v)] = tup
     return VerificationCertificate(True, witnesses, None)
 
 
@@ -253,16 +211,33 @@ def first_failing_pair(g: Graph, coloring: EdgeColoring, ell: int) -> Optional[P
     None if the coloring makes the graph (1, ell)-proper connected.  Leaner
     than verify_coloring: no witnesses are recorded."""
     ell = _validate_window(ell)
-    _check_total(g, coloring)
     cmat = _color_matrix(g, coloring)
-    return _first_failing_pair_fast(g.adjacency, cmat, g.n, ell)
+    return _first_failing_pair(g.adjacency, cmat, g.n, ell, None)
 
 
-def _first_failing_pair_fast(adjacency, cmat, n: int, ell: int) -> Optional[Pair]:
+def _first_failing_pair(
+    adjacency,
+    cmat: list[list[int]],
+    n: int,
+    ell: int,
+    witnesses: Optional[dict[Pair, tuple[Path, ...]]],
+    time_limit: Optional[float] = None,
+) -> Optional[Pair]:
+    """Scan the pairs u < v in lexicographic order and return the first one
+    with no distance-ell proper path, or None.  An adjacent pair is
+    witnessed by its edge; every other pair by its first path in DFS order,
+    searched under a per-pair ``time_limit``.  Witnesses of the pairs before
+    the failing one go into ``witnesses`` unless it is None."""
     for u in range(n - 1):
+        row = cmat[u]
         for v in range(u + 1, n):
-            if cmat[u][v]:
-                continue
-            if _find_path(adjacency, cmat, u, v, ell) is None:
-                return (u, v)
+            if row[v]:
+                found = (u, v)
+            else:
+                deadline = None if time_limit is None else time.monotonic() + time_limit
+                found = next(_proper_paths(adjacency, cmat, (u,), [], v, ell, deadline), None)
+                if found is None:
+                    return (u, v)
+            if witnesses is not None:
+                witnesses[(u, v)] = (found,)
     return None

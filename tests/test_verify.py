@@ -4,7 +4,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcc.graphs import EdgeColoring, Graph, complete_graph, cycle_graph, path_graph
+from pcc.construct import color_traceable
+from pcc.graphs import (
+    EdgeColoring,
+    Graph,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    wheel_graph,
+)
 from pcc.verify import (
     VerificationTimeout,
     find_distance_proper_path,
@@ -98,12 +106,23 @@ def test_certificate_witnesses_are_proper():
     for _ in range(20):
         g = random_connected_graph(rng.randint(2, 6), rng)
         c = random_coloring(g, 3, rng)
-        cert = verify_coloring(g, c, 2)
-        if cert.ok:
-            for (u, v), paths in cert.witnesses.items():
-                for p in paths:
-                    assert p[0] == u and p[-1] == v
-                    assert is_distance_proper_path(c, p, 2)
+        for ell in (1, 2, 3):
+            cert = verify_coloring(g, c, ell)
+            if cert.ok:
+                for (u, v), paths in cert.witnesses.items():
+                    for p in paths:
+                        assert p[0] == u and p[-1] == v
+                        assert is_distance_proper_path(c, p, ell)
+                    if (u, v) in c.colors:
+                        assert paths == ((u, v),)
+                    else:
+                        assert paths == (find_distance_proper_path(g, c, u, v, ell),)
+
+
+def test_long_witness_needs_no_recursion():
+    g = path_graph(1500)
+    c = color_traceable(g, list(range(1500)), 2).coloring
+    assert find_distance_proper_path(g, c, 0, 1499, 2) == tuple(range(1500))
 
 
 def test_oracle_equivalence_small_graphs():
@@ -200,7 +219,12 @@ def test_disjoint_witnesses_k2():
 
 
 def test_time_limit_raises():
-    g = complete_graph(9)
+    # K_9 has only adjacent pairs, each witnessed by its edge with no search,
+    # so it verifies under any budget; W_9 has pairs that need a search.
+    k9 = complete_graph(9)
+    c = EdgeColoring({e: 1 + (i % 4) for i, e in enumerate(k9.edges)})
+    assert verify_coloring(k9, c, 3, time_limit=0.0).ok
+    g = wheel_graph(9)
     c = EdgeColoring({e: 1 + (i % 4) for i, e in enumerate(g.edges)})
     with pytest.raises(VerificationTimeout):
         verify_coloring(g, c, 3, time_limit=0.0)
