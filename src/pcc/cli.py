@@ -320,7 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--coloring", required=True)
     p_ver.add_argument("--ell", type=int, required=True)
     p_ver.add_argument("--k", type=int, default=1)
-    p_ver.add_argument("--time-limit", type=float)
+    p_ver.add_argument(
+        "--time-limit",
+        type=float,
+        help="seconds for each source's path search and, separately, for each "
+        "pair's fallback search (each pair's enumeration when --k >= 2); running "
+        "out prints 'inconclusive timeout'",
+    )
     p_ver.set_defaults(func=_cmd_verify)
 
     p_ex = sub.add_parser("exact", help="exhaustive minimum color count")

@@ -31,7 +31,7 @@ class Graph:
     neighbor iteration order is deterministic.
     """
 
-    __slots__ = ("n", "edges", "adjacency", "_index")
+    __slots__ = ("n", "edges", "adjacency", "_edge_set")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if n < 1:
@@ -55,7 +55,7 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edge_tuple)
         object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in adj))
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(edge_tuple)})
+        object.__setattr__(self, "_edge_set", frozenset(seen))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -71,11 +71,7 @@ class Graph:
         return self.adjacency[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self._index
-
-    def edge_id(self, u: int, v: int) -> int:
-        """Position of edge (u, v) in the sorted edge list."""
-        return self._index[normalize_edge(u, v)]
+        return normalize_edge(u, v) in self._edge_set
 
     def __eq__(self, other) -> bool:
         return (
@@ -158,12 +154,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         """alpha(i) for 1 <= i <= n."""
         return self.image[i - 1]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for i, a in enumerate(self.image, start=1):
-            inv[a - 1] = i
-        return Permutation(tuple(inv))
 
 
 # ---------------------------------------------------------------------------

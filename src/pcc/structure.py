@@ -230,7 +230,9 @@ def ear_decomposition(h: Graph) -> EarDecomposition:
 
 def hamiltonian_path(g: Graph) -> Optional[tuple[int, ...]]:
     """Some Hamiltonian path, or None.  Backtracking with a dead-vertex
-    degree prune; intended for small graphs (n up to ~20)."""
+    degree prune, on an explicit stack so that path length is not bounded
+    by the recursion limit; the search is exponential in the worst case, so
+    it is intended for small or easily traced graphs."""
     n = g.n
     if n == 1:
         return (0,)
@@ -238,38 +240,38 @@ def hamiltonian_path(g: Graph) -> Optional[tuple[int, ...]]:
         return None
     adj = g.adjacency
 
-    def extend(path: list[int], visited: list[bool]) -> Optional[tuple[int, ...]]:
-        if len(path) == n:
-            return tuple(path)
-        tail = path[-1]
-        for w in adj[tail]:
-            if visited[w]:
-                continue
-            visited[w] = True
-            path.append(w)
-            # Prune: an unvisited vertex whose unvisited neighborhood is empty
-            # and which is not adjacent to the new tail can never be reached.
-            dead = False
-            if len(path) < n:
-                for x in range(n):
-                    if not visited[x] and x != w:
-                        if all(visited[y] for y in adj[x]) and not g.has_edge(x, w):
-                            dead = True
-                            break
-            if not dead:
-                result = extend(path, visited)
-                if result is not None:
-                    return result
-            path.pop()
-            visited[w] = False
-        return None
+    def strands_a_vertex(w: int, visited: list[bool]) -> bool:
+        # An unvisited vertex whose unvisited neighborhood is empty and which
+        # is not adjacent to the new tail w can never be reached.
+        for x in range(n):
+            if not visited[x] and x != w:
+                if all(visited[y] for y in adj[x]) and not g.has_edge(x, w):
+                    return True
+        return False
 
     for start in range(n):
         visited = [False] * n
         visited[start] = True
-        result = extend([start], visited)
-        if result is not None:
-            return result
+        path = [start]
+        stack = [iter(adj[start])]
+        while stack:
+            if len(path) == n:
+                return tuple(path)
+            for w in stack[-1]:
+                if visited[w]:
+                    continue
+                visited[w] = True
+                path.append(w)
+                if len(path) < n and strands_a_vertex(w, visited):
+                    path.pop()
+                    visited[w] = False
+                    continue
+                stack.append(iter(adj[w]))
+                break
+            else:
+                stack.pop()
+                if stack:
+                    visited[path.pop()] = False
     return None
 
 
@@ -295,9 +297,6 @@ class RootedTree:
         while self.parent[path[-1]] is not None:
             path.append(self.parent[path[-1]])
         return path
-
-    def height(self) -> int:
-        return max(self.depth)
 
 
 def bfs_tree(g: Graph, root: int, allowed_edges: Optional[set[Edge]] = None) -> RootedTree:

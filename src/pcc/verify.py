@@ -8,11 +8,19 @@ condition (adjacent edges differ).  A graph with a coloring is (k, l)-proper
 connected when every vertex pair is joined by k internally vertex-disjoint
 distance-l proper paths.
 
-Every path search is one exhaustive, iterative DFS over simple paths
-carrying the trailing color window (``_proper_paths``), so witnesses of any
-length are found without recursion.  Certificates are deterministic: an
-adjacent pair is witnessed by its edge, which is always proper, and every
-other pair by the first proper path in ascending-neighbor DFS order.
+The pairs of a source are decided by one breadth-first search from it,
+``_shortest_proper_walks``, over the states (vertex, last <= l walk
+colors); it finds the shortest proper walk to every target in polynomial
+time.  A target the search never reaches has no proper path.  A walk that
+is simple is the witness; only when the shortest walk repeats a vertex does
+that pair fall back to the exhaustive, iterative DFS over simple paths
+(``_proper_paths``).  Neither search recurses, so witnesses of any length
+are found.
+
+Certificates are deterministic: an adjacent pair is witnessed by its edge,
+which is always proper, and every other pair by its shortest proper path,
+the first in ascending-neighbor BFS order, or, after a fallback, by the
+first proper path in ascending-neighbor DFS order.
 """
 
 from __future__ import annotations
@@ -94,7 +102,7 @@ def _proper_paths(
     prefix_colors: list[int],
     v: int,
     ell: int,
-    deadline: Optional[float] = None,
+    time_limit: Optional[float] = None,
 ) -> Iterator[Path]:
     """Every distance-ell proper simple path that extends ``prefix`` (whose
     edge colors are ``prefix_colors``) to v, in ascending-neighbor DFS order.
@@ -103,8 +111,10 @@ def _proper_paths(
     recursion limit.  A frame holds the neighbor iterator of a path vertex
     and the last ell path colors, which the next edge must avoid; the window
     condition is hereditary on prefixes, so pruning on it is sound and
-    complete.  The deadline is checked before every step.
+    complete.  The ``time_limit`` budget starts with the search and is
+    checked before every step.
     """
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     on_path = [False] * len(cmat)
     for x in prefix:
         on_path[x] = True
@@ -113,7 +123,10 @@ def _proper_paths(
     stack = [(iter(adjacency[path[-1]]), cmat[path[-1]], colors[-ell:])]
     while stack:
         if deadline is not None and time.monotonic() > deadline:
-            raise VerificationTimeout("path search exceeded the time budget")
+            raise VerificationTimeout(
+                f"path search for pair {(prefix[0], v)} exceeded the time budget "
+                f"of {time_limit} s"
+            )
         nbrs, row, recent = stack[-1]
         for y in nbrs:
             if on_path[y] or row[y] in recent:
@@ -133,16 +146,92 @@ def _proper_paths(
                 colors.pop()
 
 
+def _shortest_proper_walks(
+    adjacency,
+    cmat: list[list[int]],
+    u: int,
+    targets,
+    ell: int,
+    time_limit: Optional[float] = None,
+) -> dict[int, Path]:
+    """The shortest distance-ell proper walk from u to each target that has
+    one, the first found in ascending-neighbor BFS order.
+
+    The search runs over the states (vertex, last <= ell walk colors), never
+    re-enters u and stops once every target is reached.  A proper path is a
+    proper walk that avoids u after its start, so a target missing from the
+    result has no proper path.  A returned walk may repeat a vertex.  The
+    ``time_limit`` budget starts with the search and is checked before the
+    first state and every 256 states after it.
+    """
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    pending = set(targets)
+    reached: dict[int, int] = {}
+    states = [(u, ())]
+    parent = [-1]
+    seen = set()
+    for i, (x, window) in enumerate(states):
+        if not pending:
+            break
+        if deadline is not None and not i & 255 and time.monotonic() > deadline:
+            raise VerificationTimeout(
+                f"search from vertex {u} exceeded the time budget of {time_limit} s"
+            )
+        row = cmat[x]
+        kept = window[len(window) >= ell:]
+        for y in adjacency[x]:
+            c = row[y]
+            if c in window or y == u:
+                continue
+            state = (y, kept + (c,))
+            if state in seen:
+                continue
+            seen.add(state)
+            parent.append(i)
+            states.append(state)
+            if y in pending:
+                pending.remove(y)
+                reached[y] = len(states) - 1
+    walks = {}
+    for v, j in reached.items():
+        walk = []
+        while j >= 0:
+            walk.append(states[j][0])
+            j = parent[j]
+        walks[v] = tuple(reversed(walk))
+    return walks
+
+
+def _path_from_walk(
+    adjacency,
+    cmat: list[list[int]],
+    u: int,
+    v: int,
+    ell: int,
+    walk: Optional[Path],
+    time_limit: Optional[float] = None,
+) -> Optional[Path]:
+    """The witness for (u, v) given its shortest proper walk: None when there
+    is no walk, the walk when it is simple, else the first proper path of
+    the exhaustive DFS, which may still find none."""
+    if walk is None or len(set(walk)) == len(walk):
+        return walk
+    return next(_proper_paths(adjacency, cmat, (u,), [], v, ell, time_limit), None)
+
+
 def find_distance_proper_path(
     g: Graph, coloring: EdgeColoring, u: int, v: int, ell: int
 ) -> Optional[Path]:
     """A distance-ell proper simple path from u to v, or None if no simple
-    path of the colored graph satisfies the window condition."""
+    path of the colored graph satisfies the window condition.  The path is
+    the shortest proper walk when that is simple, else the first proper path
+    in DFS order; verify_coloring certifies non-adjacent pairs with it."""
     ell = _validate_window(ell)
     if u == v:
         raise ValueError("endpoints must be distinct")
     cmat = _color_matrix(g, coloring)
-    return next(_proper_paths(g.adjacency, cmat, (u,), [], v, ell), None)
+    walk = _shortest_proper_walks(g.adjacency, cmat, u, (v,), ell).get(v)
+    return _path_from_walk(g.adjacency, cmat, u, v, ell, walk)
 
 
 def _disjoint_tuple(paths: list[Path], k: int) -> Optional[tuple[Path, ...]]:
@@ -183,10 +272,16 @@ def verify_coloring(
     """Check (k, ell)-proper connectivity of the colored graph.
 
     Pairs are scanned in lexicographic order, so the failing pair is
-    reproducible.  ``time_limit`` is a per-pair search budget; exceeding it
-    raises VerificationTimeout rather than guessing a verdict.  For k >= 2
-    all proper paths per pair are enumerated and searched for k internally
-    disjoint ones (small graphs only).
+    reproducible.  For k = 1 the non-adjacent pairs of each source u are
+    decided by one search for shortest proper walks from u, and a pair whose
+    walk repeats a vertex falls back to an exhaustive DFS of its own.
+    ``time_limit`` (seconds) bounds each source's search and, separately,
+    each fallback, so one budget covers at most one source's search plus
+    one pair's fallback; exceeding it raises VerificationTimeout, naming the
+    source or pair and the budget, rather than guessing a verdict.  For
+    k >= 2 all proper paths per pair are enumerated, under a per-pair
+    ``time_limit``, and searched for k internally disjoint ones (small
+    graphs only).
     """
     ell = _validate_window(ell)
     if k < 1:
@@ -197,8 +292,7 @@ def verify_coloring(
         failing = _first_failing_pair(g.adjacency, cmat, g.n, ell, witnesses, time_limit)
         return VerificationCertificate(failing is None, witnesses, failing)
     for u, v in itertools.combinations(range(g.n), 2):
-        deadline = None if time_limit is None else time.monotonic() + time_limit
-        candidates = list(_proper_paths(g.adjacency, cmat, (u,), [], v, ell, deadline))
+        candidates = list(_proper_paths(g.adjacency, cmat, (u,), [], v, ell, time_limit))
         tup = _disjoint_tuple(candidates, k)
         if tup is None:
             return VerificationCertificate(False, witnesses, (u, v))
@@ -225,17 +319,22 @@ def _first_failing_pair(
 ) -> Optional[Pair]:
     """Scan the pairs u < v in lexicographic order and return the first one
     with no distance-ell proper path, or None.  An adjacent pair is
-    witnessed by its edge; every other pair by its first path in DFS order,
-    searched under a per-pair ``time_limit``.  Witnesses of the pairs before
-    the failing one go into ``witnesses`` unless it is None."""
+    witnessed by its edge.  The other pairs of a source u are decided by one
+    search for shortest proper walks from u, with a DFS fallback for a pair
+    whose walk repeats a vertex; ``time_limit`` bounds that search and,
+    separately, each fallback.  Witnesses of the pairs before the failing
+    one go into ``witnesses`` unless it is None."""
     for u in range(n - 1):
         row = cmat[u]
+        targets = [v for v in range(u + 1, n) if not row[v]]
+        walks = {}
+        if targets:
+            walks = _shortest_proper_walks(adjacency, cmat, u, targets, ell, time_limit)
         for v in range(u + 1, n):
             if row[v]:
                 found = (u, v)
             else:
-                deadline = None if time_limit is None else time.monotonic() + time_limit
-                found = next(_proper_paths(adjacency, cmat, (u,), [], v, ell, deadline), None)
+                found = _path_from_walk(adjacency, cmat, u, v, ell, walks.get(v), time_limit)
                 if found is None:
                     return (u, v)
             if witnesses is not None:

@@ -146,3 +146,26 @@ def test_table_cube(tmp_path, capsys):
     )
     assert code == 0
     assert "rows 6" in stdout
+
+
+def test_color_hypercube_six_window_two_returns(tmp_path, capsys):
+    out_file = tmp_path / "q6.pcc"
+    code, out, _ = run(
+        ["color", "--family", "hypercube", "--t", "6", "--ell", "2", "-o", str(out_file)],
+        capsys,
+    )
+    assert code == 0 and "verified true" in out.splitlines()
+
+
+def test_verify_timeout_names_source_and_budget(tmp_path, capsys):
+    graph_file = tmp_path / "w9.edges"
+    graph_file.write_text(io.write_graph(wheel_graph(9)))
+    color_file = tmp_path / "w9.pcc"
+    run(["color", "--family", "wheel", "--n", "9", "--ell", "2", "-o", str(color_file)], capsys)
+    code, out, err = run(
+        ["verify", "--graph", str(graph_file), "--coloring", str(color_file), "--ell", "2",
+         "--time-limit", "0"],
+        capsys,
+    )
+    assert code == 1 and out == "inconclusive timeout\n"
+    assert err == "search from vertex 0 exceeded the time budget of 0.0 s\n"

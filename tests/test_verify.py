@@ -4,17 +4,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcc.construct import color_traceable
+from pcc.construct import color_hypercube, color_traceable
 from pcc.graphs import (
     EdgeColoring,
     Graph,
     complete_graph,
     cycle_graph,
+    hypercube_graph,
     path_graph,
     wheel_graph,
 )
 from pcc.verify import (
     VerificationTimeout,
+    _color_matrix,
+    _proper_paths,
+    _shortest_proper_walks,
     find_distance_proper_path,
     first_failing_pair,
     is_distance_proper_path,
@@ -228,3 +232,98 @@ def test_time_limit_raises():
     c = EdgeColoring({e: 1 + (i % 4) for i, e in enumerate(g.edges)})
     with pytest.raises(VerificationTimeout):
         verify_coloring(g, c, 3, time_limit=0.0)
+
+
+def test_timeout_names_source_pair_and_budget():
+    g = wheel_graph(9)
+    c = EdgeColoring({e: 1 + (i % 4) for i, e in enumerate(g.edges)})
+    with pytest.raises(VerificationTimeout, match=r"^search from vertex 0 .* 0\.0 s$"):
+        verify_coloring(g, c, 3, time_limit=0.0)
+    with pytest.raises(VerificationTimeout, match=r"^path search for pair \(0, 1\) .* 0\.0 s$"):
+        verify_coloring(g, c, 3, k=2, time_limit=0.0)
+    # A fallback names its pair.
+    cmat = _color_matrix(g, c)
+    with pytest.raises(VerificationTimeout, match=r"^path search for pair \(0, 4\) .* 0\.0 s$"):
+        next(_proper_paths(g.adjacency, cmat, (0,), [], 4, 3, 0.0))
+
+
+def _triangle_gadget(detour: bool):
+    """The edges u-a and a-v (u=0, a=1, v=4) share color 1, so u-a-v is not
+    proper at l=1, but the walk u-a-b-c-a-v around the triangle a, b=2, c=3
+    is.  With ``detour``, the path 0-5-6-7-8-9-4, colored 2, 3, 2, 3, 2, 3
+    and one edge longer than that walk, is the only proper u-v path."""
+    colors = {(0, 1): 1, (1, 2): 2, (2, 3): 1, (1, 3): 3, (1, 4): 1}
+    n = 5
+    if detour:
+        detour_path = [0, 5, 6, 7, 8, 9, 4]
+        for i, (a, b) in enumerate(zip(detour_path, detour_path[1:])):
+            colors[(min(a, b), max(a, b))] = 2 + i % 2
+        n = 10
+    g = Graph(n, colors)
+    return g, EdgeColoring(colors)
+
+
+def test_fallback_finds_path_behind_a_repeating_walk():
+    g, c = _triangle_gadget(detour=True)
+    walk = _shortest_proper_walks(g.adjacency, _color_matrix(g, c), 0, (4,), 1)[4]
+    assert walk == (0, 1, 2, 3, 1, 4)
+    path = find_distance_proper_path(g, c, 0, 4, 1)
+    assert path == (0, 5, 6, 7, 8, 9, 4)
+    cert = verify_coloring(g, c, 1)
+    expect = next((p for p in itertools.combinations(range(g.n), 2)
+                   if not proper_path_exists(g, c, *p, 1)), None)
+    assert cert.failing_pair == expect
+    assert expect is None or expect > (0, 4)
+    assert cert.witnesses[(0, 4)] == (path,)
+
+
+def test_fallback_refutes_when_every_walk_repeats_a_vertex():
+    g, c = _triangle_gadget(detour=False)
+    walk = _shortest_proper_walks(g.adjacency, _color_matrix(g, c), 0, (4,), 1)[4]
+    assert walk == (0, 1, 2, 3, 1, 4)
+    assert find_distance_proper_path(g, c, 0, 4, 1) is None
+    assert not proper_path_exists(g, c, 0, 4, 1)
+    cert = verify_coloring(g, c, 1)
+    assert not cert.ok and cert.failing_pair == (0, 4)
+    assert set(cert.witnesses) == {(0, 1), (0, 2), (0, 3)}
+    assert first_failing_pair(g, c, 1) == (0, 4)
+
+
+def test_scan_matches_oracle_on_random_graphs():
+    # Sparse graphs with l+1 or l+2 colors give the most shortest proper
+    # walks that repeat a vertex (the witness is then the DFS fallback's, and
+    # is otherwise the walk itself); the count makes sure the fallback ran.
+    rng = random.Random(21)
+    fallbacks = 0
+    for ell in (1, 2, 3):
+        for _ in range(80):
+            g = random_connected_graph(rng.randint(5, 9), rng, extra=0.2)
+            c = random_coloring(g, ell + rng.randint(1, 2), rng)
+            cmat = _color_matrix(g, c)
+            failing = None
+            for u, v in itertools.combinations(range(g.n), 2):
+                path = find_distance_proper_path(g, c, u, v, ell)
+                assert (path is not None) == proper_path_exists(g, c, u, v, ell)
+                walk = _shortest_proper_walks(g.adjacency, cmat, u, (v,), ell).get(v)
+                if walk is not None and len(set(walk)) < len(walk):
+                    fallbacks += 1
+                elif walk != path:
+                    pytest.fail(f"{(u, v)}: simple shortest walk {walk}, witness {path}")
+                if path is None:
+                    failing = failing or (u, v)
+                    continue
+                assert path[0] == u and path[-1] == v
+                assert is_distance_proper_path(c, path, ell)  # raises unless simple
+                assert window_proper(path_colors(c, path), ell)
+            cert = verify_coloring(g, c, ell)
+            assert cert.failing_pair == failing and cert.ok == (failing is None)
+            assert first_failing_pair(g, c, ell) == failing
+            for (u, v), paths in cert.witnesses.items():
+                if (u, v) not in c.colors:
+                    assert paths == (find_distance_proper_path(g, c, u, v, ell),)
+    assert fallbacks > 0
+
+
+def test_hypercube_six_at_window_two_decides():
+    cert = verify_coloring(hypercube_graph(6), color_hypercube(6, 2).coloring, 2)
+    assert cert.ok and len(cert.witnesses) == 64 * 63 // 2
