@@ -130,7 +130,7 @@ def _cmd_color(args) -> int:
         g, report = _construct_for_family(args)
     else:
         g, report = _construct_for_method(args)
-    cert = verify.verify_coloring(g, report.coloring, args.ell)
+    cert = report.certificate or verify.verify_coloring(g, report.coloring, args.ell)
     if not cert.ok:
         print("verified false")
         print(f"failing_pair {cert.failing_pair[0]} {cert.failing_pair[1]}")

@@ -3,15 +3,16 @@
 Every constructor returns a ConstructionReport whose coloring is expected
 to pass verify_coloring at the requested window; the constructors for
 2-connected graphs, Cartesian products, and permutation graphs verify
-their own output and raise InvariantViolation rather than return a bad
-coloring.  Greedy choices always take the lowest admissible color so
-outputs are reproducible byte for byte.
+their own output, attach the certificate to the report, and raise
+InvariantViolation rather than return a bad coloring.  Greedy choices
+always take the lowest admissible color so outputs are reproducible byte
+for byte.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .graphs import (
@@ -33,6 +34,7 @@ from .structure import (
     bfs_tree,
     ear_decomposition,
     eccentricity,
+    hamiltonian_path,
     is_2_connected,
     is_complete,
     is_connected,
@@ -41,17 +43,29 @@ from .structure import (
     minimally_2connected_spanning,
     radius,
 )
-from .verify import _proper_paths, _validate_window, verify_coloring
+from .verify import (
+    VerificationCertificate,
+    _proper_paths,
+    _validate_window,
+    verify_coloring,
+)
 
 
 @dataclass(frozen=True)
 class ConstructionReport:
-    """A constructed coloring together with the claimed color count."""
+    """A constructed coloring together with the claimed color count.
+
+    ``certificate`` is the passing verification of the coloring, at the
+    constructor's window, when the constructor verified its own output.
+    """
 
     coloring: EdgeColoring
     claimed_colors: int
     theorem: str
     notes: str = ""
+    certificate: Optional[VerificationCertificate] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if len(self.coloring.used_colors()) > self.claimed_colors:
@@ -723,6 +737,9 @@ def color_cartesian(g: Graph, h: Graph) -> ConstructionReport:
     A star times a factor of radius >= 3 gets the 4-color scheme; a K_3
     factor gets its dedicated 3-color scheme; everything else gets the
     template-greedy 3-coloring.  The output is verified before returning.
+    Where the scheme fails verification (K_2 times a radius-2 factor that
+    branches at depth 1) and the product has a Hamiltonian path, the
+    product is colored along that path with 3 colors instead.
     """
     if g.n < 2 or h.n < 2:
         raise ValueError("product coloring requires nontrivial factors")
@@ -750,10 +767,16 @@ def color_cartesian(g: Graph, h: Graph) -> ConstructionReport:
     coloring = EdgeColoring(full)
     cert = verify_coloring(pg, coloring, 2)
     if not cert.ok:
+        path = hamiltonian_path(pg)
+        if path is not None:
+            note = f"{note} failed at pair {cert.failing_pair}; Hamiltonian path instead"
+            coloring, claimed = color_traceable(pg, path, 2).coloring, 3
+            cert = verify_coloring(pg, coloring, 2)
+    if not cert.ok:
         raise InvariantViolation(
             f"product coloring failed verification at pair {cert.failing_pair} ({note})"
         )
-    return ConstructionReport(coloring, claimed, "cartesian", note)
+    return ConstructionReport(coloring, claimed, "cartesian", note, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -1019,6 +1042,7 @@ def color_2connected(g: Graph) -> ConstructionReport:
         5,
         "two_connected",
         f"reduced to {reduced.m} edges, base cycle {r}, {len(decomp.ears)} ears",
+        cert,
     )
 
 
@@ -1092,5 +1116,5 @@ def color_permutation_graph(
             f"permutation-graph coloring failed verification at pair {cert.failing_pair}"
         )
     return ConstructionReport(
-        coloring, span, "permutation", f"split position {i} of {n}"
+        coloring, span, "permutation", f"split position {i} of {n}", cert
     )

@@ -8,6 +8,7 @@ edge order, never by hashing or randomness.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -240,13 +241,14 @@ def hamiltonian_path(g: Graph) -> Optional[tuple[int, ...]]:
         return None
     adj = g.adjacency
 
-    def strands_a_vertex(w: int, visited: list[bool]) -> bool:
+    def strands_a_vertex(tail: int, w: int, visited: list[bool]) -> bool:
         # An unvisited vertex whose unvisited neighborhood is empty and which
-        # is not adjacent to the new tail w can never be reached.
-        for x in range(n):
-            if not visited[x] and x != w:
-                if all(visited[y] for y in adj[x]) and not g.has_edge(x, w):
-                    return True
+        # is not adjacent to the new tail w can never be reached.  Moving the
+        # tail from `tail` to w changes that only for the neighbors of the
+        # two, and no vertex was stranded before the move.
+        for x in itertools.chain(adj[w], adj[tail]):
+            if not visited[x] and all(visited[y] for y in adj[x]) and not g.has_edge(x, w):
+                return True
         return False
 
     for start in range(n):
@@ -262,7 +264,7 @@ def hamiltonian_path(g: Graph) -> Optional[tuple[int, ...]]:
                     continue
                 visited[w] = True
                 path.append(w)
-                if len(path) < n and strands_a_vertex(w, visited):
+                if len(path) < n and strands_a_vertex(path[-2], w, visited):
                     path.pop()
                     visited[w] = False
                     continue

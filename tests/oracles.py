@@ -172,3 +172,41 @@ def random_coloring(g: Graph, t: int, rng: random.Random):
 
     colors = {e: rng.randint(1, t) for e in g.edges}
     return EdgeColoring(colors, num_colors=max(colors.values()))
+
+
+def hamiltonian_path_full_scan(g: Graph):
+    """Reference Hamiltonian-path search: the same backtracking order and
+    dead-vertex prune as the library, but the prune rescans every vertex
+    after each extension."""
+    n = g.n
+    if n == 1:
+        return (0,)
+    for start in range(n):
+        visited = [False] * n
+        visited[start] = True
+        path = [start]
+        stack = [iter(g.adjacency[start])]
+        while stack:
+            if len(path) == n:
+                return tuple(path)
+            for w in stack[-1]:
+                if visited[w]:
+                    continue
+                visited[w] = True
+                path.append(w)
+                stranded = len(path) < n and any(
+                    not visited[x] and all(visited[y] for y in g.adjacency[x])
+                    and not g.has_edge(x, w)
+                    for x in range(n)
+                )
+                if stranded:
+                    path.pop()
+                    visited[w] = False
+                    continue
+                stack.append(iter(g.adjacency[w]))
+                break
+            else:
+                stack.pop()
+                if stack:
+                    visited[path.pop()] = False
+    return None

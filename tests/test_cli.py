@@ -1,6 +1,6 @@
-from pcc import io
+from pcc import io, verify
 from pcc.cli import main
-from pcc.graphs import cycle_graph, path_graph, wheel_graph
+from pcc.graphs import cycle_graph, double_star_graph, path_graph, wheel_graph
 
 
 def run(args, capsys):
@@ -111,6 +111,40 @@ def test_color_method_permutation(tmp_path, capsys):
         capsys,
     )
     assert code == 0 and "verified true" in out
+
+
+def test_color_reuses_constructor_certificate(tmp_path, capsys, monkeypatch):
+    # color_cartesian, color_2connected and color_permutation_graph verify
+    # their own output; `pcc color` prints their certificate instead of
+    # verifying again, and verifies only what other constructors return.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = verify.verify_coloring
+    monkeypatch.setattr(verify, "verify_coloring", counting)
+    a, b = tmp_path / "a.edges", tmp_path / "b.edges"
+    c6, p4 = tmp_path / "c6.edges", tmp_path / "p4.edges"
+    a.write_text(io.write_graph(path_graph(2)))
+    b.write_text(io.write_graph(double_star_graph(3, 3)))
+    c6.write_text(io.write_graph(cycle_graph(6)))
+    p4.write_text(io.write_graph(path_graph(4)))
+    out_file = tmp_path / "out.pcc"
+    for argv in (
+        ["--input", str(a), "--input2", str(b), "--method", "cartesian"],
+        ["--input", str(c6), "--method", "2connected"],
+        ["--input", str(p4), "--method", "permutation", "--alpha", "2,4,1,3"],
+    ):
+        code, out, _ = run(["color", *argv, "--ell", "2", "-o", str(out_file)], capsys)
+        assert code == 0 and "verified true" in out
+    assert calls == []
+    code, out, _ = run(
+        ["color", "--family", "wheel", "--n", "9", "--ell", "2", "-o", str(out_file)], capsys
+    )
+    assert code == 0 and "verified true" in out
+    assert len(calls) == 1
 
 
 def test_color_usage_errors(tmp_path, capsys):

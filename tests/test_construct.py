@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from pcc import construct
 from pcc.construct import (
     AnchorSet,
     ConstructionReport,
@@ -376,17 +377,23 @@ def test_cartesian_random_pairs():
         assert_sound(r, cartesian_product(g, h), 2)
 
 
-def test_cartesian_surfaced_gap_is_a_loud_error():
+def test_cartesian_surfaced_gap_falls_back_to_hamiltonian_path(monkeypatch):
     # K_2 times a radius-2 factor that branches at depth 1 defeats the
     # depth-cyclic template scheme: the junction windows pin the depth-1
     # rung and copy colors to equal values, so sibling pairs on the deep
-    # side lose every candidate witness.  The constructor must refuse
-    # rather than return the broken coloring (the bound itself still holds:
-    # these products are traceable).
+    # side lose every candidate witness.  These products are traceable, so
+    # the constructor colors them along a Hamiltonian path with 3 colors.
+    for h in (double_star_graph(3, 3), complete_bipartite_graph(2, 3)):
+        pg = cartesian_product(path_graph(2), h)
+        r = color_cartesian(path_graph(2), h)
+        assert r.claimed_colors == 3 and len(r.coloring.used_colors()) == 3
+        assert "Hamiltonian path" in r.notes
+        assert_sound(r, pg, 2)
+        assert r.certificate == verify_coloring(pg, r.coloring, 2)
+    # Without a Hamiltonian path to fall back on, the failure stays loud.
+    monkeypatch.setattr(construct, "hamiltonian_path", lambda g: None)
     with pytest.raises(InvariantViolation):
         color_cartesian(path_graph(2), double_star_graph(3, 3))
-    with pytest.raises(InvariantViolation):
-        color_cartesian(path_graph(2), complete_bipartite_graph(2, 3))
 
 
 # -- 2-connected graphs ------------------------------------------------------

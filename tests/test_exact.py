@@ -7,6 +7,8 @@ from pcc.exact import (
     ExactResult,
     Inconclusive,
     SearchBudget,
+    _incident_edges,
+    _relaxed_walk_exists,
     canonical_colorings,
     min_colors_exact,
     prove_lower_bound,
@@ -20,9 +22,15 @@ from pcc.graphs import (
     path_graph,
     wheel_graph,
 )
-from pcc.verify import verify_coloring
+from pcc.verify import first_failing_pair, verify_coloring
 
-from oracles import canonical_form, random_connected_graph, stirling2
+from oracles import (
+    all_simple_paths,
+    canonical_form,
+    proper_path_exists,
+    random_connected_graph,
+    stirling2,
+)
 
 
 def test_examples():
@@ -113,3 +121,82 @@ def test_witness_is_canonically_first():
         if verify_coloring(g, c, 2).ok:
             assert r.witness.colors == c.colors
             break
+
+
+def _plain_search(g, ell):
+    # Every canonical coloring, level by level, checked in full.
+    examined = 0
+    exhausted = []
+    for t in range(1, g.m + 1):
+        for assignment in canonical_colorings(g.m, t):
+            examined += 1
+            coloring = EdgeColoring(dict(zip(g.edges, assignment)))
+            if first_failing_pair(g, coloring, ell) is None:
+                return t, tuple(exhausted), coloring.colors, examined
+        exhausted.append(t)
+    raise AssertionError("the all-distinct coloring is always valid")
+
+
+def test_pruned_search_matches_plain_enumeration():
+    rng = random.Random(29)
+    graphs = []
+    while len(graphs) < 50:
+        g = random_connected_graph(rng.randint(3, 7), rng, extra=rng.choice((0.1, 0.3)))
+        if g.m <= 10:
+            graphs.append(g)
+    graphs += [wheel_graph(5), complete_bipartite_graph(2, 4), cycle_graph(7)]
+    for g in graphs:
+        for ell in (1, 2, 3):
+            r = min_colors_exact(g, ell)
+            got = (r.min_colors, r.exhausted_levels, r.witness.colors, r.colorings_examined)
+            assert got == _plain_search(g, ell), (g.edges, ell)
+
+
+def test_relaxed_refutation_holds_for_every_completion():
+    # Whenever the relaxed search finds no walk from u to v under a prefix,
+    # no completion of that prefix, canonical or not, has a proper u-v path.
+    rng = random.Random(31)
+    refuted = 0
+    for _ in range(80):
+        g = random_connected_graph(rng.randint(4, 7), rng, extra=0.25)
+        if g.m > 8:
+            continue
+        incident = _incident_edges(g)
+        paths = {pair: all_simple_paths(g, *pair) for pair in itertools.combinations(range(g.n), 2)}
+        for _ in range(6):
+            t, ell = rng.randint(1, 3), rng.randint(1, 3)
+            assignment = tuple(rng.randint(1, t) for _ in range(g.m))
+            p = rng.randint(0, g.m - 1)
+            for (u, v), uv_paths in paths.items():
+                if _relaxed_walk_exists(incident, assignment, p, t, u, v, ell):
+                    continue
+                refuted += 1
+                for rest in itertools.product(range(1, t + 1), repeat=g.m - p):
+                    coloring = EdgeColoring(dict(zip(g.edges, assignment[:p] + rest)))
+                    assert not proper_path_exists(g, coloring, u, v, ell, uv_paths)
+    assert refuted > 500
+
+
+def test_sending_a_prefix_skips_to_the_next_block():
+    # After yielding a coloring, send(p) yields the first later coloring of
+    # the plain order that differs within the first p edges.
+    for m in range(1, 7):
+        for t in range(1, m + 1):
+            plain = list(canonical_colorings(m, t))
+            for i, current in enumerate(plain):
+                for p in range(1, m + 1):
+                    colorings = canonical_colorings(m, t)
+                    for _ in range(i + 1):
+                        next(colorings)
+                    expected = next((b for b in plain[i + 1:] if b[:p] != current[:p]), None)
+                    try:
+                        got = colorings.send(p)
+                    except StopIteration:
+                        got = None
+                    assert got == expected, (m, t, current, p)
+
+
+def test_pruned_search_honours_the_deadline():
+    r = min_colors_exact(wheel_graph(8), 2, SearchBudget(time_limit=1e-9))
+    assert isinstance(r, Inconclusive)
+    assert r.reason == "time limit"

@@ -33,6 +33,7 @@ from pcc.structure import (
 
 from oracles import (
     brute_force_max_subtree,
+    hamiltonian_path_full_scan,
     random_connected_graph,
     two_connected_by_definition,
 )
@@ -189,6 +190,21 @@ def test_hamiltonian_path_single_vertex_and_disconnected():
 def test_hamiltonian_path_needs_no_recursion():
     # One backtracking step per path vertex: more than the recursion limit.
     assert hamiltonian_path(cycle_graph(1100)) == tuple(range(1100))
+
+
+def test_hamiltonian_path_matches_full_scan_prune():
+    # The prune checks only the neighbors of the old and the new tail; the
+    # oracle rescans every vertex, so the two must return the same path.
+    rng = random.Random(17)
+    found = missing = 0
+    for _ in range(300):
+        extra = rng.choice((0.0, 0.1, 0.25, 0.5))
+        g = random_connected_graph(rng.randint(2, 11), rng, extra)
+        hp = hamiltonian_path(g)
+        assert hp == hamiltonian_path_full_scan(g), g.edges
+        found += hp is not None
+        missing += hp is None
+    assert found > 50 and missing > 50
 
 
 def test_max_subtree_examples():
