@@ -228,6 +228,8 @@ def _table_rows(args):
                 report = construct.color_hypercube(t, ell)
                 yield f"t={t}", ell, g, report
     elif theorem == "tree":
+        if args.max_n < 2:
+            raise ValueError(f"tree table requires --max-n >= 2, got {args.max_n}")
         for i in range(args.count):
             n = 2 + (i * 7 + args.seed) % (args.max_n - 1)
             g = graphs.random_tree(n, seed=args.seed + i)

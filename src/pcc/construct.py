@@ -12,6 +12,7 @@ for byte.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -31,6 +32,7 @@ from .graphs import (
 )
 from .structure import (
     RootedTree,
+    _bfs,
     bfs_tree,
     ear_decomposition,
     eccentricity,
@@ -40,8 +42,8 @@ from .structure import (
     is_connected,
     is_star,
     is_tree,
+    max_subtree_size_with_diameter,
     minimally_2connected_spanning,
-    radius,
 )
 from .verify import (
     VerificationCertificate,
@@ -148,31 +150,19 @@ def _tree_conflict_colors(
 ) -> set[int]:
     """Colors of colored edges within edge-gap <= ell-1 of ``edge``.  Two
     tree edges at gap g lie on a common path with g edges strictly between
-    them, so they conflict exactly when g <= ell-1."""
-    a, b = edge
-    reach = ell - 1
+    them, so they conflict exactly when g <= ell-1, that is when the other
+    edge touches a vertex at most ell-1 steps from the nearer end of
+    ``edge``.  Both ends start the search at distance 0, so it never
+    crosses ``edge`` itself."""
+    dist = _bfs(t.adjacency, edge, ell - 1)[0]
     out: set[int] = set()
-    for src, block in ((a, b), (b, a)):
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                if dist[x] >= reach:
-                    continue
-                for y in t.adjacency[x]:
-                    if y == block and x == src:
-                        continue
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        nxt.append(y)
-            frontier = nxt
-        for f, c in colors.items():
-            if f == edge:
-                continue
-            near = min(dist.get(f[0], reach + 1), dist.get(f[1], reach + 1))
-            if near <= reach:
-                out.add(c)
+    for x, d in enumerate(dist):
+        if d == -1:
+            continue
+        for y in t.adjacency[x]:
+            f = normalize_edge(x, y)
+            if f != edge and f in colors:
+                out.add(colors[f])
     return out
 
 
@@ -185,8 +175,6 @@ def color_tree(t: Graph, ell: int) -> ConstructionReport:
     the maximum size of a subtree with diameter <= ell+1; for ell = 2 that
     is the largest degree sum over adjacent pairs, minus one.
     """
-    from .structure import max_subtree_size_with_diameter
-
     ell = _validate_window(ell)
     if not is_tree(t):
         raise ValueError("tree coloring requires a tree")
@@ -196,17 +184,7 @@ def color_tree(t: Graph, ell: int) -> ConstructionReport:
     colors: dict[Edge, int] = {}
     for i, e in enumerate(core.edges):
         colors[e] = i + 1
-    core_vertices = {v for e in core.edges for v in e}
-    dist = {v: 0 for v in core_vertices}
-    frontier = sorted(core_vertices)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in t.adjacency[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    nxt.append(y)
-        frontier = sorted(nxt)
+    dist = _bfs(t.adjacency, sorted({v for e in core.edges for v in e}))[0]
     pending = [e for e in t.edges if e not in colors]
     pending.sort(key=lambda e: (max(dist[e[0]], dist[e[1]]), e))
     for e in pending:
@@ -249,6 +227,18 @@ def _binary_lex(count: int, width: int) -> list[tuple[int, ...]]:
     return list(itertools.islice(itertools.product((1, 2), repeat=width), count))
 
 
+def _apply_vectors(
+    small: Sequence[int], large: Sequence[int], vectors: Sequence[tuple[int, ...]]
+) -> dict[Edge, int]:
+    """Give the edge between small[i] and the j-th large vertex component i
+    of the j-th vector."""
+    colors = {}
+    for w, vec in zip(large, vectors):
+        for i, u in enumerate(small):
+            colors[normalize_edge(u, w)] = vec[i]
+    return colors
+
+
 def _cross_colors(
     small: Sequence[int], large: Sequence[int], ell: int
 ) -> tuple[dict[Edge, int], int, str]:
@@ -259,24 +249,17 @@ def _cross_colors(
     s, n = len(small), len(large)
     if s < 2:
         raise InvariantViolation("vector coloring needs at least 2 vertices per side")
-
-    def apply(vectors: list[tuple[int, ...]]) -> dict[Edge, int]:
-        colors = {}
-        for w, vec in zip(large, vectors):
-            for i, u in enumerate(small):
-                colors[normalize_edge(u, w)] = vec[i]
-        return colors
-
     if n <= 2**s:
-        return apply(_vectors_with_units(n, s, 2)), 2, "binary vectors"
-    if ell == 2:
+        vectors, claimed, note = _vectors_with_units(n, s, 2), 2, "binary vectors"
+    elif ell == 2:
         vectors = _binary_lex(2**s, s) + [(3,) * s] * (n - 2**s)
-        return apply(vectors), 3, "binary vectors plus all-3 tail"
-    if n <= 3**s:
-        return apply(_vectors_with_units(n, s, 3)), 3, "ternary vectors"
-    tail = (3,) + (4,) * (s - 1)
-    vectors = _binary_lex(2**s, s) + [tail] * (n - 2**s)
-    return apply(vectors), 4, "binary vectors plus (3,4,..,4) tail"
+        claimed, note = 3, "binary vectors plus all-3 tail"
+    elif n <= 3**s:
+        vectors, claimed, note = _vectors_with_units(n, s, 3), 3, "ternary vectors"
+    else:
+        vectors = _binary_lex(2**s, s) + [(3,) + (4,) * (s - 1)] * (n - 2**s)
+        claimed, note = 4, "binary vectors plus (3,4,..,4) tail"
+    return _apply_vectors(small, large, vectors), claimed, note
 
 
 def color_complete_bipartite(m: int, n: int, ell: int) -> ConstructionReport:
@@ -341,12 +324,8 @@ def color_complete_multipartite(parts: Sequence[int], ell: int) -> ConstructionR
 
     if n > 2**m:
         u_side = [v for grp in groups[:-1] for v in grp]
-        v_side = groups[-1]
         vectors = _binary_lex(2**m, m) + [(1,) + (2,) * (m - 1)] * (n - 2**m)
-        colors = {}
-        for w, vec in zip(v_side, vectors):
-            for i, u in enumerate(u_side):
-                colors[normalize_edge(u, w)] = vec[i]
+        colors = _apply_vectors(u_side, groups[-1], vectors)
         for e in g.edges:
             colors.setdefault(e, 3)
         return ConstructionReport(
@@ -505,8 +484,7 @@ def _transpose_colors(colors: dict[Edge, int], a: Graph, b: Graph) -> dict[Edge,
     return out
 
 
-def _tree_with_root_ecc_exactly_2(g: Graph) -> Optional[RootedTree]:
-    eccs = [eccentricity(g, v) for v in range(g.n)]
+def _tree_with_root_ecc_exactly_2(g: Graph, eccs: list[int]) -> Optional[RootedTree]:
     rad = min(eccs)
     if rad == 2:
         return bfs_tree(g, eccs.index(2))
@@ -521,16 +499,8 @@ def _tree_with_root_ecc_exactly_2(g: Graph) -> Optional[RootedTree]:
     return None
 
 
-def _tree_with_root_ecc_le_2(g: Graph) -> Optional[RootedTree]:
-    eccs = [eccentricity(g, v) for v in range(g.n)]
-    rad = min(eccs)
-    if rad <= 2:
-        return bfs_tree(g, eccs.index(rad))
-    return None
-
-
-def _tree_with_root_ecc_ge_3(g: Graph) -> Optional[RootedTree]:
-    if radius(g) >= 3:
+def _tree_with_root_ecc_ge_3(g: Graph, eccs: list[int]) -> Optional[RootedTree]:
+    if min(eccs) >= 3:
         return bfs_tree(g, 0)
     # Anchor a 4-vertex path as tree edges, then grow the rest by BFS.
     for a in range(g.n):
@@ -545,8 +515,6 @@ def _tree_with_root_ecc_ge_3(g: Graph) -> Optional[RootedTree]:
                     depth = [-1] * g.n
                     depth[a], depth[b], depth[c], depth[d] = 0, 1, 2, 3
                     parent[b], parent[c], parent[d] = a, b, c
-                    from collections import deque
-
                     queue = deque([a, b, c, d])
                     while queue:
                         x = queue.popleft()
@@ -590,7 +558,9 @@ def _template_constraints(paths: list[list[int]]) -> dict[Edge, set[Edge]]:
     return conflicts
 
 
-def _cartesian_general(g: Graph, h: Graph) -> tuple[dict[Edge, int], str]:
+def _cartesian_general(
+    g: Graph, h: Graph, g_eccs: list[int], h_eccs: list[int]
+) -> tuple[dict[Edge, int], str]:
     """3-coloring of a spanning tree box via template paths: anchor paths of
     both trees at a shared root so down-one-tree-up-the-other walks are
     window-proper, then greedy lowest colors subject to those windows."""
@@ -600,16 +570,20 @@ def _cartesian_general(g: Graph, h: Graph) -> tuple[dict[Edge, int], str]:
     # side is too deep for that, both go to eccentricity >= 3.
     s_tree = t_tree = None
     note = ""
-    g2, h2 = _tree_with_root_ecc_exactly_2(g), _tree_with_root_ecc_exactly_2(h)
+    g2 = _tree_with_root_ecc_exactly_2(g, g_eccs)
+    h2 = _tree_with_root_ecc_exactly_2(h, h_eccs)
+    g_rad, h_rad = min(g_eccs), min(h_eccs)
     if g2 is not None and h2 is not None:
         s_tree, t_tree, note = g2, h2, "roots at eccentricity (2, 2)"
-    elif g2 is not None and _tree_with_root_ecc_le_2(h) is not None:
-        s_tree, t_tree, note = g2, _tree_with_root_ecc_le_2(h), "roots at eccentricity (2, <=2)"
-    elif h2 is not None and _tree_with_root_ecc_le_2(g) is not None:
-        s_tree, t_tree, note = _tree_with_root_ecc_le_2(g), h2, "roots at eccentricity (<=2, 2)"
+    elif g2 is not None and h_rad <= 2:
+        s_tree, t_tree = g2, bfs_tree(h, h_eccs.index(h_rad))
+        note = "roots at eccentricity (2, <=2)"
+    elif h2 is not None and g_rad <= 2:
+        s_tree, t_tree = bfs_tree(g, g_eccs.index(g_rad)), h2
+        note = "roots at eccentricity (<=2, 2)"
     if s_tree is None:
-        s_tree = _tree_with_root_ecc_ge_3(g)
-        t_tree = _tree_with_root_ecc_ge_3(h)
+        s_tree = _tree_with_root_ecc_ge_3(g, g_eccs)
+        t_tree = _tree_with_root_ecc_ge_3(h, h_eccs)
         note = "roots at eccentricity (>=3, >=3)"
         if s_tree is None or t_tree is None:
             raise InvariantViolation(
@@ -676,10 +650,6 @@ def _cartesian_k3(other: Graph, k3: Graph) -> dict[Edge, int]:
     the triangle rungs continue those cyclic runs."""
     s = bfs_tree(other, 0)
     hn = 3
-
-    def pv(u: int, v: int) -> int:
-        return u * hn + v
-
     res: dict[Edge, int] = {}
     for child, parent, d in _tree_copy_edges_with_depth(s):
         res[_product_edge(hn, child, 1, parent, 1)] = (d - 1) % 3
@@ -698,20 +668,15 @@ def _cartesian_k3(other: Graph, k3: Graph) -> dict[Edge, int]:
     return {e: c + 1 for e, c in res.items()}
 
 
-def _cartesian_star(star: Graph, other: Graph) -> dict[Edge, int]:
+def _cartesian_star(star: Graph, other: Graph, other_eccs: list[int]) -> dict[Edge, int]:
     """4-coloring of star box other.  The tree of the deep factor is rooted
     at an end of a longest path; its root copy cycles 1,2,3 by depth and all
     other copies cycle one step ahead.  Star edges take color 4 at the root
     level and, elsewhere, the single color missing around their level."""
     center = max(range(star.n), key=lambda v: star.degree(v))
-    eccs = [eccentricity(other, v) for v in range(other.n)]
-    root = eccs.index(max(eccs))
+    root = other_eccs.index(max(other_eccs))
     t_tree = bfs_tree(other, root)
     hn = other.n
-
-    def pv(u: int, v: int) -> int:
-        return u * hn + v
-
     res: dict[Edge, int] = {}
     for child, parent, d in _tree_copy_edges_with_depth(t_tree):
         for u in range(star.n):
@@ -748,10 +713,12 @@ def color_cartesian(g: Graph, h: Graph) -> ConstructionReport:
     if is_complete(g) and is_complete(h):
         raise ValueError("product coloring requires at least one non-complete factor")
     pg = cartesian_product(g, h)
-    if is_star(g) and radius(h) >= 3:
-        colors, claimed, note = _cartesian_star(g, h), 4, "star times deep factor"
-    elif is_star(h) and radius(g) >= 3:
-        colors = _transpose_colors(_cartesian_star(h, g), h, g)
+    g_eccs = [eccentricity(g, v) for v in range(g.n)]
+    h_eccs = [eccentricity(h, v) for v in range(h.n)]
+    if is_star(g) and min(h_eccs) >= 3:
+        colors, claimed, note = _cartesian_star(g, h, h_eccs), 4, "star times deep factor"
+    elif is_star(h) and min(g_eccs) >= 3:
+        colors = _transpose_colors(_cartesian_star(h, g, g_eccs), h, g)
         claimed, note = 4, "deep factor times star"
     elif is_complete(g) and g.n == 3:
         colors = _transpose_colors(_cartesian_k3(h, g), h, g)
@@ -759,7 +726,7 @@ def color_cartesian(g: Graph, h: Graph) -> ConstructionReport:
     elif is_complete(h) and h.n == 3:
         colors, claimed, note = _cartesian_k3(g, h), 3, "right factor K_3"
     else:
-        colors, note = _cartesian_general(g, h)
+        colors, note = _cartesian_general(g, h, g_eccs, h_eccs)
         claimed = 3
     full = dict(colors)
     for e in pg.edges:

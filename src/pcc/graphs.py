@@ -9,6 +9,7 @@ share across parallel workers.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -286,8 +287,6 @@ def random_tree(n: int, seed: int = 0) -> Graph:
         degree[x] += 1
     edges = []
     leaves = sorted(v for v in range(n) if degree[v] == 1)
-    import heapq
-
     heapq.heapify(leaves)
     for x in prufer:
         leaf = heapq.heappop(leaves)

@@ -2,6 +2,11 @@
 2-connected reduction, ear decompositions, Hamiltonian paths, and
 bounded-diameter subtrees of trees.
 
+Every plain breadth-first search here and in ``construct`` runs on one
+multi-source helper, ``_bfs``, which can stop at a distance and avoid one
+edge.  Only the ear search and the path-seeded Cartesian tree keep their
+own loops, because they stop or start differently.
+
 All functions are pure and deterministic: ties are broken by vertex or
 edge order, never by hashing or randomness.
 """
@@ -16,18 +21,41 @@ from typing import Optional, Sequence
 from .graphs import Edge, Graph, InvariantViolation, normalize_edge
 
 
+def _bfs(
+    adjacency: Sequence[Sequence[int]],
+    sources: Sequence[int],
+    reach: Optional[int] = None,
+    skip: Optional[Edge] = None,
+) -> tuple[list[int], list[int]]:
+    """Breadth-first search from all sources at distance 0, in ascending
+    neighbor order, one level at a time in discovery order (the order of a
+    FIFO queue).  Returns (dist, parent); -1 marks an unreached vertex or a
+    missing parent.  Vertices at distance ``reach`` are not expanded, so
+    nothing farther is discovered, and the edge ``skip`` is never crossed."""
+    dist = [-1] * len(adjacency)
+    parent = [-1] * len(adjacency)
+    for s in sources:
+        dist[s] = 0
+    ends = skip or ()
+    frontier = list(sources)
+    d = 0
+    while frontier and d != reach:
+        d += 1
+        discovered = []
+        for x in frontier:
+            for y in adjacency[x]:
+                # Both ends in ``skip`` means the edge is ``skip`` (no loops).
+                if dist[y] == -1 and not (x in ends and y in ends):
+                    dist[y] = d
+                    parent[y] = x
+                    discovered.append(y)
+        frontier = discovered
+    return dist, parent
+
+
 def distances(g: Graph, v: int) -> list[int]:
     """BFS distances from v; unreachable vertices get -1."""
-    dist = [-1] * g.n
-    dist[v] = 0
-    queue = deque([v])
-    while queue:
-        x = queue.popleft()
-        for y in g.adjacency[x]:
-            if dist[y] == -1:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
+    return _bfs(g.adjacency, (v,))[0]
 
 
 def eccentricity(g: Graph, v: int) -> int:
@@ -141,31 +169,20 @@ class EarDecomposition:
 
 def _shortest_cycle(g: Graph) -> list[int]:
     """Shortest cycle, deterministically: for each edge in ascending order,
-    find the shortest path between its endpoints avoiding that edge."""
+    find the shortest path between its endpoints avoiding that edge.  Only a
+    strictly shorter cycle replaces the best so far, so once one is known the
+    search stops at distance len(best) - 2."""
     best: Optional[list[int]] = None
     for u, v in g.edges:
-        parent = [-1] * g.n
-        dist = [-1] * g.n
-        dist[u] = 0
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            if x == v:
-                break
-            for y in g.adjacency[x]:
-                if dist[y] == -1 and not (x == u and y == v):
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
+        reach = None if best is None else len(best) - 2
+        dist, parent = _bfs(g.adjacency, (u,), reach, (u, v))
         if dist[v] == -1:
             continue
-        path = [v]
-        while path[-1] != u:
-            path.append(parent[path[-1]])
-        path.reverse()
-        if best is None or len(path) < len(best):
-            best = path
-    if best is None or len(best) < 3:
+        best = [v]
+        while best[-1] != u:
+            best.append(parent[best[-1]])
+        best.reverse()
+    if best is None:
         raise ValueError("graph has no cycle")
     return best
 
@@ -301,25 +318,12 @@ class RootedTree:
         return path
 
 
-def bfs_tree(g: Graph, root: int, allowed_edges: Optional[set[Edge]] = None) -> RootedTree:
-    """BFS spanning tree from root (ascending neighbor order), optionally
-    restricted to a subset of edges that must span the graph."""
-    parent: list[Optional[int]] = [None] * g.n
-    depth = [-1] * g.n
-    depth[root] = 0
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in g.adjacency[x]:
-            if allowed_edges is not None and normalize_edge(x, y) not in allowed_edges:
-                continue
-            if depth[y] == -1:
-                depth[y] = depth[x] + 1
-                parent[y] = x
-                queue.append(y)
+def bfs_tree(g: Graph, root: int) -> RootedTree:
+    """BFS spanning tree from root (ascending neighbor order)."""
+    depth, parent = _bfs(g.adjacency, (root,))
     if -1 in depth:
         raise ValueError("BFS tree does not span the graph")
-    return RootedTree(root, tuple(parent), tuple(depth))
+    return RootedTree(root, tuple(None if p == -1 else p for p in parent), tuple(depth))
 
 
 def max_subtree_size_with_diameter(t: Graph, d: int) -> tuple[int, Graph]:
@@ -337,32 +341,12 @@ def max_subtree_size_with_diameter(t: Graph, d: int) -> tuple[int, Graph]:
     if t.n == 1:
         return 0, t
 
-    def ball_vertices(centers: Sequence[int], r: int) -> set[int]:
-        dist = {c: 0 for c in centers}
-        queue = deque(centers)
-        while queue:
-            x = queue.popleft()
-            if dist[x] == r:
-                continue
-            for y in t.adjacency[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return set(dist)
-
-    best_size = -1
-    best_vertices: set[int] = set()
-    if d % 2 == 0:
-        for v in range(t.n):
-            ball = ball_vertices([v], d // 2)
-            if len(ball) - 1 > best_size:
-                best_size = len(ball) - 1
-                best_vertices = ball
-    else:
-        for u, v in t.edges:
-            ball = ball_vertices([u, v], (d - 1) // 2)
-            if len(ball) - 1 > best_size:
-                best_size = len(ball) - 1
-                best_vertices = ball
-    sub_edges = [e for e in t.edges if e[0] in best_vertices and e[1] in best_vertices]
+    center_sets = [(v,) for v in range(t.n)] if d % 2 == 0 else t.edges
+    best_size, best_dist = -1, []
+    for centers in center_sets:
+        dist = _bfs(t.adjacency, centers, d // 2)[0]
+        size = t.n - 1 - dist.count(-1)  # a ball of a tree is a subtree
+        if size > best_size:
+            best_size, best_dist = size, dist
+    sub_edges = [(u, v) for u, v in t.edges if best_dist[u] != -1 and best_dist[v] != -1]
     return best_size, Graph(t.n, sub_edges)

@@ -210,3 +210,65 @@ def hamiltonian_path_full_scan(g: Graph):
                 if stack:
                     visited[path.pop()] = False
     return None
+
+
+def tree_conflict_colors_full_scan(t: Graph, edge, ell: int, colors) -> set[int]:
+    """Reference conflict colors for a tree edge: a bounded search from each
+    end that does not cross the edge, then a scan of every colored edge for
+    one with an end within ell-1 steps."""
+    a, b = edge
+    reach = ell - 1
+    out: set[int] = set()
+    for src, block in ((a, b), (b, a)):
+        dist = {src: 0}
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                if dist[x] >= reach:
+                    continue
+                for y in t.adjacency[x]:
+                    if y == block and x == src:
+                        continue
+                    if y not in dist:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        for f, c in colors.items():
+            if f == edge:
+                continue
+            near = min(dist.get(f[0], reach + 1), dist.get(f[1], reach + 1))
+            if near <= reach:
+                out.add(c)
+    return out
+
+
+def shortest_cycle_unbounded(g: Graph) -> list[int]:
+    """Reference shortest cycle: for each edge in ascending order, an
+    unbounded search between its ends that avoids the edge; a strictly
+    shorter cycle replaces the best one."""
+    best = None
+    for u, v in g.edges:
+        parent = [-1] * g.n
+        dist = [-1] * g.n
+        dist[u] = 0
+        queue = [u]
+        for x in queue:
+            if x == v:
+                break
+            for y in g.adjacency[x]:
+                if dist[y] == -1 and not (x == u and y == v):
+                    dist[y] = dist[x] + 1
+                    parent[y] = x
+                    queue.append(y)
+        if dist[v] == -1:
+            continue
+        path = [v]
+        while path[-1] != u:
+            path.append(parent[path[-1]])
+        path.reverse()
+        if best is None or len(path) < len(best):
+            best = path
+    if best is None:
+        raise ValueError("graph has no cycle")
+    return best

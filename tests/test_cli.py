@@ -171,6 +171,22 @@ def test_table_wheel_deterministic(tmp_path, capsys):
     assert all(line.endswith(",ok") for line in lines[1:])
 
 
+def test_table_tree_rejects_small_max_n(tmp_path, capsys):
+    for max_n in ("1", "0", "-3"):
+        out = tmp_path / f"tree{max_n}.csv"
+        code, _, err = run(
+            ["table", "--theorem", "tree", "--max-n", max_n, "-o", str(out)], capsys
+        )
+        assert code == 2 and "error: tree table requires --max-n >= 2" in err
+        assert not out.exists()
+    code, stdout, _ = run(
+        ["table", "--theorem", "tree", "--max-n", "2", "--count", "3",
+         "-o", str(tmp_path / "tree2.csv")],
+        capsys,
+    )
+    assert code == 0 and "rows 3" in stdout
+
+
 def test_table_cube(tmp_path, capsys):
     out = tmp_path / "cube.csv"
     code, stdout, _ = run(

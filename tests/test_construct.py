@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -44,12 +45,13 @@ from pcc.graphs import (
 from pcc.structure import (
     hamiltonian_path,
     is_2_connected,
+    is_complete,
     max_subtree_size_with_diameter,
     sigma2_prime,
 )
 from pcc.verify import verify_coloring
 
-from oracles import brute_force_split
+from oracles import brute_force_split, tree_conflict_colors_full_scan
 
 
 def assert_sound(report, graph, ell):
@@ -122,6 +124,20 @@ def test_tree_general_window_matches_core_size():
             r = color_tree(t, ell)
             assert r.claimed_colors == max_subtree_size_with_diameter(t, ell + 1)[0]
             assert_sound(r, t, ell)
+
+
+def test_tree_conflict_colors_match_full_scan():
+    rng = random.Random(17)
+    for seed in range(60):
+        t = random_tree(rng.randint(2, 25), seed=seed)
+        for density in (0.0, 0.3, 0.7, 1.0):
+            colors = {e: rng.randint(1, 6) for e in t.edges if rng.random() < density}
+            for e in t.edges:
+                for ell in (1, 2, 3, 4):
+                    got = construct._tree_conflict_colors(t, e, ell, colors)
+                    assert got == tree_conflict_colors_full_scan(t, e, ell, colors), (
+                        t.edges, e, ell, colors,
+                    )
 
 
 def test_tree_rejects_non_tree():
@@ -519,3 +535,92 @@ def test_permutation_sweep_c5():
 def test_report_rejects_overused_colors():
     with pytest.raises(InvariantViolation):
         ConstructionReport(EdgeColoring({(0, 1): 1, (1, 2): 2}), 1, "test")
+
+
+# -- determinism pin ---------------------------------------------------------
+
+
+def _pinned_corpus():
+    """Fixed, seeded inputs for every constructor family, as (family, thunk)
+    pairs.  The products reach every branch of color_cartesian, including
+    the path-seeded tree and the Hamiltonian-path fallback."""
+    rng = random.Random(2016)
+    for n in (3, 6, 9):
+        for ell in (1, 2, 3):
+            yield "traceable", lambda n=n, ell=ell: color_traceable(
+                cycle_graph(n), tuple(range(n)), ell
+            )
+    for i in range(40):
+        t = random_tree(rng.randint(2, 30), seed=i)
+        for ell in (1, 2, 3, 4):
+            yield "tree", lambda t=t, ell=ell: color_tree(t, ell)
+    for m in range(1, 5):
+        for n in range(m, 18, 3):
+            for ell in (2, 3):
+                yield "complete_bipartite", lambda m=m, n=n, ell=ell: (
+                    color_complete_bipartite(m, n, ell)
+                )
+    for parts in ((1, 1, 1), (1, 1, 2), (1, 1, 5), (1, 2, 2), (2, 2, 3), (1, 2, 9)):
+        for ell in (1, 2, 3):
+            yield "complete_multipartite", lambda p=parts, ell=ell: (
+                color_complete_multipartite(p, ell)
+            )
+    for n in range(3, 12):
+        for ell in (2, 3):
+            yield "wheel", lambda n=n, ell=ell: color_wheel(n, ell)
+    for t in range(1, 6):
+        for ell in range(2, 6):
+            yield "hypercube", lambda t=t, ell=ell: color_hypercube(t, ell)
+    for g, h in ((path_graph(2), path_graph(2)), (path_graph(2), path_graph(9)),
+                 (cycle_graph(4), star_graph(3))):
+        yield "join", lambda g=g, h=h: color_join(g, h)
+    pool = [
+        path_graph(2), path_graph(3), path_graph(5), cycle_graph(3), cycle_graph(4),
+        cycle_graph(6), star_graph(3), complete_graph(4), double_star_graph(2, 2),
+        complete_bipartite_graph(2, 3), random_tree(7, 3), random_2connected(6, 8, 5),
+    ]
+    for g, h in itertools.product(pool, repeat=2):
+        if not (is_complete(g) and is_complete(h)):
+            yield "cartesian", lambda g=g, h=h: color_cartesian(g, h)
+    for i in range(60):
+        n = rng.randint(4, 11)
+        g = random_2connected(n, rng.randint(n, n * (n - 1) // 2), seed=i)
+        yield "two_connected", lambda g=g: color_2connected(g)
+    for i in range(8):
+        image = list(range(1, 7))
+        rng.shuffle(image)
+        yield "permutation", lambda a=tuple(image), ell=2 + i % 2: (
+            color_permutation_graph(path_graph(6), tuple(range(6)), Permutation(a), ell)
+        )
+
+
+def _pinned_digests() -> dict[str, str]:
+    digests = {}
+    for family, build in _pinned_corpus():
+        r = build()
+        line = (
+            f"{r.theorem}|{r.claimed_colors}|{r.coloring.num_colors}|{r.notes}|"
+            f"{sorted(r.coloring.colors.items())}\n"
+        )
+        digests.setdefault(family, hashlib.sha256()).update(line.encode())
+    return {family: h.hexdigest() for family, h in digests.items()}
+
+
+PINNED_DIGESTS = {
+    "traceable": "4ab2f46ad2c3823ab8eccf63a5861fb712fb9ab6a9e5469379fc335854d73309",
+    "tree": "a81837deab1e303b2e29e36d0f93793d824bfe1b8b1ac28d615ee70da368c6b8",
+    "complete_bipartite": "b2209cfd09a4d85ad621d752b689acb60400d09b06cd5b51f44c5fdff50801ab",
+    "complete_multipartite": "639a5c6a8157ee5bfd1ac35c382f781fd38e72f3faa59f0f4208f5ea1fc07f72",
+    "wheel": "461054c6405c12dd5c33f1bd6e13d6c70196a4fd3efbb568a183a8938ca0c6df",
+    "hypercube": "92c6888d8118b48b60fd51efb57ff5491e3e9d6b2053d26d03bd843fc71e55cd",
+    "join": "abb197ed9383816ecbab08863c0a8a27ebfea95b274819e439127a4e8bac2a38",
+    "cartesian": "d478a6de6f979a8326825f156fd3a56d75107517ec32d7794498c7ed192cb443",
+    "two_connected": "538cadb4166a0f60de70e8c28d9c3cb202c4c1a0aa22f21945fa5d5da7403de1",
+    "permutation": "680a7e4390598dfa9a1bdfffe2c0448f9ecbffdbdca2e94835146deb46ed0ee2",
+}
+
+
+def test_constructor_outputs_are_pinned():
+    # Colorings and notes must stay byte for byte what they are: a refactor
+    # of the code behind the constructors must not move a single color.
+    assert _pinned_digests() == PINNED_DIGESTS

@@ -13,11 +13,14 @@ from pcc.graphs import (
     normalize_edge,
     path_graph,
     permutation_graph,
+    random_2connected,
     random_tree,
     star_graph,
     wheel_graph,
 )
 from pcc.structure import (
+    _bfs,
+    _shortest_cycle,
     bfs_tree,
     distances,
     ear_decomposition,
@@ -35,6 +38,7 @@ from oracles import (
     brute_force_max_subtree,
     hamiltonian_path_full_scan,
     random_connected_graph,
+    shortest_cycle_unbounded,
     two_connected_by_definition,
 )
 
@@ -236,3 +240,39 @@ def test_bfs_tree_depths():
     assert t.depth == (1, 1, 1, 1, 1, 1, 0)
     assert is_star(star_graph(3)) and is_star(path_graph(2))
     assert not is_star(path_graph(4))
+
+
+def test_bfs_reach_and_skip_match_distances_without_the_edge():
+    rng = random.Random(31)
+    for _ in range(60):
+        g = random_connected_graph(rng.randint(2, 12), rng, rng.choice((0.0, 0.2, 0.5)))
+        for e in g.edges:
+            cut = Graph(g.n, [f for f in g.edges if f != e])
+            from_end = [distances(cut, x) for x in e]
+            for reach in (None, 0, 1, 2, 3):
+                for sources in ((e[0],), (e[1],), e):
+                    dist, parent = _bfs(g.adjacency, sources, reach, e)
+                    for x in range(g.n):
+                        near = [from_end[e.index(s)][x] for s in sources]
+                        near = min((d for d in near if d != -1), default=-1)
+                        if reach is not None and near > reach:
+                            near = -1
+                        assert dist[x] == near, (g.edges, e, reach, sources, x)
+                        p = parent[x]
+                        if dist[x] <= 0:
+                            assert p == -1
+                        else:
+                            assert dist[p] == dist[x] - 1 and g.has_edge(p, x)
+                            assert normalize_edge(p, x) != e
+
+
+def test_shortest_cycle_matches_unbounded_search():
+    rng = random.Random(47)
+    for seed in range(150):
+        n = rng.randint(3, 16)
+        g = random_2connected(n, rng.randint(n, min(n * (n - 1) // 2, 3 * n)), seed=seed)
+        assert _shortest_cycle(g) == shortest_cycle_unbounded(g), g.edges
+    for g in (cycle_graph(9), complete_graph(5), PETERSEN, complete_bipartite_graph(3, 4)):
+        assert _shortest_cycle(g) == shortest_cycle_unbounded(g)
+    with pytest.raises(ValueError):
+        _shortest_cycle(random_tree(8, seed=2))
