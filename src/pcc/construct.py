@@ -154,11 +154,10 @@ def _tree_conflict_colors(
     edge touches a vertex at most ell-1 steps from the nearer end of
     ``edge``.  Both ends start the search at distance 0, so it never
     crosses ``edge`` itself."""
-    dist = _bfs(t.adjacency, edge, ell - 1)[0]
+    reached: list[int] = []
+    _bfs(t.adjacency, edge, ell - 1, order=reached)
     out: set[int] = set()
-    for x, d in enumerate(dist):
-        if d == -1:
-            continue
+    for x in reached:
         for y in t.adjacency[x]:
             f = normalize_edge(x, y)
             if f != edge and f in colors:

@@ -11,10 +11,13 @@ Not all of them are verified.  When a coloring fails at a pair (u, v), a
 relaxed search, in which the edges after a prefix may take any color,
 finds the shortest prefix of its edge colors that already leaves u and v
 without a proper path, and the search skips every coloring that shares
-that prefix (conflict-directed backjumping; Prosser 1993).  Only invalid
-colorings are skipped, so the witness is still the canonically first valid
-coloring, and ``colorings_examined`` counts the skipped ones too: it is the
-canonical rank of the witness plus the sizes of the exhausted levels.
+that prefix (conflict-directed backjumping; Prosser 1993).  That relaxed
+search runs once per failure: it starts with only the last edge free and
+frees one more edge at a time, keeping every walk state it has reached,
+until u reaches v.  Only invalid colorings are skipped, so the witness is
+still the canonically first valid coloring, and ``colorings_examined``
+counts the skipped ones too: it is the canonical rank of the witness plus
+the sizes of the exhausted levels.
 
 Budgets are first-class: running out of time or scope yields Inconclusive,
 never a silent bound.
@@ -141,44 +144,75 @@ def _incident_edges(g: Graph) -> list[list[tuple[int, int]]]:
     return incident
 
 
-def _relaxed_walk_exists(
+def _refuting_prefix(
     incident: list[list[tuple[int, int]]],
     assignment: tuple[int, ...],
-    p: int,
     t: int,
     u: int,
     v: int,
     ell: int,
-) -> bool:
-    """Whether some distance-ell proper walk leads from u to v when only the
-    first p edges keep their colors and every later edge may take any color
-    in 1..t, anew at each traversal.
+) -> int:
+    """The shortest prefix of ``assignment``, at least 1 edge long, whose
+    colors alone leave u and v without a distance-ell proper path, given
+    that the full assignment does.
 
-    The search runs over the states (vertex, previous vertex, last <= ell
-    colors); the walk never re-enters u and never turns straight back along
-    the edge it came in on.  Every proper simple u-v path of every
-    completion of the prefix is such a walk, so False refutes (u, v) for
-    all of them.
+    Under prefix q the first q edges keep their colors and every later edge
+    may take any color in 1..t, anew at each traversal.  The search runs
+    over the states (vertex, previous vertex, last <= ell colors); the walk
+    never re-enters u and never turns straight back along the edge it came
+    in on.  Every proper simple u-v path of every completion of the prefix
+    is such a walk, so if no walk reaches v, prefix q refutes (u, v).
+
+    The walks allowed only grow as q falls, so one search serves every q:
+    it starts at q = m - 1, saves each step it takes along a kept edge e
+    in ``deferred[e]``, and when v stays out of reach it releases edge
+    q - 1 by retrying the steps saved there with their other colors.  The
+    first q under which v is reached is the longest prefix that does not
+    refute, so the answer is q + 1.
     """
+    q = len(assignment) - 1
+    if q < 1:
+        return 1
+    deferred: list[list[tuple]] = [[] for _ in range(q)]  # (x, y, window, kept)
     start = (u, -1, ())
     seen = {start}
-    states = [start]
+    frontier = [start]
     free = range(1, t + 1)
-    for x, back, window in states:
-        kept = window[len(window) >= ell:]
-        for y, e in incident[x]:
-            if y == back or y == u:
-                continue
-            for c in (assignment[e],) if e < p else free:
-                if c in window:
+    while True:
+        for x, back, window in frontier:
+            kept = window[len(window) >= ell:]
+            for y, e in incident[x]:
+                if y == back or y == u:
+                    continue
+                if e < q:
+                    deferred[e].append((x, y, window, kept))
+                    colors = (assignment[e],)
+                else:
+                    colors = free
+                for c in colors:
+                    if c in window:
+                        continue
+                    if y == v:
+                        return q + 1
+                    state = (y, x, kept + (c,))
+                    if state not in seen:
+                        seen.add(state)
+                        frontier.append(state)
+        if q == 1:
+            return 1
+        q -= 1
+        frontier = []
+        fixed = assignment[q]
+        for x, y, window, kept in deferred[q]:
+            for c in free:
+                if c == fixed or c in window:
                     continue
                 if y == v:
-                    return True
+                    return q + 1
                 state = (y, x, kept + (c,))
                 if state not in seen:
                     seen.add(state)
-                    states.append(state)
-    return False
+                    frontier.append(state)
 
 
 class _Deadline:
@@ -199,9 +233,10 @@ def _valid_witness_at_level(
     the number of canonical colorings up to that point.
 
     A coloring that fails at (u, v) is cut back to the shortest prefix of
-    its edge colors under which no relaxed walk joins u and v, and every
-    coloring sharing that prefix is skipped unverified.  ``checks`` counts
-    verifications; the deadline is read on the first and every 512th.
+    its edge colors under which no relaxed walk joins u and v, found by
+    one incremental ``_refuting_prefix`` search, and every coloring sharing
+    that prefix is skipped unverified.  ``checks`` counts verifications;
+    the deadline is read on the first and every 512th.
     """
     n, m = g.n, g.m
     cmat = [[0] * n for _ in range(n)]
@@ -219,11 +254,8 @@ def _valid_witness_at_level(
         if pair is None:
             return assignment, _rank(assignment, ways) + 1
         # The first edge is always color 1, so one edge already spans the level.
-        p = m
-        while p > 1 and not _relaxed_walk_exists(incident, assignment, p - 1, t, *pair, ell):
-            p -= 1
         try:
-            assignment = colorings.send(p)
+            assignment = colorings.send(_refuting_prefix(incident, assignment, t, *pair, ell))
         except StopIteration:
             return None, ways[0][0]
 

@@ -26,18 +26,24 @@ def _bfs(
     sources: Sequence[int],
     reach: Optional[int] = None,
     skip: Optional[Edge] = None,
+    order: Optional[list[int]] = None,
 ) -> tuple[list[int], list[int]]:
     """Breadth-first search from all sources at distance 0, in ascending
     neighbor order, one level at a time in discovery order (the order of a
     FIFO queue).  Returns (dist, parent); -1 marks an unreached vertex or a
     missing parent.  Vertices at distance ``reach`` are not expanded, so
-    nothing farther is discovered, and the edge ``skip`` is never crossed."""
+    nothing farther is discovered, and the edge ``skip`` is never crossed.
+    The reached vertices are appended to ``order``, if given, in visit
+    order, sources first, so a caller can visit them without a scan over
+    all n."""
     dist = [-1] * len(adjacency)
     parent = [-1] * len(adjacency)
     for s in sources:
         dist[s] = 0
     ends = skip or ()
     frontier = list(sources)
+    order = [] if order is None else order
+    order += frontier
     d = 0
     while frontier and d != reach:
         d += 1
@@ -49,6 +55,7 @@ def _bfs(
                     dist[y] = d
                     parent[y] = x
                     discovered.append(y)
+        order += discovered
         frontier = discovered
     return dist, parent
 

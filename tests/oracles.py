@@ -272,3 +272,43 @@ def shortest_cycle_unbounded(g: Graph) -> list[int]:
     if best is None:
         raise ValueError("graph has no cycle")
     return best
+
+
+def relaxed_walk_exists(
+    incident: list[list[tuple[int, int]]],
+    assignment: tuple[int, ...],
+    p: int,
+    t: int,
+    u: int,
+    v: int,
+    ell: int,
+) -> bool:
+    """Whether some distance-ell proper walk leads from u to v when only the
+    first p edges keep their colors and every later edge may take any color
+    in 1..t, anew at each traversal.
+
+    The search runs over the states (vertex, previous vertex, last <= ell
+    colors); the walk never re-enters u and never turns straight back along
+    the edge it came in on.  Every proper simple u-v path of every
+    completion of the prefix is such a walk, so False refutes (u, v) for
+    all of them.
+    """
+    start = (u, -1, ())
+    seen = {start}
+    states = [start]
+    free = range(1, t + 1)
+    for x, back, window in states:
+        kept = window[len(window) >= ell:]
+        for y, e in incident[x]:
+            if y == back or y == u:
+                continue
+            for c in (assignment[e],) if e < p else free:
+                if c in window:
+                    continue
+                if y == v:
+                    return True
+                state = (y, x, kept + (c,))
+                if state not in seen:
+                    seen.add(state)
+                    states.append(state)
+    return False

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from pcc.construct import color_hypercube
 from pcc.exact import (
     ExactResult,
     Inconclusive,
     SearchBudget,
     _incident_edges,
-    _relaxed_walk_exists,
+    _refuting_prefix,
     canonical_colorings,
     min_colors_exact,
     prove_lower_bound,
@@ -19,6 +20,7 @@ from pcc.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    hypercube_graph,
     path_graph,
     wheel_graph,
 )
@@ -29,6 +31,7 @@ from oracles import (
     canonical_form,
     proper_path_exists,
     random_connected_graph,
+    relaxed_walk_exists,
     stirling2,
 )
 
@@ -168,13 +171,44 @@ def test_relaxed_refutation_holds_for_every_completion():
             assignment = tuple(rng.randint(1, t) for _ in range(g.m))
             p = rng.randint(0, g.m - 1)
             for (u, v), uv_paths in paths.items():
-                if _relaxed_walk_exists(incident, assignment, p, t, u, v, ell):
+                if relaxed_walk_exists(incident, assignment, p, t, u, v, ell):
                     continue
                 refuted += 1
                 for rest in itertools.product(range(1, t + 1), repeat=g.m - p):
                     coloring = EdgeColoring(dict(zip(g.edges, assignment[:p] + rest)))
                     assert not proper_path_exists(g, coloring, u, v, ell, uv_paths)
     assert refuted > 500
+
+
+def test_refuting_prefix_matches_linear_rescan():
+    # The incremental search gives the prefix that rescanning the relaxed
+    # search at m - 1, m - 2, ... gives, on random (not only canonical)
+    # assignments and every ordered pair, adjacent pairs included.
+    rng = random.Random(37)
+    compared = 0
+    for _ in range(60):
+        g = random_connected_graph(rng.randint(2, 8), rng, extra=rng.choice((0.1, 0.3)))
+        incident = _incident_edges(g)
+        for _ in range(3):
+            t, ell = rng.randint(1, 4), rng.randint(1, 3)
+            assignment = tuple(rng.randint(1, t) for _ in range(g.m))
+            for u, v in itertools.permutations(range(g.n), 2):
+                p = g.m
+                while p > 1 and not relaxed_walk_exists(incident, assignment, p - 1, t, u, v, ell):
+                    p -= 1
+                assert _refuting_prefix(incident, assignment, t, u, v, ell) == p, (
+                    g.edges, assignment, t, u, v, ell)
+                compared += 1
+    assert compared > 3000
+
+
+def test_search_decides_past_the_default_edge_cap():
+    # W_16 has 32 edges and Q_4 has 32; both lie beyond the default cap of 18.
+    budget = SearchBudget(max_edges=32)
+    assert prove_lower_bound(wheel_graph(16), 2, 2, budget) is True
+    r = min_colors_exact(hypercube_graph(4), 3, budget)
+    assert r.min_colors == 4
+    assert r.min_colors == len(color_hypercube(4, 3).coloring.used_colors())
 
 
 def test_sending_a_prefix_skips_to_the_next_block():
