@@ -14,7 +14,21 @@ without a proper path, and the search skips every coloring that shares
 that prefix (conflict-directed backjumping; Prosser 1993).  That relaxed
 search runs once per failure: it starts with only the last edge free and
 frees one more edge at a time, keeping every walk state it has reached,
-until u reaches v.  Only invalid colorings are skipped, so the witness is
+until u reaches v.
+
+Nor does it verify a coloring that is not the least in its orbit under
+the automorphisms of the graph (lex-leader pruning; Crawford, Ginsberg,
+Luks & Roy 1996).  An automorphism maps a valid coloring to a valid one with the
+same number of colors, so the canonically first valid coloring is always
+a lex-leader.  Each coloring is compared with its relabeled image under a
+set of edge permutations: from the start, the swaps of consecutive twins
+(``structure.twin_swaps``), and once a search has visited n*m colorings,
+over all levels, also the generators of Aut(G) and their inverses
+(``structure.automorphism_generators``), found then so that the many
+small searches never pay for them.  Any set of automorphisms is sound; a
+missing one costs pruning, never an answer.
+
+Only colorings that cannot be the witness are skipped, so the witness is
 still the canonically first valid coloring, and ``colorings_examined``
 counts the skipped ones too: it is the canonical rank of the witness plus
 the sizes of the exhausted levels.
@@ -27,10 +41,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Generator, Optional, Union
 
-from .graphs import EdgeColoring, Graph
-from .structure import is_connected
+from .graphs import EdgeColoring, Graph, normalize_edge
+from .structure import automorphism_generators, is_connected, twin_swaps
 from .verify import _first_failing_pair, _validate_window
 
 
@@ -215,6 +230,84 @@ def _refuting_prefix(
                     frontier.append(state)
 
 
+def _edge_permutations(g: Graph, vertex_maps) -> list[tuple]:
+    """The edge permutations sigma induced by automorphisms of g and by
+    their inverses, as (first moved edge, sigma, reach) with reach[i] =
+    1 + max(sigma[:i + 1]); sigma[i] is the index of the image of edge i.
+    The identity and repeats are dropped."""
+    index = {e: i for i, e in enumerate(g.edges)}
+    sigmas = {}
+    for image in vertex_maps:
+        sigma = tuple(index[normalize_edge(image[a], image[b])] for a, b in g.edges)
+        inverse = [0] * g.m
+        for i, j in enumerate(sigma):
+            inverse[j] = i
+        sigmas[sigma] = sigmas[tuple(inverse)] = None
+    perms = []
+    for sigma in sigmas:
+        start = next((i for i, j in enumerate(sigma) if i != j), None)
+        if start is not None:
+            perms.append((start, sigma, [j + 1 for j in accumulate(sigma, max)]))
+    return perms
+
+
+class _LexLeader:
+    """Lex-leader test of canonical colorings under edge permutations of
+    automorphisms (Crawford, Ginsberg, Luks & Roy 1996).
+
+    ``skip(assignment)`` returns a prefix length p such that no canonical
+    coloring sharing the first p colors of ``assignment`` is the least in
+    its orbit, or None if no permutation shows that.  For each sigma the
+    image d[i] = assignment[sigma[i]] is relabeled by first use and
+    compared with ``assignment`` from edge 0; edges before sigma's first
+    moved edge map to themselves, so there the relabeling is the identity.
+    If the first difference, at edge i, is smaller in the image, every
+    coloring that agrees on edges 0..i and sigma[0..i], the first reach[i]
+    edges, has the same smaller image prefix.  If it is larger, the same
+    holds with "larger", so ``settled[k]`` keeps reach[i] and the next
+    coloring that shares that prefix with this one skips the comparison.
+    """
+
+    __slots__ = ("perms", "settled", "last")
+
+    def __init__(self, perms: list[tuple]):
+        self.perms = perms
+        self.settled = [0] * len(perms)
+        self.last: tuple[int, ...] = ()
+
+    def add(self, perms: list[tuple]) -> None:
+        self.perms += perms
+        self.settled += [0] * len(perms)
+
+    def skip(self, assignment: tuple[int, ...]) -> Optional[int]:
+        if not self.perms:
+            return None
+        last, same = self.last, 0
+        while same < len(last) and assignment[same] == last[same]:
+            same += 1
+        self.last = assignment
+        settled = self.settled = [r if r <= same else 0 for r in self.settled]
+        used = [0, *accumulate(assignment, max)]
+        for k, (start, sigma, reach) in enumerate(self.perms):
+            if settled[k]:
+                continue
+            top = base = used[start]
+            fresh: dict[int, int] = {}
+            for i in range(start, len(sigma)):
+                c = assignment[sigma[i]]
+                if c > base:
+                    if c not in fresh:
+                        top += 1
+                        fresh[c] = top
+                    c = fresh[c]
+                if c != assignment[i]:
+                    if c < assignment[i]:
+                        return reach[i]
+                    settled[k] = reach[i]
+                    break
+        return None
+
+
 class _Deadline:
     __slots__ = ("at",)
 
@@ -226,36 +319,46 @@ class _Deadline:
 
 
 def _valid_witness_at_level(
-    g: Graph, ell: int, t: int, deadline: _Deadline, checks: list[int]
+    g: Graph, ell: int, t: int, deadline: _Deadline, visits: list[int], lex: _LexLeader
 ) -> tuple[Union[tuple[int, ...], None, str], int]:
     """The first canonical exactly-t coloring (in canonical order) that
     verifies, None if the level is exhausted, or "timeout", together with
     the number of canonical colorings up to that point.
 
-    A coloring that fails at (u, v) is cut back to the shortest prefix of
-    its edge colors under which no relaxed walk joins u and v, found by
-    one incremental ``_refuting_prefix`` search, and every coloring sharing
-    that prefix is skipped unverified.  ``checks`` counts verifications;
-    the deadline is read on the first and every 512th.
+    A coloring that ``lex`` shows is not the least in its orbit is skipped
+    unverified, with the block of colorings that share the prefix it
+    returns.  A coloring that fails at (u, v) is cut back to the shortest
+    prefix of its edge colors under which no relaxed walk joins u and v,
+    found by one incremental ``_refuting_prefix`` search, and every
+    coloring sharing that prefix is skipped unverified.  ``visits`` counts
+    the colorings visited, skipped ones included, over every level; on the
+    n*m-th the generators of Aut(g) join ``lex``.  The deadline is read on
+    the first and every 512th visit, and after the group search.
     """
     n, m = g.n, g.m
+    defer = n * m
     cmat = [[0] * n for _ in range(n)]
     incident = _incident_edges(g)
     ways = _completion_counts(m, t)
     colorings = canonical_colorings(m, t)
     assignment = next(colorings)
     while True:
-        checks[0] += 1
-        if checks[0] % 512 == 1 and deadline.expired():
+        visits[0] += 1
+        if visits[0] == defer:
+            lex.add(_edge_permutations(g, automorphism_generators(g, deadline.expired)))
+        if (visits[0] % 512 == 1 or visits[0] == defer) and deadline.expired():
             return "timeout", _rank(assignment, ways) + 1
-        for (a, b), c in zip(g.edges, assignment):
-            cmat[a][b] = cmat[b][a] = c
-        pair = _first_failing_pair(g.adjacency, cmat, n, ell, None)
-        if pair is None:
-            return assignment, _rank(assignment, ways) + 1
+        p = lex.skip(assignment)
+        if p is None:
+            for (a, b), c in zip(g.edges, assignment):
+                cmat[a][b] = cmat[b][a] = c
+            pair = _first_failing_pair(g.adjacency, cmat, n, ell, None)
+            if pair is None:
+                return assignment, _rank(assignment, ways) + 1
+            p = _refuting_prefix(incident, assignment, t, *pair, ell)
         # The first edge is always color 1, so one edge already spans the level.
         try:
-            assignment = colorings.send(_refuting_prefix(incident, assignment, t, *pair, ell))
+            assignment = colorings.send(p)
         except StopIteration:
             return None, ways[0][0]
 
@@ -280,11 +383,12 @@ def min_colors_exact(
         return Inconclusive((), 0, f"graph has {g.m} edges, budget allows {budget.max_edges}")
     top = g.m if budget.max_colors is None else min(budget.max_colors, g.m)
     deadline = _Deadline(budget.time_limit)
-    checks = [0]
+    visits = [0]
+    lex = _LexLeader(_edge_permutations(g, twin_swaps(g)))
     examined = 0
     exhausted: list[int] = []
     for t in range(1, top + 1):
-        outcome, count = _valid_witness_at_level(g, ell, t, deadline, checks)
+        outcome, count = _valid_witness_at_level(g, ell, t, deadline, visits, lex)
         examined += count
         if outcome == "timeout":
             return Inconclusive(tuple(exhausted), examined, "time limit")

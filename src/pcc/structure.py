@@ -1,6 +1,6 @@
 """Structural graph algorithms: distances, connectivity, minimally
-2-connected reduction, ear decompositions, Hamiltonian paths, and
-bounded-diameter subtrees of trees.
+2-connected reduction, ear decompositions, Hamiltonian paths,
+bounded-diameter subtrees of trees, twins and automorphism generators.
 
 Every plain breadth-first search here and in ``construct`` runs on one
 multi-source helper, ``_bfs``, which can stop at a distance and avoid one
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .graphs import Edge, Graph, InvariantViolation, normalize_edge
 
@@ -357,3 +357,133 @@ def max_subtree_size_with_diameter(t: Graph, d: int) -> tuple[int, Graph]:
             best_size, best_dist = size, dist
     sub_edges = [(u, v) for u, v in t.edges if best_dist[u] != -1 and best_dist[v] != -1]
     return best_size, Graph(t.n, sub_edges)
+
+
+def twin_swaps(g: Graph) -> list[tuple[int, ...]]:
+    """Vertex maps that swap two consecutive members of a twin class.
+
+    Twins have the same open neighbourhood or the same closed one, so
+    swapping two of them is an automorphism.  One pass, keyed by the
+    neighbourhood tuples.
+    """
+    open_twins: dict[tuple[int, ...], list[int]] = {}
+    closed_twins: dict[tuple[int, ...], list[int]] = {}
+    for v, nbrs in enumerate(g.adjacency):
+        open_twins.setdefault(nbrs, []).append(v)
+        closed_twins.setdefault(tuple(sorted(nbrs + (v,))), []).append(v)
+    return [
+        _swap(g.n, a, b)
+        for members in itertools.chain(open_twins.values(), closed_twins.values())
+        if len(members) > 1
+        for a, b in zip(members, members[1:])
+    ]
+
+
+def _swap(n: int, a: int, b: int) -> tuple[int, ...]:
+    swap = list(range(n))
+    swap[a], swap[b] = b, a
+    return tuple(swap)
+
+
+def _ranked(keys: list) -> tuple[list[int], int]:
+    """Each key's rank among the distinct keys, and how many there are."""
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [rank[k] for k in keys], len(rank)
+
+
+def automorphism_generators(
+    g: Graph, expired: Callable[[], bool] = lambda: False
+) -> list[tuple[int, ...]]:
+    """Vertex maps that generate Aut(g), by individualize-and-refine.
+
+    An ordered partition (``cell[v]``, cells numbered in order) is refined
+    by colour refinement: a vertex's key is its cell and the sorted cells of
+    its neighbours, and the cells are split in place, in key order.  Every
+    step reads only cell numbers, so an automorphism that fixes the
+    individualized vertices carries each refined partition to itself.
+
+    The first path individualizes the first vertex b_i of the first
+    smallest non-singleton cell until the partition is discrete.  Then, for
+    each base point b_i and each other vertex w of its cell, a depth-first
+    search below "individualize w" looks for a discrete partition whose
+    vertex order, laid over the first path's, is an automorphism; it prunes
+    nodes whose cell sizes differ from the first path's at the same depth.
+    Such a map fixes b_1..b_{i-1} and sends b_i to w, so the maps found are
+    coset representatives of a stabilizer chain and generate the group.
+    When w is a twin of b_i the swap of the two is such a map, and no
+    search runs: on a star the searches alone would cost O(n^4).  Once
+    ``expired()`` is true the maps found so far are returned.
+    """
+    n, adj = g.n, g.adjacency
+    edges = g._edge_set
+
+    def refine(cell: list[int], count: int) -> tuple[list[int], int]:
+        while True:
+            keys = [(cell[v], tuple(sorted([cell[w] for w in adj[v]]))) for v in range(n)]
+            cell, split = _ranked(keys)
+            if split == count:
+                return cell, count
+            count = split
+
+    def individualize(node: tuple[list[int], int], v: int) -> tuple[list[int], int]:
+        return refine(*_ranked([(c, x != v) for x, c in enumerate(node[0])]))
+
+    def sizes(node: tuple[list[int], int]) -> list[int]:
+        counts = [0] * node[1]
+        for c in node[0]:
+            counts[c] += 1
+        return counts
+
+    def target(node: tuple[list[int], int]) -> list[int]:
+        counts = sizes(node)
+        smallest = min(k for k in counts if k > 1)
+        c = counts.index(smallest)
+        return [v for v in range(n) if node[0][v] == c]
+
+    path = [refine([0] * n, 1)]
+    base: list[int] = []
+    while path[-1][1] < n:
+        base.append(target(path[-1])[0])
+        path.append(individualize(path[-1], base[-1]))
+    shapes = [sizes(node) for node in path]
+    first = path[-1][0]
+
+    def search(node: tuple[list[int], int], depth: int) -> Optional[tuple[int, ...]]:
+        # Depth-first on an explicit stack of child iterators, so that the
+        # depth is not bounded by the recursion limit.
+        stack = [iter((node,))]
+        while stack:
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
+                continue
+            level = depth + len(stack) - 1
+            if expired():
+                return None
+            if sizes(node) != shapes[level]:
+                continue
+            if level < len(base):
+                stack.append(map(individualize, itertools.repeat(node), target(node)))
+                continue
+            at = [0] * n
+            for v, c in enumerate(node[0]):
+                at[c] = v
+            image = tuple(at[c] for c in first)
+            if all(normalize_edge(image[a], image[b]) in edges for a, b in g.edges):
+                return image
+        return None
+
+    generators = []
+    for i, b in enumerate(base):
+        for w in target(path[i]):
+            if w == b:
+                continue
+            if adj[w] == adj[b] or sorted(adj[w] + (w,)) == sorted(adj[b] + (b,)):
+                generators.append(_swap(n, b, w))
+                continue
+            found = search(individualize(path[i], w), i + 1)
+            if found is not None:
+                generators.append(found)
+            if expired():
+                return generators
+    return generators

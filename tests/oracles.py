@@ -312,3 +312,30 @@ def relaxed_walk_exists(
                     seen.add(state)
                     states.append(state)
     return False
+
+
+def brute_force_automorphisms(g: Graph) -> set[tuple[int, ...]]:
+    """Every vertex permutation that maps the edge set onto itself, by
+    trying all n! of them."""
+    edges = set(g.edges)
+    return {
+        image for image in itertools.permutations(range(g.n))
+        if all(normalize_edge(image[a], image[b]) in edges for a, b in g.edges)
+    }
+
+
+def generated_group(generators, n: int) -> set[tuple[int, ...]]:
+    """The permutation group that the generators generate, by closing the
+    identity under composition with each of them."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        found = []
+        for p in frontier:
+            for s in generators:
+                q = tuple(s[x] for x in p)
+                if q not in group:
+                    group.add(q)
+                    found.append(q)
+        frontier = found
+    return group

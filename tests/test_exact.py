@@ -1,14 +1,18 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from pcc.construct import color_hypercube
+import pcc.exact
 from pcc.exact import (
     ExactResult,
     Inconclusive,
     SearchBudget,
+    _edge_permutations,
     _incident_edges,
+    _LexLeader,
     _refuting_prefix,
     canonical_colorings,
     min_colors_exact,
@@ -24,6 +28,7 @@ from pcc.graphs import (
     path_graph,
     wheel_graph,
 )
+from pcc.structure import automorphism_generators, twin_swaps
 from pcc.verify import first_failing_pair, verify_coloring
 
 from oracles import (
@@ -209,6 +214,9 @@ def test_search_decides_past_the_default_edge_cap():
     r = min_colors_exact(hypercube_graph(4), 3, budget)
     assert r.min_colors == 4
     assert r.min_colors == len(color_hypercube(4, 3).coloring.used_colors())
+    r = min_colors_exact(hypercube_graph(4), 2, budget)
+    assert r.min_colors == 3
+    assert r.min_colors == len(color_hypercube(4, 2).coloring.used_colors())
 
 
 def test_sending_a_prefix_skips_to_the_next_block():
@@ -234,3 +242,84 @@ def test_pruned_search_honours_the_deadline():
     r = min_colors_exact(wheel_graph(8), 2, SearchBudget(time_limit=1e-9))
     assert isinstance(r, Inconclusive)
     assert r.reason == "time limit"
+
+
+def test_symmetric_skips_honour_the_deadline():
+    # The deadline is read on skipped colorings and inside the group
+    # search, so neither a run of symmetric skips nor the group search
+    # outlives the budget.
+    start = time.perf_counter()
+    r = min_colors_exact(hypercube_graph(4), 2, SearchBudget(max_edges=32, time_limit=0.05))
+    assert time.perf_counter() - start < 1.0
+    assert isinstance(r, Inconclusive)
+    assert r.reason == "time limit"
+
+
+def _canonical_completions(prefix, m):
+    # Every canonical coloring of m edges that starts with ``prefix``.
+    if len(prefix) == m:
+        yield prefix
+        return
+    for c in range(1, max(prefix, default=0) + 2):
+        yield from _canonical_completions(prefix + (c,), m)
+
+
+def test_lex_leader_skip_holds_for_every_completion():
+    # For every twin swap and group permutation of small random graphs: a
+    # returned prefix p means every canonical completion of c[:p] has a
+    # smaller canonical image; None means c <= canon(c o sigma).  One test
+    # object per permutation sees a run of colorings in canonical order, so
+    # the verdicts it carries from one coloring to the next are tested too.
+    rng = random.Random(43)
+    skipped = kept = 0
+    for _ in range(150):
+        g = random_connected_graph(rng.randint(3, 6), rng, extra=rng.choice((0.2, 0.5)))
+        if g.m > 8:
+            continue
+        maps = twin_swaps(g) + automorphism_generators(g)
+        for perm in _edge_permutations(g, maps):
+            sigma = perm[1]
+            lex = _LexLeader([perm])
+            t = rng.randint(1, g.m)
+            colorings = list(canonical_colorings(g.m, t))
+            first = rng.randrange(len(colorings))
+            for c in colorings[first:first + 40]:
+                p = lex.skip(c)
+                if p is None:
+                    kept += 1
+                    assert c <= canonical_form(tuple(c[j] for j in sigma)), (g.edges, sigma, c)
+                    continue
+                skipped += 1
+                for d in _canonical_completions(c[:p], g.m):
+                    assert canonical_form(tuple(d[j] for j in sigma)) < d, (g.edges, sigma, c, p, d)
+    assert skipped > 800 and kept > 800
+
+
+def test_plain_enumeration_corpus_runs_both_symmetry_sources(monkeypatch):
+    # The corpus of test_pruned_search_matches_plain_enumeration, rebuilt
+    # with the same seed, exercises the twin swaps and the deferred group:
+    # count the searches in which each one found any automorphism.
+    rng = random.Random(29)
+    graphs = []
+    while len(graphs) < 50:
+        g = random_connected_graph(rng.randint(3, 7), rng, extra=rng.choice((0.1, 0.3)))
+        if g.m <= 10:
+            graphs.append(g)
+    graphs += [wheel_graph(5), complete_bipartite_graph(2, 4), cycle_graph(7)]
+    used = {"twins": 0, "group": 0}
+
+    def counted(name, find):
+        def wrapper(*args):
+            maps = find(*args)
+            used[name] += bool(maps)
+            return maps
+        return wrapper
+
+    monkeypatch.setattr(pcc.exact, "twin_swaps", counted("twins", twin_swaps))
+    monkeypatch.setattr(pcc.exact, "automorphism_generators",
+                        counted("group", automorphism_generators))
+    for g in graphs:
+        for ell in (1, 2, 3):
+            min_colors_exact(g, ell)
+    # 123 and 10 of the 159 searches.
+    assert used["twins"] > 100 and used["group"] > 5, used

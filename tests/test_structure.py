@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from pcc.graphs import (
     complete_graph,
     cycle_graph,
     double_star_graph,
+    hypercube_graph,
     normalize_edge,
     path_graph,
     permutation_graph,
@@ -21,6 +23,7 @@ from pcc.graphs import (
 from pcc.structure import (
     _bfs,
     _shortest_cycle,
+    automorphism_generators,
     bfs_tree,
     distances,
     ear_decomposition,
@@ -32,10 +35,13 @@ from pcc.structure import (
     minimally_2connected_spanning,
     radius,
     sigma2_prime,
+    twin_swaps,
 )
 
 from oracles import (
+    brute_force_automorphisms,
     brute_force_max_subtree,
+    generated_group,
     hamiltonian_path_full_scan,
     random_connected_graph,
     shortest_cycle_unbounded,
@@ -276,3 +282,60 @@ def test_shortest_cycle_matches_unbounded_search():
         assert _shortest_cycle(g) == shortest_cycle_unbounded(g)
     with pytest.raises(ValueError):
         _shortest_cycle(random_tree(8, seed=2))
+
+
+def _lcf_graph(n, shifts):
+    # A Hamiltonian cycle 0..n-1 plus the chords i -> i + shifts[i mod len].
+    edges = {normalize_edge(i, (i + 1) % n) for i in range(n)}
+    edges |= {normalize_edge(i, (i + shifts[i % len(shifts)]) % n) for i in range(n)}
+    return Graph(n, edges)
+
+
+def _random_cubic_graph(n, rng):
+    # Pairing model, redrawn until simple and connected.
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {normalize_edge(a, b) for a, b in zip(points[::2], points[1::2]) if a != b}
+        if len(edges) == 3 * n // 2:
+            g = Graph(n, edges)
+            if -1 not in distances(g, 0):
+                return g
+
+
+def test_automorphism_generators_generate_the_whole_group():
+    rng = random.Random(53)
+    graphs = [random_connected_graph(rng.randint(1, 6), rng, extra=rng.choice((0.1, 0.3, 0.6)))
+              for _ in range(120)]
+    graphs += [hypercube_graph(3), wheel_graph(6), complete_bipartite_graph(2, 4), star_graph(5)]
+    for g in graphs:
+        group = brute_force_automorphisms(g)
+        generators = automorphism_generators(g)
+        assert set(generators) <= group, g.edges
+        assert generated_group(generators, g.n) == group, g.edges
+        assert set(twin_swaps(g)) <= group, g.edges
+    generators = automorphism_generators(PETERSEN)
+    edges = set(PETERSEN.edges)
+    for image in generators:
+        assert all(normalize_edge(image[a], image[b]) in edges for a, b in PETERSEN.edges)
+    assert len(generated_group(generators, PETERSEN.n)) == 120
+
+
+def test_automorphism_generators_of_rigid_cubic_graphs():
+    frucht = _lcf_graph(12, [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2])
+    cubic = _random_cubic_graph(30, random.Random(0))
+    for g in (frucht, cubic):
+        assert all(g.degree(v) == 3 for v in range(g.n))
+        start = time.perf_counter()
+        assert automorphism_generators(g) == []
+        assert time.perf_counter() - start < 1.0
+
+
+def test_twin_swaps_pair_consecutive_twins():
+    # The star's leaves and each side of K_2,3 are open twins; the
+    # triangle's vertices are closed twins; a path of four has none.
+    assert twin_swaps(star_graph(3)) == [(0, 2, 1, 3), (0, 1, 3, 2)]
+    assert twin_swaps(complete_bipartite_graph(2, 3)) == [
+        (1, 0, 2, 3, 4), (0, 1, 3, 2, 4), (0, 1, 2, 4, 3)]
+    assert twin_swaps(complete_graph(3)) == [(1, 0, 2), (0, 2, 1)]
+    assert twin_swaps(path_graph(4)) == []
