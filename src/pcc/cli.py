@@ -326,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--time-limit",
         type=float,
         help="seconds for each source's path search and, separately, for each "
-        "pair's fallback search (each pair's enumeration when --k >= 2); running "
-        "out prints 'inconclusive timeout'",
+        "pair's fallback search (each pair's search for k disjoint paths when "
+        "--k >= 2); running out prints 'inconclusive timeout'",
     )
     p_ver.set_defaults(func=_cmd_verify)
 

@@ -60,8 +60,8 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_colors is not None and self.max_colors < 1:
             raise ValueError("max_colors must be >= 1")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise ValueError(f"time_limit must be positive, got {self.time_limit}")
         if self.max_edges < 1:
             raise ValueError("max_edges must be >= 1")
 

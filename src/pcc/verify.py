@@ -17,10 +17,14 @@ that pair fall back to the exhaustive, iterative DFS over simple paths
 (``_proper_paths``).  Neither search recurses, so witnesses of any length
 are found.
 
-Certificates are deterministic: an adjacent pair is witnessed by its edge,
-which is always proper, and every other pair by its shortest proper path,
-the first in ascending-neighbor BFS order, or, after a fallback, by the
-first proper path in ascending-neighbor DFS order.
+For k >= 2 a backtracking search draws each path from that DFS with the
+earlier paths' interiors blocked; the DFS yields paths in lexicographic order
+blocked or not, so it finds the lexicographically first disjoint k-tuple.
+
+Certificates are deterministic: for k = 1 an adjacent pair is witnessed by
+its edge, which is always proper, and every other pair by its shortest
+proper path, the first in ascending-neighbor BFS order, or, after a
+fallback, by the first proper path in ascending-neighbor DFS order.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .graphs import EdgeColoring, Graph, normalize_edge
 
@@ -103,9 +107,11 @@ def _proper_paths(
     v: int,
     ell: int,
     time_limit: Optional[float] = None,
+    blocked: Iterable[int] = (),
 ) -> Iterator[Path]:
     """Every distance-ell proper simple path that extends ``prefix`` (whose
-    edge colors are ``prefix_colors``) to v, in ascending-neighbor DFS order.
+    edge colors are ``prefix_colors``) to v and avoids the ``blocked``
+    vertices, in ascending-neighbor DFS order.
 
     The DFS runs on an explicit stack, so path length is not bounded by the
     recursion limit.  A frame holds the neighbor iterator of a path vertex
@@ -116,7 +122,7 @@ def _proper_paths(
     """
     deadline = None if time_limit is None else time.monotonic() + time_limit
     on_path = [False] * len(cmat)
-    for x in prefix:
+    for x in itertools.chain(prefix, blocked):
         on_path[x] = True
     path = list(prefix)
     colors = list(prefix_colors)
@@ -147,12 +153,7 @@ def _proper_paths(
 
 
 def _shortest_proper_walks(
-    adjacency,
-    cmat: list[list[int]],
-    u: int,
-    targets,
-    ell: int,
-    time_limit: Optional[float] = None,
+    adjacency, cmat: list[list[int]], u: int, targets, ell: int, time_limit: Optional[float] = None
 ) -> dict[int, Path]:
     """The shortest distance-ell proper walk from u to each target that has
     one, the first found in ascending-neighbor BFS order.
@@ -203,13 +204,7 @@ def _shortest_proper_walks(
 
 
 def _path_from_walk(
-    adjacency,
-    cmat: list[list[int]],
-    u: int,
-    v: int,
-    ell: int,
-    walk: Optional[Path],
-    time_limit: Optional[float] = None,
+    adjacency, cmat, u: int, v: int, ell: int, walk: Optional[Path], time_limit=None
 ) -> Optional[Path]:
     """The witness for (u, v) given its shortest proper walk: None when there
     is no walk, the walk when it is simple, else the first proper path of
@@ -227,38 +222,46 @@ def find_distance_proper_path(
     the shortest proper walk when that is simple, else the first proper path
     in DFS order; verify_coloring certifies non-adjacent pairs with it."""
     ell = _validate_window(ell)
-    if u == v:
-        raise ValueError("endpoints must be distinct")
+    if u == v or not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError(f"endpoints must be distinct vertices 0..{g.n - 1}, got {u}, {v}")
     cmat = _color_matrix(g, coloring)
     walk = _shortest_proper_walks(g.adjacency, cmat, u, (v,), ell).get(v)
     return _path_from_walk(g.adjacency, cmat, u, v, ell, walk)
 
 
-def _disjoint_tuple(paths: list[Path], k: int) -> Optional[tuple[Path, ...]]:
-    """First k pairwise internally vertex-disjoint paths, by backtracking."""
+def _disjoint_proper_paths(
+    adjacency, cmat: list[list[int]], u: int, v: int, ell: int, k: int, time_limit=None
+) -> Optional[tuple[Path, ...]]:
+    """The lexicographically first k internally disjoint distance-ell proper
+    u-v paths, or None.  Level j draws, in DFS order, the paths after the
+    last chosen one that avoid the chosen interiors (so the edge uv is not
+    chosen twice), and backtracks when it runs out.  One ``time_limit``
+    covers every level."""
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+
+    def paths_avoiding(chosen: list[Path]) -> Iterator[Path]:
+        left = None if deadline is None else deadline - time.monotonic()
+        blocked = [x for p in chosen for x in p[1:-1]]
+        return _proper_paths(adjacency, cmat, (u,), [], v, ell, left, blocked)
+
     chosen: list[Path] = []
-    used: set[int] = set()
-
-    def interiors(p: Path) -> set[int]:
-        return set(p[1:-1])
-
-    def pick(start: int) -> bool:
-        if len(chosen) == k:
-            return True
-        for i in range(start, len(paths)):
-            inner = interiors(paths[i])
-            if inner & used:
-                continue
-            chosen.append(paths[i])
-            used.update(inner)
-            if pick(i + 1):
-                return True
-            chosen.pop()
-            used.difference_update(inner)
-        return False
-
-    if pick(0):
-        return tuple(chosen)
+    levels = [paths_avoiding(chosen)]
+    try:
+        while levels:
+            path = next(levels[-1], None)
+            if path is None:
+                levels.pop()
+                if chosen:
+                    chosen.pop()
+            elif not chosen or path > chosen[-1]:
+                chosen.append(path)
+                if len(chosen) == k:
+                    return tuple(chosen)
+                levels.append(paths_avoiding(chosen))
+    except VerificationTimeout:
+        raise VerificationTimeout(
+            f"path search for pair {(u, v)} exceeded the time budget of {time_limit} s"
+        ) from None
     return None
 
 
@@ -272,31 +275,30 @@ def verify_coloring(
     """Check (k, ell)-proper connectivity of the colored graph.
 
     Pairs are scanned in lexicographic order, so the failing pair is
-    reproducible.  For k = 1 the non-adjacent pairs of each source u are
-    decided by one search for shortest proper walks from u, and a pair whose
-    walk repeats a vertex falls back to an exhaustive DFS of its own.
-    ``time_limit`` (seconds) bounds each source's search and, separately,
-    each fallback, so one budget covers at most one source's search plus
-    one pair's fallback; exceeding it raises VerificationTimeout, naming the
-    source or pair and the budget, rather than guessing a verdict.  For
-    k >= 2 all proper paths per pair are enumerated, under a per-pair
-    ``time_limit``, and searched for k internally disjoint ones (small
-    graphs only).
+    reproducible; the module docstring says how each pair is decided.  For
+    k >= 2 the witness is the lexicographically first k-tuple of internally
+    disjoint proper paths, since the DFS yields the paths that avoid the
+    blocked interiors in the same order as it yields all of them.
+    ``time_limit`` (seconds >= 0, or None) bounds, for k = 1, each source's
+    search and, separately, each fallback, and for k >= 2 each pair's whole
+    search; running out raises VerificationTimeout, naming the source or
+    pair and the budget, rather than guessing a verdict.
     """
     ell = _validate_window(ell)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time_limit must be >= 0, got {time_limit}")
     cmat = _color_matrix(g, coloring)
     witnesses: dict[Pair, tuple[Path, ...]] = {}
     if k == 1:
         failing = _first_failing_pair(g.adjacency, cmat, g.n, ell, witnesses, time_limit)
         return VerificationCertificate(failing is None, witnesses, failing)
     for u, v in itertools.combinations(range(g.n), 2):
-        candidates = list(_proper_paths(g.adjacency, cmat, (u,), [], v, ell, time_limit))
-        tup = _disjoint_tuple(candidates, k)
-        if tup is None:
+        found = _disjoint_proper_paths(g.adjacency, cmat, u, v, ell, k, time_limit)
+        if found is None:
             return VerificationCertificate(False, witnesses, (u, v))
-        witnesses[(u, v)] = tup
+        witnesses[(u, v)] = found
     return VerificationCertificate(True, witnesses, None)
 
 
@@ -318,12 +320,10 @@ def _first_failing_pair(
     time_limit: Optional[float] = None,
 ) -> Optional[Pair]:
     """Scan the pairs u < v in lexicographic order and return the first one
-    with no distance-ell proper path, or None.  An adjacent pair is
-    witnessed by its edge.  The other pairs of a source u are decided by one
-    search for shortest proper walks from u, with a DFS fallback for a pair
-    whose walk repeats a vertex; ``time_limit`` bounds that search and,
-    separately, each fallback.  Witnesses of the pairs before the failing
-    one go into ``witnesses`` unless it is None."""
+    with no distance-ell proper path, or None, deciding each source's pairs
+    as the module docstring says; ``time_limit`` bounds each source's search
+    and, separately, each fallback.  Witnesses of the pairs before the
+    failing one go into ``witnesses`` unless it is None."""
     for u in range(n - 1):
         row = cmat[u]
         targets = [v for v in range(u + 1, n) if not row[v]]

@@ -48,6 +48,33 @@ def proper_path_exists(g: Graph, coloring, u: int, v: int, ell: int,
     return any(window_proper(path_colors(coloring, p), ell) for p in paths)
 
 
+def disjoint_proper_paths_by_combinations(g: Graph, coloring, u: int, v: int,
+                                          ell: int, k: int):
+    """The first k-combination, in itertools order, of the lexicographically
+    sorted proper simple u-v paths whose interiors are pairwise disjoint,
+    or None."""
+    paths = sorted(p for p in all_simple_paths(g, u, v)
+                   if window_proper(path_colors(coloring, p), ell))
+    for combo in itertools.combinations(paths, k):
+        interiors = [set(p[1:-1]) for p in combo]
+        if all(not (a & b) for a, b in itertools.combinations(interiors, 2)):
+            return combo
+    return None
+
+
+def disjoint_certificate(g: Graph, coloring, ell: int, k: int):
+    """(ok, failing_pair, witnesses) of (k, ell)-proper connectivity, pairs
+    scanned in lexicographic order and each witnessed by the combination
+    above; witnesses stop at the failing pair."""
+    witnesses = {}
+    for u, v in itertools.combinations(range(g.n), 2):
+        combo = disjoint_proper_paths_by_combinations(g, coloring, u, v, ell, k)
+        if combo is None:
+            return False, (u, v), witnesses
+        witnesses[(u, v)] = combo
+    return True, None, witnesses
+
+
 def stirling2(m: int, j: int) -> int:
     """Partition numbers via the standard recurrence."""
     if j == 0:

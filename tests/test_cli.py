@@ -1,6 +1,6 @@
 from pcc import io, verify
 from pcc.cli import main
-from pcc.graphs import cycle_graph, double_star_graph, path_graph, wheel_graph
+from pcc.graphs import cycle_graph, double_star_graph, hypercube_graph, path_graph, wheel_graph
 
 
 def run(args, capsys):
@@ -219,3 +219,45 @@ def test_verify_timeout_names_source_and_budget(tmp_path, capsys):
     )
     assert code == 1 and out == "inconclusive timeout\n"
     assert err == "search from vertex 0 exceeded the time budget of 0.0 s\n"
+
+
+def _alternating_c4(tmp_path):
+    graph_file = tmp_path / "c4.edges"
+    graph_file.write_text(io.write_graph(cycle_graph(4)))
+    color_file = tmp_path / "c4.pcc"
+    color_file.write_text("0 1 1\n0 3 2\n1 2 2\n2 3 1\n")
+    return ["verify", "--graph", str(graph_file), "--coloring", str(color_file)]
+
+
+def test_verify_two_disjoint_paths(tmp_path, capsys):
+    graph_file = tmp_path / "q4.edges"
+    graph_file.write_text(io.write_graph(hypercube_graph(4)))
+    color_file = tmp_path / "q4.pcc"
+    run(["color", "--family", "hypercube", "--t", "4", "--ell", "3", "-o", str(color_file)],
+        capsys)
+    code, out, _ = run(
+        ["verify", "--graph", str(graph_file), "--coloring", str(color_file), "--ell", "3",
+         "--k", "2"],
+        capsys,
+    )
+    assert code == 0 and out == "verified true\n"
+    # The alternating C_4 coloring has one proper path per pair at l=2.
+    code, out, _ = run(_alternating_c4(tmp_path) + ["--ell", "2", "--k", "2"], capsys)
+    assert code == 1 and out == "verified false\nfailing_pair 0 1\n"
+    code, out, err = run(
+        _alternating_c4(tmp_path) + ["--ell", "1", "--k", "2", "--time-limit", "0"], capsys
+    )
+    assert code == 1 and out == "inconclusive timeout\n"
+    assert err == "path search for pair (0, 1) exceeded the time budget of 0.0 s\n"
+
+
+def test_nan_time_limit_exits_2(tmp_path, capsys):
+    code, out, err = run(_alternating_c4(tmp_path) + ["--ell", "1", "--time-limit", "nan"], capsys)
+    assert code == 2 and out == "" and err == "error: time_limit must be >= 0, got nan\n"
+    code, _, err = run(_alternating_c4(tmp_path) + ["--ell", "1", "--time-limit", "-1"], capsys)
+    assert code == 2 and err == "error: time_limit must be >= 0, got -1.0\n"
+    graph_file = tmp_path / "c4.edges"
+    code, out, err = run(
+        ["exact", "--graph", str(graph_file), "--ell", "2", "--time-limit", "nan"], capsys
+    )
+    assert code == 2 and out == "" and err == "error: time_limit must be positive, got nan\n"

@@ -111,6 +111,11 @@ def test_budget_validation():
         SearchBudget(time_limit=-1)
 
 
+def test_nan_time_limit_is_rejected():
+    with pytest.raises(ValueError, match="time_limit must be positive, got nan"):
+        SearchBudget(time_limit=float("nan"))
+
+
 def test_monotone_in_window_small():
     rng = random.Random(3)
     for _ in range(8):

@@ -1,10 +1,14 @@
+import collections
+import hashlib
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcc.construct import color_hypercube, color_traceable
+import pcc.verify
+from pcc.construct import color_hypercube, color_traceable, color_wheel
 from pcc.graphs import (
     EdgeColoring,
     Graph,
@@ -27,6 +31,7 @@ from pcc.verify import (
 
 from oracles import (
     all_simple_paths,
+    disjoint_certificate,
     path_colors,
     proper_path_exists,
     random_coloring,
@@ -327,3 +332,96 @@ def test_scan_matches_oracle_on_random_graphs():
 def test_hypercube_six_at_window_two_decides():
     cert = verify_coloring(hypercube_graph(6), color_hypercube(6, 2).coloring, 2)
     assert cert.ok and len(cert.witnesses) == 64 * 63 // 2
+
+
+def test_find_path_rejects_endpoints_outside_the_graph():
+    g, c = wheel_graph(6), color_wheel(6, 2).coloring
+    for u, v in ((-1, 3), (0, 99), (99, 0)):
+        with pytest.raises(ValueError, match="endpoints"):
+            find_distance_proper_path(g, c, u, v, 2)
+
+
+def test_time_limit_must_be_a_number_at_least_zero():
+    g = wheel_graph(9)
+    c = EdgeColoring({e: 1 + (i % 4) for i, e in enumerate(g.edges)})
+    for bad in (float("nan"), -1.0, -1e-9):
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="time_limit"):
+                verify_coloring(g, c, 3, k=k, time_limit=bad)
+    k9 = complete_graph(9)
+    assert verify_coloring(k9, EdgeColoring({e: 1 for e in k9.edges}), 3, time_limit=0.0).ok
+
+
+def test_disjoint_witnesses_match_combination_oracle():
+    # Whole certificates for k = 2, 3 against the first interior-disjoint
+    # combination of the sorted proper paths.  The graphs are Hamiltonian
+    # cycles with random chords, so 2-connected; the counts make sure both
+    # verdicts occur for each k, and pairs refuted after earlier pairs passed.
+    rng = random.Random(31)
+    verdicts = collections.Counter()
+    late_failures = 0
+    for _ in range(100):
+        n = rng.randint(4, 7)
+        order = rng.sample(range(n), n)
+        edges = {tuple(sorted(e)) for e in zip(order, order[1:] + order[:1])}
+        edges |= {e for e in itertools.combinations(range(n), 2) if rng.random() < 0.45}
+        g = Graph(n, sorted(edges))
+        c = random_coloring(g, rng.randint(3, 6), rng)
+        for k in (2, 3):
+            for ell in (1, 2, 3):
+                cert = verify_coloring(g, c, ell, k=k)
+                assert (cert.ok, cert.failing_pair, cert.witnesses) == disjoint_certificate(
+                    g, c, ell, k
+                )
+                verdicts[k, cert.ok] += 1
+                late_failures += not cert.ok and bool(cert.witnesses)
+    assert len(verdicts) == 4 and min(verdicts.values()) >= 20 and late_failures >= 100
+
+
+def test_k2_certificates_are_pinned():
+    # SHA-256 of repr((ok, failing_pair, sorted witness items)), recorded
+    # when the witnesses came from listing every proper path and picking
+    # the first disjoint pair of that list.
+    cases = [
+        (wheel_graph(10), color_wheel(10, 2).coloring, 2,
+         "5ffa8d92e75fb07244c094f61a447a208d6de710fe0800028078ab9cc734ae50"),
+        (hypercube_graph(4), color_hypercube(4, 3).coloring, 3,
+         "efc96308adfa5cee6c7d304bb0b0e95e21ad4e274615fb75dd812be9dcd815de"),
+        (hypercube_graph(5), color_hypercube(5, 3).coloring, 3,
+         "a808f60356bf2beee91e1f989832d98f040c21f4dd983487ba3f6f3e1658cc21"),
+    ]
+    for g, c, ell, expect in cases:
+        cert = verify_coloring(g, c, ell, k=2)
+        text = repr((cert.ok, cert.failing_pair, sorted(cert.witnesses.items())))
+        assert hashlib.sha256(text.encode()).hexdigest() == expect
+
+
+def test_hypercube_six_at_window_three_has_two_disjoint_witnesses():
+    c = color_hypercube(6, 3).coloring
+    cert = verify_coloring(hypercube_graph(6), c, 3, k=2)
+    assert cert.ok and len(cert.witnesses) == 64 * 63 // 2
+    for (u, v), (p, q) in cert.witnesses.items():
+        assert p < q and p[0] == q[0] == u and p[-1] == q[-1] == v
+        assert is_distance_proper_path(c, p, 3) and is_distance_proper_path(c, q, 3)
+        assert not set(p[1:-1]) & set(q[1:-1])
+
+
+def test_disjoint_search_levels_share_one_budget(monkeypatch):
+    # A clock that ticks once per reading; the second level runs out, and
+    # the timeout names the pair's whole budget.
+    ticks = itertools.count()
+    monkeypatch.setattr(pcc.verify, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    levels = []
+    proper_paths = pcc.verify._proper_paths
+
+    def counting(*args):
+        levels.append(args)
+        return proper_paths(*args)
+
+    monkeypatch.setattr(pcc.verify, "_proper_paths", counting)
+    g, c = hypercube_graph(4), color_hypercube(4, 3).coloring
+    with pytest.raises(VerificationTimeout) as err:
+        verify_coloring(g, c, 3, k=2, time_limit=5.0)
+    assert str(err.value) == "path search for pair (0, 1) exceeded the time budget of 5.0 s"
+    # Each level's search gets what is left of the pair's budget.
+    assert len(levels) == 2 and levels[1][6] < levels[0][6] <= 5.0
