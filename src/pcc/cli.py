@@ -61,6 +61,9 @@ def _cmd_generate(args) -> int:
 
 
 def _construct_for_family(args) -> tuple[graphs.Graph, construct.ConstructionReport]:
+    for flag in ("method", "input2", "alpha"):
+        if getattr(args, flag):
+            raise ValueError(f"--{flag} applies only with --input, not with --family")
     spec = _family_spec(args)
     g = graphs.generate(spec)
     ell = args.ell
@@ -88,6 +91,8 @@ def _construct_for_family(args) -> tuple[graphs.Graph, construct.ConstructionRep
 
 
 def _construct_for_method(args) -> tuple[graphs.Graph, construct.ConstructionReport]:
+    if not args.method:
+        raise ValueError("--input needs --method")
     g = _read_graph_file(args.input)
     method = args.method
     ell = args.ell

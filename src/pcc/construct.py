@@ -12,6 +12,7 @@ for byte.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -81,7 +82,8 @@ class ConstructionReport:
 class AnchorSet:
     """Two or three length-2 paths with a common end, stored outward as
     (x, a, b) for the path x-a-b.  The paths use exactly two distinct
-    edges at x, and under a coloring their edges carry at most 4 colors."""
+    edges at x, and their edges carry at most 4 colors in the color matrix
+    that ``color_2connected`` keeps."""
 
     vertex: int
     paths: tuple[tuple[int, int, int], ...]
@@ -100,11 +102,13 @@ class AnchorSet:
     def incident_neighbors(self) -> tuple[int, int]:
         return tuple(sorted({p[1] for p in self.paths}))
 
-    def edge_colors(self, colors: dict[Edge, int]) -> set[int]:
+    def edge_colors(self, cmat: Sequence[Sequence[int]]) -> set[int]:
+        """Colors of the paths' edges in the symmetric color matrix ``cmat``
+        (``cmat[a][b]`` is the color of edge ab, 0 if uncolored)."""
         out = set()
         for x, a, b in self.paths:
-            out.add(colors[normalize_edge(x, a)])
-            out.add(colors[normalize_edge(a, b)])
+            out.add(cmat[x][a])
+            out.add(cmat[a][b])
         return out
 
 
@@ -760,7 +764,7 @@ def _base_cycle_pattern(r: int) -> list[int]:
 
 
 def _anchored_proper_path(
-    adjacency: dict[int, list[int]],
+    adjacency: list[list[int]],
     cmat: list[list[int]],
     anchors: dict[int, AnchorSet],
     u: int,
@@ -790,16 +794,15 @@ def _near_window_colors(w_path: list[int], idx: int, lookup) -> set[int]:
     for j in (idx - 2, idx - 1, idx + 1, idx + 2):
         if 0 <= j < len(w_path) - 1:
             c = lookup(w_path[j], w_path[j + 1])
-            if c is not None:
+            if c:
                 out.add(c)
     return out
 
 
 def _color_ear(
-    colors: dict[Edge, int],
     cmat: list[list[int]],
     anchors: dict[int, AnchorSet],
-    adjacency: dict[int, list[int]],
+    adjacency: list[list[int]],
     ear_index: int,
     u: int,
     interior: list[int],
@@ -816,16 +819,14 @@ def _color_ear(
         )
     w1, w2 = found[1], found[2]
     v1, v2 = anchors[v].incident_neighbors()
-    f_pv = anchors[v].edge_colors(colors)
-    c_vv1 = colors[normalize_edge(v, v1)]
-    c_vv2 = colors[normalize_edge(v, v2)]
-    c_uw1 = colors[normalize_edge(u, w1)]
-    c_w1w2 = colors[normalize_edge(w1, w2)]
+    f_pv = anchors[v].edge_colors(cmat)
+    c_vv1, c_vv2 = cmat[v][v1], cmat[v][v2]
+    c_uw1, c_w1w2 = cmat[u][w1], cmat[w1][w2]
     trial: dict[Edge, int] = {}
 
-    def lookup(a: int, b: int) -> Optional[int]:
-        e = normalize_edge(a, b)
-        return trial.get(e, colors.get(e))
+    def lookup(a: int, b: int) -> int:
+        # 0 for an edge that is still uncolored; colors are >= 1.
+        return trial.get(normalize_edge(a, b)) or cmat[a][b]
 
     def put(a: int, b: int, c: int) -> None:
         trial[normalize_edge(a, b)] = c
@@ -940,12 +941,18 @@ def color_2connected(g: Graph) -> ConstructionReport:
     decomp = ear_decomposition(reduced)
     cyc = list(decomp.base_cycle)
     r = len(cyc)
-    colors: dict[Edge, int] = {}
+    # cmat is the only color store (0: uncolored); sorted adjacency lists of
+    # the colored edges keep the path searches in ascending order.
     cmat = [[0] * g.n for _ in range(g.n)]
-    pattern = _base_cycle_pattern(r)
-    for i in range(r):
-        a, b = cyc[i], cyc[(i + 1) % r]
-        colors[normalize_edge(a, b)] = cmat[a][b] = cmat[b][a] = pattern[i]
+    adjacency: list[list[int]] = [[] for _ in range(g.n)]
+
+    def add_edge(a: int, b: int, c: int) -> None:
+        cmat[a][b] = cmat[b][a] = c
+        insort(adjacency[a], b)
+        insort(adjacency[b], a)
+
+    for i, c in enumerate(_base_cycle_pattern(r)):
+        add_edge(cyc[i], cyc[(i + 1) % r], c)
     anchors: dict[int, AnchorSet] = {}
     for i, x in enumerate(cyc):
         anchors[x] = AnchorSet(
@@ -955,12 +962,6 @@ def color_2connected(g: Graph) -> ConstructionReport:
                 (x, cyc[(i + 1) % r], cyc[(i + 2) % r]),
             ),
         )
-    adjacency: dict[int, list[int]] = {x: [] for x in cyc}
-    for i in range(r):
-        adjacency[cyc[i]].append(cyc[(i + 1) % r])
-        adjacency[cyc[i]].append(cyc[(i - 1) % r])
-    for x in adjacency:
-        adjacency[x].sort()
 
     for ear_index, ear in enumerate(decomp.ears):
         attempts = [(ear[0], list(ear[1:-1]), ear[-1])]
@@ -969,7 +970,7 @@ def color_2connected(g: Graph) -> ConstructionReport:
         for u, interior, v in attempts:
             try:
                 trial, new_anchors = _color_ear(
-                    colors, cmat, anchors, adjacency, ear_index, u, interior, v
+                    cmat, anchors, adjacency, ear_index, u, interior, v
                 )
                 break
             except InvariantViolation as err:
@@ -978,26 +979,17 @@ def color_2connected(g: Graph) -> ConstructionReport:
             raise InvariantViolation(
                 f"ear {ear_index} {ear} admits no orientation: {last_error}"
             )
-        colors.update(trial)
         for (a, b), c in trial.items():
-            cmat[a][b] = cmat[b][a] = c
+            add_edge(a, b, c)
         anchors.update(new_anchors)
-        seq = [u] + interior + [v]
-        for a, b in zip(seq, seq[1:]):
-            adjacency.setdefault(a, []).append(b)
-            adjacency.setdefault(b, []).append(a)
-        for x in seq:
-            adjacency[x] = sorted(set(adjacency[x]))
         for x, anchor in anchors.items():
-            palette = anchor.edge_colors(colors)
+            palette = anchor.edge_colors(cmat)
             if len(palette) > 4:
                 raise InvariantViolation(
                     f"after ear {ear_index}: anchor at {x} spans {len(palette)} colors"
                 )
 
-    for e in g.edges:
-        colors.setdefault(e, 1)
-    coloring = EdgeColoring(colors)
+    coloring = EdgeColoring({(a, b): cmat[a][b] or 1 for a, b in g.edges})
     cert = verify_coloring(g, coloring, 2)
     if not cert.ok:
         raise InvariantViolation(

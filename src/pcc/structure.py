@@ -7,6 +7,9 @@ multi-source helper, ``_bfs``, which can stop at a distance and avoid one
 edge.  Only the ear search and the path-seeded Cartesian tree keep their
 own loops, because they stop or start differently.
 
+2-connectivity is one lowpoint DFS, which the minimally 2-connected
+reduction runs on one mutable adjacency.
+
 All functions are pure and deterministic: ties are broken by vertex or
 edge order, never by hashing or randomness.
 """
@@ -100,48 +103,42 @@ def is_complete(g: Graph) -> bool:
     return g.m == g.n * (g.n - 1) // 2
 
 
-def articulation_points(g: Graph) -> set[int]:
-    """Cut vertices, via iterative DFS lowpoints."""
-    disc = [-1] * g.n
-    low = [0] * g.n
-    parent = [-1] * g.n
-    cuts: set[int] = set()
-    timer = 0
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        root_children = 0
-        stack: list[tuple[int, int]] = [(root, 0)]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, i = stack[-1]
-            if i < len(g.adjacency[v]):
-                stack[-1] = (v, i + 1)
-                w = g.adjacency[v][i]
-                if disc[w] == -1:
-                    parent[w] = v
-                    if v == root:
-                        root_children += 1
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, 0))
-                elif w != parent[v]:
-                    low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                p = parent[v]
-                if p != -1:
-                    low[p] = min(low[p], low[v])
-                    if p != root and low[v] >= disc[p]:
-                        cuts.add(p)
-        if root_children >= 2:
-            cuts.add(root)
-    return cuts
+def _biconnected(adjacency: Sequence[Sequence[int]]) -> bool:
+    """n >= 3, connected and no cut vertex, by one lowpoint DFS from vertex 0
+    (Tarjan 1972) that stops at the first cut vertex.  The edge back to the
+    parent may count toward ``low``: that lowers it at most to the parent's
+    time, which changes no cut test.  Vertex 0 is a cut vertex, or the graph
+    is disconnected, iff its first subtree misses a vertex."""
+    n = len(adjacency)
+    if n < 3 or not adjacency[0]:
+        return False
+    disc = [0] * n  # discovery times from 1; 0 marks an unvisited vertex
+    low = [0] * n
+    disc[0] = low[0] = timer = 1
+    # Vertex 0's first child is pushed at once; popping it ends the search.
+    stack = [(0, iter(adjacency[0]))]
+    while True:
+        x, nbrs = stack[-1]
+        for y in nbrs:
+            if not disc[y]:
+                timer += 1
+                disc[y] = low[y] = timer
+                stack.append((y, iter(adjacency[y])))
+                break
+            if disc[y] < low[x]:
+                low[x] = disc[y]
+        else:
+            stack.pop()
+            p = stack[-1][0]
+            if p == 0:
+                return timer == n
+            if low[x] >= disc[p]:
+                return False
+            low[p] = min(low[p], low[x])
 
 
 def is_2_connected(g: Graph) -> bool:
-    return g.n >= 3 and is_connected(g) and not articulation_points(g)
+    return _biconnected(g.adjacency)
 
 
 def minimally_2connected_spanning(g: Graph) -> Graph:
@@ -149,16 +146,20 @@ def minimally_2connected_spanning(g: Graph) -> Graph:
 
     Scans edges in ascending order and removes each one whose removal
     preserves 2-connectivity.  A single pass suffices: once an edge is
-    critical it stays critical as further edges disappear.
+    critical it stays critical as further edges disappear.  Each edge is
+    taken out of one mutable adjacency, tested, and put back if critical.
     """
     if not is_2_connected(g):
         raise ValueError("minimally 2-connected reduction requires a 2-connected graph")
-    kept = list(g.edges)
-    for e in list(g.edges):
-        trial = [x for x in kept if x != e]
-        h = Graph(g.n, trial)
-        if is_2_connected(h):
-            kept = trial
+    adjacency = [list(nbrs) for nbrs in g.adjacency]
+    kept = []
+    for u, v in g.edges:
+        adjacency[u].remove(v)
+        adjacency[v].remove(u)
+        if not _biconnected(adjacency):
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+            kept.append((u, v))
     return Graph(g.n, kept)
 
 

@@ -180,6 +180,18 @@ def two_connected_by_definition(g: Graph) -> bool:
     return connected_without(None) and all(connected_without(v) for v in range(g.n))
 
 
+def minimally_2connected_by_rebuild(g: Graph) -> Graph:
+    """Minimally 2-connected spanning subgraph by the plain scan: in
+    ascending edge order, build the graph without the edge and drop the edge
+    if that graph is still 2-connected by definition."""
+    kept = list(g.edges)
+    for e in g.edges:
+        trial = [x for x in kept if x != e]
+        if two_connected_by_definition(Graph(g.n, trial)):
+            kept = trial
+    return Graph(g.n, kept)
+
+
 def random_connected_graph(n: int, rng: random.Random, extra: float = 0.35) -> Graph:
     """Random spanning tree plus a sprinkling of extra edges."""
     edges = set()

@@ -154,6 +154,20 @@ def test_color_usage_errors(tmp_path, capsys):
         capsys,
     )
     assert code == 2 and "exactly one" in err
+    out = tmp_path / "out.pcc"
+    graph_file = tmp_path / "c5.edges"
+    graph_file.write_text(io.write_graph(cycle_graph(5)))
+    code, _, err = run(
+        ["color", "--input", str(graph_file), "--ell", "2", "-o", str(out)], capsys
+    )
+    assert code == 2 and "--method" in err and not out.exists()
+    for flag, value in (("--method", "tree"), ("--input2", str(graph_file)), ("--alpha", "2,1")):
+        code, _, err = run(
+            ["color", "--family", "wheel", "--n", "5", flag, value, "--ell", "2",
+             "-o", str(out)],
+            capsys,
+        )
+        assert code == 2 and flag in err and not out.exists(), flag
 
 
 def test_table_wheel_deterministic(tmp_path, capsys):

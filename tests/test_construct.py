@@ -473,8 +473,8 @@ def test_anchor_set_validation():
         AnchorSet(0, ((1, 2, 3), (0, 1, 2)))
     a = AnchorSet(0, ((0, 1, 2), (0, 2, 3)))
     assert a.incident_neighbors() == (1, 2)
-    colors = {(0, 1): 1, (1, 2): 2, (0, 2): 3, (2, 3): 1}
-    assert a.edge_colors(colors) == {1, 2, 3}
+    cmat = [[0, 1, 3, 0], [1, 0, 2, 0], [3, 2, 0, 1], [0, 0, 1, 0]]
+    assert a.edge_colors(cmat) == {1, 2, 3}
 
 
 # -- permutation graphs ------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -43,6 +44,7 @@ from oracles import (
     brute_force_max_subtree,
     generated_group,
     hamiltonian_path_full_scan,
+    minimally_2connected_by_rebuild,
     random_connected_graph,
     shortest_cycle_unbounded,
     two_connected_by_definition,
@@ -95,9 +97,29 @@ def test_two_connectivity_examples():
 
 def test_two_connectivity_matches_definition():
     rng = random.Random(4)
-    for _ in range(40):
-        g = random_connected_graph(rng.randint(3, 8), rng)
-        assert is_2_connected(g) == two_connected_by_definition(g)
+    cases = [random_connected_graph(rng.randint(3, 8), rng) for _ in range(40)]
+    # The DFS starts only at vertex 0, so cover the inputs where a
+    # single-root search could go wrong: too few vertices, several
+    # components, vertex 0 isolated, the only cut vertex at the root, and a
+    # pendant root.
+    cases += [
+        Graph(1),
+        Graph(2),
+        Graph(2, [(0, 1)]),
+        Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+        Graph(4, [(1, 2), (2, 3), (1, 3)]),
+        Graph(4, [(0, 1), (1, 2), (0, 2)]),
+        Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
+        Graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)]),
+    ]
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        p = rng.random()
+        cases.append(
+            Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        )
+    for g in cases:
+        assert is_2_connected(g) == two_connected_by_definition(g), g.edges
 
 
 def test_minimal_reduction_examples():
@@ -121,10 +143,19 @@ def test_minimal_reduction_every_edge_critical():
     for g in cases:
         h = minimally_2connected_spanning(g)
         assert h.n == g.n and set(h.edges) <= set(g.edges)
-        assert is_2_connected(h)
+        assert two_connected_by_definition(h)
         for e in h.edges:
             rest = Graph(h.n, [x for x in h.edges if x != e])
-            assert not is_2_connected(rest), (g, e)
+            assert not two_connected_by_definition(rest), (g, e)
+
+
+def test_minimal_reduction_matches_rebuild_oracle():
+    rng = random.Random(12)
+    for seed in range(200):
+        n = rng.randint(3, 30)
+        m = rng.randint(n, min(n * (n - 1) // 2, 3 * n))
+        g = random_2connected(n, m, seed=seed)
+        assert minimally_2connected_spanning(g) == minimally_2connected_by_rebuild(g), (n, m, seed)
 
 
 def _check_ear_decomposition(g, decomp):
