@@ -93,8 +93,15 @@ def _construct_for_family(args) -> tuple[graphs.Graph, construct.ConstructionRep
 def _construct_for_method(args) -> tuple[graphs.Graph, construct.ConstructionReport]:
     if not args.method:
         raise ValueError("--input needs --method")
-    g = _read_graph_file(args.input)
     method = args.method
+    for flag in ("n", "m", "t", "parts", "seed"):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} applies only with --family, not with --input")
+    if args.input2 and method not in ("join", "cartesian"):
+        raise ValueError(f"--input2 applies only with --method join or cartesian, not {method}")
+    if args.alpha and method != "permutation":
+        raise ValueError(f"--alpha applies only with --method permutation, not {method}")
+    g = _read_graph_file(args.input)
     ell = args.ell
     if method == "traceable":
         path = structure.hamiltonian_path(g)
@@ -341,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--ell", type=int, required=True)
     p_ex.add_argument("--max-colors", type=int)
     p_ex.add_argument("--time-limit", type=float, default=60.0)
-    p_ex.add_argument("--max-edges", type=int, default=18)
+    p_ex.add_argument("--max-edges", type=int, default=exact.SearchBudget.max_edges)
     p_ex.add_argument("-o", "--output")
     p_ex.set_defaults(func=_cmd_exact)
 

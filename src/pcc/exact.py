@@ -18,15 +18,16 @@ until u reaches v.
 
 Nor does it verify a coloring that is not the least in its orbit under
 the automorphisms of the graph (lex-leader pruning; Crawford, Ginsberg,
-Luks & Roy 1996).  An automorphism maps a valid coloring to a valid one with the
-same number of colors, so the canonically first valid coloring is always
-a lex-leader.  Each coloring is compared with its relabeled image under a
-set of edge permutations: from the start, the swaps of consecutive twins
-(``structure.twin_swaps``), and once a search has visited n*m colorings,
-over all levels, also the generators of Aut(G) and their inverses
-(``structure.automorphism_generators``), found then so that the many
-small searches never pay for them.  Any set of automorphisms is sound; a
-missing one costs pruning, never an answer.
+Luks & Roy 1996).  An automorphism maps a valid coloring to a valid one
+with the same number of colors, so the canonically first valid coloring
+is always a lex-leader.  Each coloring is compared with its relabeled
+image under a set of edge permutations, taken with their inverses from
+one source at a time: from the start, the swaps of consecutive twins
+(``structure.twin_swaps``); once a search has visited n*m colorings, over
+all levels, the generators of Aut(G) (``structure.automorphism_generators``,
+which begin with those swaps) replace them, found only then so that the
+many small searches never pay for them.  Any set of automorphisms is
+sound; a missing one costs pruning, never an answer.
 
 Only colorings that cannot be the witness are skipped, so the witness is
 still the canonically first valid coloring, and ``colorings_examined``
@@ -275,10 +276,6 @@ class _LexLeader:
         self.settled = [0] * len(perms)
         self.last: tuple[int, ...] = ()
 
-    def add(self, perms: list[tuple]) -> None:
-        self.perms += perms
-        self.settled += [0] * len(perms)
-
     def skip(self, assignment: tuple[int, ...]) -> Optional[int]:
         if not self.perms:
             return None
@@ -308,69 +305,27 @@ class _LexLeader:
         return None
 
 
-class _Deadline:
-    __slots__ = ("at",)
-
-    def __init__(self, time_limit: Optional[float]):
-        self.at = None if time_limit is None else time.monotonic() + time_limit
-
-    def expired(self) -> bool:
-        return self.at is not None and time.monotonic() > self.at
-
-
-def _valid_witness_at_level(
-    g: Graph, ell: int, t: int, deadline: _Deadline, visits: list[int], lex: _LexLeader
-) -> tuple[Union[tuple[int, ...], None, str], int]:
-    """The first canonical exactly-t coloring (in canonical order) that
-    verifies, None if the level is exhausted, or "timeout", together with
-    the number of canonical colorings up to that point.
-
-    A coloring that ``lex`` shows is not the least in its orbit is skipped
-    unverified, with the block of colorings that share the prefix it
-    returns.  A coloring that fails at (u, v) is cut back to the shortest
-    prefix of its edge colors under which no relaxed walk joins u and v,
-    found by one incremental ``_refuting_prefix`` search, and every
-    coloring sharing that prefix is skipped unverified.  ``visits`` counts
-    the colorings visited, skipped ones included, over every level; on the
-    n*m-th the generators of Aut(g) join ``lex``.  The deadline is read on
-    the first and every 512th visit, and after the group search.
-    """
-    n, m = g.n, g.m
-    defer = n * m
-    cmat = [[0] * n for _ in range(n)]
-    incident = _incident_edges(g)
-    ways = _completion_counts(m, t)
-    colorings = canonical_colorings(m, t)
-    assignment = next(colorings)
-    while True:
-        visits[0] += 1
-        if visits[0] == defer:
-            lex.add(_edge_permutations(g, automorphism_generators(g, deadline.expired)))
-        if (visits[0] % 512 == 1 or visits[0] == defer) and deadline.expired():
-            return "timeout", _rank(assignment, ways) + 1
-        p = lex.skip(assignment)
-        if p is None:
-            for (a, b), c in zip(g.edges, assignment):
-                cmat[a][b] = cmat[b][a] = c
-            pair = _first_failing_pair(g.adjacency, cmat, n, ell, None)
-            if pair is None:
-                return assignment, _rank(assignment, ways) + 1
-            p = _refuting_prefix(incident, assignment, t, *pair, ell)
-        # The first edge is always color 1, so one edge already spans the level.
-        try:
-            assignment = colorings.send(p)
-        except StopIteration:
-            return None, ways[0][0]
-
-
 def min_colors_exact(
     g: Graph, ell: int, budget: Optional[SearchBudget] = None
 ) -> Union[ExactResult, Inconclusive]:
     """Exact (1, ell)-proper connection number of a small connected graph.
 
-    Searches t = 1, 2, ... ascending; the witness is the canonically first
-    valid coloring at the minimal level, independent of any parallel
-    partitioning of the enumeration.
+    Searches t = 1, 2, ... ascending; at each level it walks the canonical
+    exactly-t colorings in order, and the witness is the first of them that
+    verifies at the minimal level.
+
+    A coloring that the lex-leader test shows is not the least in its orbit
+    is skipped unverified, with the block of colorings that share the
+    prefix the test returns.  A coloring that fails at (u, v) is cut back
+    to the shortest prefix of its edge colors under which no relaxed walk
+    joins u and v, found by one incremental ``_refuting_prefix`` search,
+    and every coloring sharing that prefix is skipped unverified.
+    Visits are counted over every level, skipped colorings included; on
+    the n*m-th the generators of Aut(g) replace the twin swaps in the
+    lex-leader test.  The deadline is read on the first and every 512th
+    visit, and after the group search.  ``colorings_examined`` counts the
+    canonical colorings of the exhausted levels and those of the last
+    level up to and including the last one visited.
     """
     ell = _validate_window(ell)
     if not is_connected(g):
@@ -382,21 +337,47 @@ def min_colors_exact(
     if g.m > budget.max_edges:
         return Inconclusive((), 0, f"graph has {g.m} edges, budget allows {budget.max_edges}")
     top = g.m if budget.max_colors is None else min(budget.max_colors, g.m)
-    deadline = _Deadline(budget.time_limit)
-    visits = [0]
+    deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
+
+    def expired() -> bool:
+        return deadline is not None and time.monotonic() > deadline
+
+    n, m = g.n, g.m
+    defer = n * m
+    cmat = [[0] * n for _ in range(n)]
+    incident = _incident_edges(g)
     lex = _LexLeader(_edge_permutations(g, twin_swaps(g)))
-    examined = 0
+    visits = examined = 0
     exhausted: list[int] = []
     for t in range(1, top + 1):
-        outcome, count = _valid_witness_at_level(g, ell, t, deadline, visits, lex)
-        examined += count
-        if outcome == "timeout":
-            return Inconclusive(tuple(exhausted), examined, "time limit")
-        if outcome is None:
-            exhausted.append(t)
-            continue
-        witness = EdgeColoring(dict(zip(g.edges, outcome)), num_colors=t)
-        return ExactResult(t, witness, examined, tuple(exhausted))
+        ways = _completion_counts(m, t)
+        colorings = canonical_colorings(m, t)
+        p = None
+        while True:
+            try:
+                assignment = colorings.send(p)
+            except StopIteration:
+                # The first edge is always color 1, so one edge already
+                # spans the level: it is exhausted.
+                break
+            visits += 1
+            if visits == defer:
+                lex = _LexLeader(_edge_permutations(g, automorphism_generators(g, expired)))
+            if (visits % 512 == 1 or visits == defer) and expired():
+                examined += _rank(assignment, ways) + 1
+                return Inconclusive(tuple(exhausted), examined, "time limit")
+            p = lex.skip(assignment)
+            if p is None:
+                for (a, b), c in zip(g.edges, assignment):
+                    cmat[a][b] = cmat[b][a] = c
+                pair = _first_failing_pair(g.adjacency, cmat, n, ell, None)
+                if pair is None:
+                    examined += _rank(assignment, ways) + 1
+                    witness = EdgeColoring(dict(zip(g.edges, assignment)), num_colors=t)
+                    return ExactResult(t, witness, examined, tuple(exhausted))
+                p = _refuting_prefix(incident, assignment, t, *pair, ell)
+        examined += ways[0][0]
+        exhausted.append(t)
     return Inconclusive(tuple(exhausted), examined, f"no valid coloring with <= {top} colors")
 
 

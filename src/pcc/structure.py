@@ -411,9 +411,14 @@ def automorphism_generators(
     nodes whose cell sizes differ from the first path's at the same depth.
     Such a map fixes b_1..b_{i-1} and sends b_i to w, so the maps found are
     coset representatives of a stabilizer chain and generate the group.
-    When w is a twin of b_i the swap of the two is such a map, and no
-    search runs: on a star the searches alone would cost O(n^4).  Once
-    ``expired()`` is true the maps found so far are returned.
+
+    The list begins with ``twin_swaps(g)``.  When w is a twin of b_i the
+    transposition (b_i w) is such a representative, and the consecutive
+    swaps of its twin class generate the whole symmetric group of the
+    class, which contains it; so no search runs and no map is added.  A
+    twin class of k vertices thus costs k - 1 maps, not about k^2/2, and
+    on a star the searches alone would cost O(n^4).  Once ``expired()`` is
+    true the maps found so far are returned.
     """
     n, adj = g.n, g.adjacency
     edges = g._edge_set
@@ -474,13 +479,11 @@ def automorphism_generators(
                 return image
         return None
 
-    generators = []
+    generators = twin_swaps(g)
     for i, b in enumerate(base):
         for w in target(path[i]):
-            if w == b:
-                continue
+            # b itself and its twins: the twin swaps already generate (b w).
             if adj[w] == adj[b] or sorted(adj[w] + (w,)) == sorted(adj[b] + (b,)):
-                generators.append(_swap(n, b, w))
                 continue
             found = search(individualize(path[i], w), i + 1)
             if found is not None:

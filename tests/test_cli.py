@@ -168,6 +168,23 @@ def test_color_usage_errors(tmp_path, capsys):
             capsys,
         )
         assert code == 2 and flag in err and not out.exists(), flag
+    # With --input, the family flags and the flags of other methods are
+    # usage errors too, not silently dropped.
+    for argv, flag in (
+        (["--method", "tree", "--n", "99"], "--n"),
+        (["--method", "tree", "--m", "3"], "--m"),
+        (["--method", "tree", "--t", "3"], "--t"),
+        (["--method", "tree", "--parts", "2,3"], "--parts"),
+        (["--method", "tree", "--seed", "3"], "--seed"),
+        (["--method", "tree", "--input2", str(graph_file)], "--input2"),
+        (["--method", "permutation", "--alpha", "2,1", "--input2", str(graph_file)], "--input2"),
+        (["--method", "tree", "--alpha", "2,1"], "--alpha"),
+        (["--method", "join", "--input2", str(graph_file), "--alpha", "2,1"], "--alpha"),
+    ):
+        code, _, err = run(
+            ["color", "--input", str(graph_file), *argv, "--ell", "2", "-o", str(out)], capsys
+        )
+        assert code == 2 and flag in err and not out.exists(), argv
 
 
 def test_table_wheel_deterministic(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import types
 
 import pytest
 
@@ -328,3 +329,21 @@ def test_plain_enumeration_corpus_runs_both_symmetry_sources(monkeypatch):
             min_colors_exact(g, ell)
     # 123 and 10 of the 159 searches.
     assert used["twins"] > 100 and used["group"] > 5, used
+
+
+def test_deadline_trip_counts_on_a_ticking_clock(monkeypatch):
+    # A clock that moves one second per read, against a 1.5 s budget: the
+    # first visit reads 1, so the deadline trips at the next read, in level
+    # 2 both times.  On W_8 that read comes in the group search at visit
+    # n*m = 144; on W_16 (n*m = 544) at visit 513.  colorings_examined is
+    # level 1's one coloring plus the rank + 1 of the tripping coloring.
+    def ticking():
+        ticks = itertools.count()
+        return types.SimpleNamespace(monotonic=lambda: float(next(ticks)))
+
+    monkeypatch.setattr(pcc.exact, "time", ticking())
+    r = min_colors_exact(wheel_graph(8), 2, SearchBudget(time_limit=1.5))
+    assert r == Inconclusive((1,), 4609, "time limit")
+    monkeypatch.setattr(pcc.exact, "time", ticking())
+    r = min_colors_exact(wheel_graph(16), 2, SearchBudget(max_edges=32, time_limit=1.5))
+    assert r == Inconclusive((1,), 351797249, "time limit")

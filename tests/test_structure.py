@@ -370,3 +370,14 @@ def test_twin_swaps_pair_consecutive_twins():
         (1, 0, 2, 3, 4), (0, 1, 3, 2, 4), (0, 1, 2, 4, 3)]
     assert twin_swaps(complete_graph(3)) == [(1, 0, 2), (0, 2, 1)]
     assert twin_swaps(path_graph(4)) == []
+
+
+def test_twin_classes_give_a_linear_number_of_maps():
+    # The consecutive twin swaps generate every transposition of their
+    # class, so a class of k twins adds k - 1 maps, not one per pair.
+    for g, count in ((star_graph(80), 79), (complete_bipartite_graph(2, 40), 40)):
+        generators = automorphism_generators(g)
+        assert len(generators) == count
+        edges = set(g.edges)
+        for image in generators:
+            assert all(normalize_edge(image[a], image[b]) in edges for a, b in g.edges)
