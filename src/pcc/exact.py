@@ -370,7 +370,7 @@ def min_colors_exact(
             if p is None:
                 for (a, b), c in zip(g.edges, assignment):
                     cmat[a][b] = cmat[b][a] = c
-                pair = _first_failing_pair(g.adjacency, cmat, n, ell, None)
+                pair = _first_failing_pair(g.adjacency, cmat, n, ell)
                 if pair is None:
                     examined += _rank(assignment, ways) + 1
                     witness = EdgeColoring(dict(zip(g.edges, assignment)), num_colors=t)

@@ -17,9 +17,24 @@ that pair fall back to the exhaustive, iterative DFS over simple paths
 (``_proper_paths``).  Neither search recurses, so witnesses of any length
 are found.
 
-For k >= 2 a backtracking search draws each path from that DFS with the
-earlier paths' interiors blocked; the DFS yields paths in lexicographic order
-blocked or not, so it finds the lexicographically first disjoint k-tuple.
+Two scans run that per-source search over every source.  The decision scan
+(``_first_failing_pair``, behind ``first_failing_pair`` and the exact search)
+runs ``_shortest_proper_walks`` from each source on tuple states.  The
+certificate scan (``_certified_pairs``, behind ``verify_coloring`` at k = 1)
+runs the same search on one ``_WalkStateTable`` shared by all sources, in
+which windows are interned as ints and a state is the int ``w * n + y``.
+Its queue holds the same states in the same order, so its walks are the
+same.  A state's proper successors are kept as a list from its second
+expansion on, which is always by a later source, and later expansions
+iterate that list; a state expanded once keeps nothing.  The sources of a full scan
+expand the same states many times (16x on Q_7 at l=3), so sharing pays;
+the exact search's scans are tiny and mostly stop at source 0, where the
+table only costs its set-up, so the decision scan stays on tuple states.
+
+For k >= 2 a backtracking search draws each path from ``_proper_paths``
+with the earlier paths' interiors blocked; the DFS yields paths in
+lexicographic order blocked or not, so it finds the lexicographically first
+disjoint k-tuple.
 
 Certificates are deterministic: for k = 1 an adjacent pair is witnessed by
 its edge, which is always proper, and every other pair by its shortest
@@ -265,6 +280,116 @@ def _disjoint_proper_paths(
     return None
 
 
+class _WalkStateTable:
+    """The walk states of one colored graph, shared by the per-source
+    searches of one certificate scan and dropped with it.
+
+    Each window (last <= ell walk colors) gets an int id on first use, and
+    ``steps[w][c]`` holds the id of the window after a step of color c, or
+    -1 if c is already in window w.  A state is the int ``w * n + y``.  The
+    first expansion of a state relaxes its edges; from its second on, which
+    is always by a later source, the state's proper successors are kept as a
+    list in ascending-neighbor order and later expansions iterate that list.
+    """
+
+    def __init__(self, adjacency, cmat: list[list[int]], ell: int) -> None:
+        self.adjacency = adjacency
+        self.cmat = cmat
+        self.ell = ell
+        self.windows: list[tuple[int, ...]] = [()]
+        self.window_ids: dict[tuple[int, ...], int] = {(): 0}
+        self.steps: list[dict[int, int]] = [{}]
+        self.expanded: set[int] = set()
+        self.successors: dict[int, list[int]] = {}
+
+    def _step(self, w: int, c: int) -> int:
+        window = self.windows[w]
+        if c in window:
+            t = -1
+        else:
+            after = window[len(window) >= self.ell:] + (c,)
+            t = self.window_ids.setdefault(after, len(self.windows))
+            if t == len(self.windows):
+                self.windows.append(after)
+                self.steps.append({})
+        self.steps[w][c] = t
+        return t
+
+    def shortest_walks(
+        self, u: int, targets, time_limit: Optional[float] = None
+    ) -> dict[int, Path]:
+        """The walks that ``_shortest_proper_walks`` finds from u to the
+        targets in this table's graph, under the same time budget: the
+        queue holds the same states in the same order, only encoded as
+        ints."""
+        deadline = None if time_limit is None else time.monotonic() + time_limit
+        n = len(self.cmat)
+        adjacency, cmat, steps = self.adjacency, self.cmat, self.steps
+        expanded, successors = self.expanded, self.successors
+        pending = set(targets)
+        reached: dict[int, int] = {}
+        states = [u]
+        parent = [-1]
+        seen = set()
+        for i, s in enumerate(states):
+            if not pending:
+                break
+            if deadline is not None and not i & 255 and time.monotonic() > deadline:
+                raise VerificationTimeout(
+                    f"search from vertex {u} exceeded the time budget of {time_limit} s"
+                )
+            kept = successors.get(s)
+            if kept is None:
+                w, x = divmod(s, n)
+                row, step = cmat[x], steps[w]
+                kept = [] if s in expanded else None
+                for y in adjacency[x]:
+                    c = row[y]
+                    t = step.get(c)
+                    if t is None:
+                        t = self._step(w, c)
+                    if t < 0:
+                        continue
+                    state = t * n + y
+                    if kept is not None:
+                        kept.append(state)
+                    if state in seen:
+                        continue
+                    seen.add(state)
+                    if y == u:
+                        continue
+                    parent.append(i)
+                    states.append(state)
+                    if y in pending:
+                        pending.remove(y)
+                        reached[y] = len(states) - 1
+                if kept is None:
+                    expanded.add(s)
+                else:
+                    successors[s] = kept
+                continue
+            for state in kept:
+                if state in seen:
+                    continue
+                seen.add(state)
+                y = state % n
+                if y == u:
+                    continue
+                parent.append(i)
+                states.append(state)
+                if y in pending:
+                    pending.remove(y)
+                    reached[y] = len(states) - 1
+        walks = {}
+        for v, j in reached.items():
+            walk = []
+            while j >= 0:
+                walk.append(states[j] % n)
+                j = parent[j]
+            walks[v] = tuple(reversed(walk))
+        return walks
+
+
 def verify_coloring(
     g: Graph,
     coloring: EdgeColoring,
@@ -292,7 +417,7 @@ def verify_coloring(
     cmat = _color_matrix(g, coloring)
     witnesses: dict[Pair, tuple[Path, ...]] = {}
     if k == 1:
-        failing = _first_failing_pair(g.adjacency, cmat, g.n, ell, witnesses, time_limit)
+        failing = _certified_pairs(g.adjacency, cmat, g.n, ell, witnesses, time_limit)
         return VerificationCertificate(failing is None, witnesses, failing)
     for u, v in itertools.combinations(range(g.n), 2):
         found = _disjoint_proper_paths(g.adjacency, cmat, u, v, ell, k, time_limit)
@@ -305,31 +430,57 @@ def verify_coloring(
 def first_failing_pair(g: Graph, coloring: EdgeColoring, ell: int) -> Optional[Pair]:
     """Lexicographically first pair with no distance-ell proper path, or
     None if the coloring makes the graph (1, ell)-proper connected.  Leaner
-    than verify_coloring: no witnesses are recorded."""
+    than verify_coloring: it runs the decision scan, which records no
+    witnesses."""
     ell = _validate_window(ell)
     cmat = _color_matrix(g, coloring)
-    return _first_failing_pair(g.adjacency, cmat, g.n, ell, None)
+    return _first_failing_pair(g.adjacency, cmat, g.n, ell)
 
 
 def _first_failing_pair(
-    adjacency,
-    cmat: list[list[int]],
-    n: int,
-    ell: int,
-    witnesses: Optional[dict[Pair, tuple[Path, ...]]],
-    time_limit: Optional[float] = None,
+    adjacency, cmat: list[list[int]], n: int, ell: int, time_limit: Optional[float] = None
 ) -> Optional[Pair]:
     """Scan the pairs u < v in lexicographic order and return the first one
     with no distance-ell proper path, or None, deciding each source's pairs
     as the module docstring says; ``time_limit`` bounds each source's search
-    and, separately, each fallback.  Witnesses of the pairs before the
-    failing one go into ``witnesses`` unless it is None."""
+    and, separately, each fallback.
+
+    This is the decision scan.  Each source runs its own tuple-state BFS,
+    ``_shortest_proper_walks``, because its callers (the exact search above
+    all) make many small scans that usually stop at source 0, where a shared
+    table of states would only cost its set-up."""
     for u in range(n - 1):
         row = cmat[u]
         targets = [v for v in range(u + 1, n) if not row[v]]
-        walks = {}
-        if targets:
-            walks = _shortest_proper_walks(adjacency, cmat, u, targets, ell, time_limit)
+        if not targets:
+            continue
+        walks = _shortest_proper_walks(adjacency, cmat, u, targets, ell, time_limit)
+        for v in targets:
+            if _path_from_walk(adjacency, cmat, u, v, ell, walks.get(v), time_limit) is None:
+                return (u, v)
+    return None
+
+
+def _certified_pairs(
+    adjacency,
+    cmat: list[list[int]],
+    n: int,
+    ell: int,
+    witnesses: dict[Pair, tuple[Path, ...]],
+    time_limit: Optional[float] = None,
+) -> Optional[Pair]:
+    """The certificate scan: ``_first_failing_pair`` with the witnesses of
+    the pairs before the failing one put into ``witnesses``.
+
+    Its sources search one ``_WalkStateTable``, which keeps the successor
+    lists of the states that more than one source expands, so a scan of
+    every source does not redo their edge steps; the walks, and so the
+    witnesses, are those of the decision scan."""
+    table = _WalkStateTable(adjacency, cmat, ell)
+    for u in range(n - 1):
+        row = cmat[u]
+        targets = [v for v in range(u + 1, n) if not row[v]]
+        walks = table.shortest_walks(u, targets, time_limit) if targets else {}
         for v in range(u + 1, n):
             if row[v]:
                 found = (u, v)
@@ -337,6 +488,5 @@ def _first_failing_pair(
                 found = _path_from_walk(adjacency, cmat, u, v, ell, walks.get(v), time_limit)
                 if found is None:
                     return (u, v)
-            if witnesses is not None:
-                witnesses[(u, v)] = (found,)
+            witnesses[(u, v)] = (found,)
     return None

@@ -2,7 +2,10 @@
 
 Everything here recomputes results from first principles (exhaustive
 enumeration, direct definitions) and deliberately shares no code with the
-implementation paths it checks.
+implementation paths it checks.  The one exception is
+``per_source_certificate``, a reference rather than an oracle: it rebuilds a
+k = 1 certificate from the library's own tuple-state search, one search per
+source, which the certificate scan must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import itertools
 import random
 
 from pcc.graphs import Graph, normalize_edge
+from pcc.verify import _color_matrix, _path_from_walk, _shortest_proper_walks
 
 
 def all_simple_paths(g: Graph, u: int, v: int) -> list[tuple[int, ...]]:
@@ -72,6 +76,28 @@ def disjoint_certificate(g: Graph, coloring, ell: int, k: int):
         if combo is None:
             return False, (u, v), witnesses
         witnesses[(u, v)] = combo
+    return True, None, witnesses
+
+
+def per_source_certificate(g: Graph, coloring, ell: int):
+    """(ok, failing_pair, witnesses) of (1, ell)-proper connectivity, pairs
+    scanned in lexicographic order: an adjacent pair is witnessed by its
+    edge, and the other pairs of source u by the walks of one tuple-state
+    search from u (``_shortest_proper_walks``), made into paths by
+    ``_path_from_walk``.  No state is shared between sources."""
+    cmat = _color_matrix(g, coloring)
+    witnesses = {}
+    for u in range(g.n - 1):
+        targets = [v for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+        walks = _shortest_proper_walks(g.adjacency, cmat, u, targets, ell)
+        for v in range(u + 1, g.n):
+            if g.has_edge(u, v):
+                witnesses[(u, v)] = ((u, v),)
+                continue
+            path = _path_from_walk(g.adjacency, cmat, u, v, ell, walks.get(v))
+            if path is None:
+                return False, (u, v), witnesses
+            witnesses[(u, v)] = (path,)
     return True, None, witnesses
 
 

@@ -8,14 +8,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pcc.verify
-from pcc.construct import color_hypercube, color_traceable, color_wheel
+from pcc.construct import (
+    color_2connected,
+    color_complete_bipartite,
+    color_hypercube,
+    color_traceable,
+    color_tree,
+    color_wheel,
+)
 from pcc.graphs import (
     EdgeColoring,
     Graph,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     hypercube_graph,
     path_graph,
+    random_2connected,
+    random_tree,
     wheel_graph,
 )
 from pcc.verify import (
@@ -33,6 +43,7 @@ from oracles import (
     all_simple_paths,
     disjoint_certificate,
     path_colors,
+    per_source_certificate,
     proper_path_exists,
     random_coloring,
     random_connected_graph,
@@ -425,3 +436,109 @@ def test_disjoint_search_levels_share_one_budget(monkeypatch):
     assert str(err.value) == "path search for pair (0, 1) exceeded the time budget of 5.0 s"
     # Each level's search gets what is left of the pair's budget.
     assert len(levels) == 2 and levels[1][6] < levels[0][6] <= 5.0
+
+
+def test_k1_certificates_are_pinned():
+    # SHA-256 of repr((ok, failing_pair, sorted witness items)), recorded
+    # when each source's pairs were decided by its own tuple-state BFS.  The
+    # perturbed tree is refuted at (13, 18), so its certificate is partial.
+    g40 = random_2connected(40, None, 7)
+    tree = random_tree(30, 4)
+    colors = dict(color_tree(tree, 2).coloring.colors)
+    colors[(9, 13)] = colors[(9, 23)]
+    cases = [
+        (hypercube_graph(6), color_hypercube(6, 2).coloring, 2,
+         "046a9fc06663c31c16c4576d16dd0dcb6169a6f40a09544d47ef11da4557512e"),
+        (hypercube_graph(5), color_hypercube(5, 4).coloring, 4,
+         "233e69d818e9ec5d850dfdf6c84e51f2ade5cf5f9b7688e9e25541d05bd16771"),
+        (complete_bipartite_graph(4, 42), color_complete_bipartite(4, 42, 2).coloring, 2,
+         "256828621064173999b83957128ca60b53ed43748f159355ff3047ea130c3509"),
+        (wheel_graph(100), color_wheel(100, 2).coloring, 2,
+         "cbd1342388c13a1ee63516c4adfd7456559bf3b5a25cadae7b8b10cb990fdf7c"),
+        (g40, color_2connected(g40).coloring, 2,
+         "3b939d46b12751c10ff1b5660f6fa8b9d2c72d3f3aff73a1ca20245f265b6c10"),
+        (tree, EdgeColoring(colors), 2,
+         "01c7e498baf8cb27ae81e1028d0c86e75d71d81dea1658265090e35429df1b06"),
+    ]
+    for g, c, ell, expect in cases:
+        cert = verify_coloring(g, c, ell)
+        text = repr((cert.ok, cert.failing_pair, sorted(cert.witnesses.items())))
+        assert hashlib.sha256(text.encode()).hexdigest() == expect
+    assert cert.failing_pair == (13, 18) and len(cert.witnesses) == 303
+
+
+class _CountingSuccessors(dict):
+    """The kept successor lists of a scan, counting the expansions that
+    iterate one instead of the adjacency."""
+
+    reuses = 0
+
+    def get(self, state, default=None):
+        kept = dict.get(self, state, default)
+        if kept is not None:
+            _CountingSuccessors.reuses += 1
+        return kept
+
+
+def _count_reused_successor_lists(monkeypatch):
+    class CountingTable(pcc.verify._WalkStateTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.successors = _CountingSuccessors()
+
+    monkeypatch.setattr(pcc.verify, "_WalkStateTable", CountingTable)
+    monkeypatch.setattr(_CountingSuccessors, "reuses", 0)
+
+
+def test_shared_state_scan_matches_per_source_reference(monkeypatch):
+    # Whole certificates against one tuple-state search per source, on
+    # 2-connected graphs whose sources share many states.  The colorings are
+    # the constructor's, with 0-3 color classes merged and the colors
+    # renamed to non-consecutive values; merging refutes some of them after
+    # earlier sources passed.  The counts make sure kept successor lists were
+    # iterated on most graphs, so the shared path is what was compared.
+    _count_reused_successor_lists(monkeypatch)
+    rng = random.Random(41)
+    verdicts = collections.Counter()
+    graphs_reusing = 0
+    for _ in range(30):
+        n = rng.randint(20, 60)
+        g = random_2connected(n, rng.randint(n + n // 4, 2 * n), rng.randrange(10**6))
+        colors = dict(color_2connected(g).coloring.colors)
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.sample(sorted(set(colors.values())), 2)
+            colors = {e: a if x == b else x for e, x in colors.items()}
+        used = sorted(set(colors.values()))
+        rename = dict(zip(used, rng.sample(range(3, 90, 4), len(used))))
+        c = EdgeColoring({e: rename[x] for e, x in colors.items()})
+        before = _CountingSuccessors.reuses
+        for ell in (1, 2, 3, 4):
+            cert = verify_coloring(g, c, ell)
+            assert (cert.ok, cert.failing_pair, cert.witnesses) == per_source_certificate(
+                g, c, ell
+            )
+            verdicts[cert.ok, bool(cert.witnesses)] += 1
+        graphs_reusing += _CountingSuccessors.reuses > before
+    assert graphs_reusing >= 20
+    assert verdicts[True, True] >= 30 and verdicts[False, True] >= 25
+
+
+def test_shared_scan_timeout_names_a_source_iterating_kept_lists(monkeypatch):
+    # A clock that ticks once per expansion that iterates a kept successor
+    # list, so the budget is spent only on the shared path.  Sources 0 and 1
+    # each pass three budget checks with the clock standing still: source 0
+    # keeps no list and source 1 only builds them.  Source 2 is the first to
+    # iterate kept lists; it runs out at its next check and is named.
+    _count_reused_successor_lists(monkeypatch)
+    clock = SimpleNamespace(monotonic=lambda: _CountingSuccessors.reuses)
+    monkeypatch.setattr(pcc.verify, "time", clock)
+    g, c = hypercube_graph(7), color_hypercube(7, 3).coloring
+    with pytest.raises(VerificationTimeout) as err:
+        verify_coloring(g, c, 3, time_limit=5.0)
+    assert str(err.value) == "search from vertex 2 exceeded the time budget of 5.0 s"
+    # A budget of 0 runs out at source 0, on its first budget check.
+    ticks = itertools.count()
+    monkeypatch.setattr(pcc.verify, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    with pytest.raises(VerificationTimeout) as err:
+        verify_coloring(g, c, 3, time_limit=0.0)
+    assert str(err.value) == "search from vertex 0 exceeded the time budget of 0.0 s"
