@@ -541,109 +541,60 @@ def _tree_copy_edges_with_depth(tree: RootedTree):
     return out
 
 
-def _root_path(tree: RootedTree, v: int) -> list[int]:
-    return list(reversed(tree.path_to_root(v)))
-
-
-def _template_constraints(paths: list[list[int]]) -> dict[Edge, set[Edge]]:
-    """Pairwise inequality constraints: edges at positions i < j with
-    j - i <= 2 on some template path must receive different colors."""
-    conflicts: dict[Edge, set[Edge]] = {}
-    for path in paths:
-        edges = [normalize_edge(a, b) for a, b in zip(path, path[1:])]
-        for j in range(len(edges)):
-            for back in (1, 2):
-                if j - back < 0:
-                    continue
-                e, f = edges[j], edges[j - back]
-                conflicts.setdefault(e, set()).add(f)
-                conflicts.setdefault(f, set()).add(e)
-    return conflicts
+def _cartesian_trees(
+    g: Graph, h: Graph, g_eccs: list[int], h_eccs: list[int]
+) -> tuple[RootedTree, RootedTree, str]:
+    """Spanning trees of G and H for the general product scheme, with a note
+    naming the root choice."""
+    # Prefer both roots at tree eccentricity exactly 2: depths {0,1,2} on
+    # both sides feed the mod-3 witness arithmetic for every pair.  A side
+    # that cannot reach 2 (only K_2) drops to eccentricity <= 2; if either
+    # side is too deep for that, both go to eccentricity >= 3.
+    g2 = _tree_with_root_ecc_exactly_2(g, g_eccs)
+    h2 = _tree_with_root_ecc_exactly_2(h, h_eccs)
+    g_rad, h_rad = min(g_eccs), min(h_eccs)
+    if g2 is not None and h2 is not None:
+        return g2, h2, "roots at eccentricity (2, 2)"
+    if g2 is not None and h_rad <= 2:
+        return g2, bfs_tree(h, h_eccs.index(h_rad)), "roots at eccentricity (2, <=2)"
+    if h2 is not None and g_rad <= 2:
+        return bfs_tree(g, g_eccs.index(g_rad)), h2, "roots at eccentricity (<=2, 2)"
+    s_tree = _tree_with_root_ecc_ge_3(g, g_eccs)
+    t_tree = _tree_with_root_ecc_ge_3(h, h_eccs)
+    if s_tree is None or t_tree is None:
+        raise InvariantViolation(
+            "no root choice with both tree eccentricities >= 3 or one of (2, <=2)"
+        )
+    return s_tree, t_tree, "roots at eccentricity (>=3, >=3)"
 
 
 def _cartesian_general(
     g: Graph, h: Graph, g_eccs: list[int], h_eccs: list[int]
 ) -> tuple[dict[Edge, int], str]:
-    """3-coloring of a spanning tree box via template paths: anchor paths of
-    both trees at a shared root so down-one-tree-up-the-other walks are
-    window-proper, then greedy lowest colors subject to those windows."""
-    # Prefer both roots at tree eccentricity exactly 2: depths {0,1,2} on
-    # both sides feed the mod-3 witness arithmetic for every pair.  A side
-    # that cannot reach 2 (only K_2) drops to eccentricity <= 2; if either
-    # side is too deep for that, both go to eccentricity >= 3.
-    s_tree = t_tree = None
-    note = ""
-    g2 = _tree_with_root_ecc_exactly_2(g, g_eccs)
-    h2 = _tree_with_root_ecc_exactly_2(h, h_eccs)
-    g_rad, h_rad = min(g_eccs), min(h_eccs)
-    if g2 is not None and h2 is not None:
-        s_tree, t_tree, note = g2, h2, "roots at eccentricity (2, 2)"
-    elif g2 is not None and h_rad <= 2:
-        s_tree, t_tree = g2, bfs_tree(h, h_eccs.index(h_rad))
-        note = "roots at eccentricity (2, <=2)"
-    elif h2 is not None and g_rad <= 2:
-        s_tree, t_tree = bfs_tree(g, g_eccs.index(g_rad)), h2
-        note = "roots at eccentricity (<=2, 2)"
-    if s_tree is None:
-        s_tree = _tree_with_root_ecc_ge_3(g, g_eccs)
-        t_tree = _tree_with_root_ecc_ge_3(h, h_eccs)
-        note = "roots at eccentricity (>=3, >=3)"
-        if s_tree is None or t_tree is None:
-            raise InvariantViolation(
-                "no root choice with both tree eccentricities >= 3 or one of (2, <=2)"
-            )
-    u1, v1 = s_tree.root, t_tree.root
+    """3-coloring of a spanning tree box S box T by the depths of its ends.
+
+    With s the depth of x in S and t the depth of y in T, the S edge from
+    (x, y) up to (parent(x), y) takes -s on the root copy (t = 0) and
+    s + t - 1 elsewhere; the T edge from (x, y) up to (x, parent(y)) takes
+    t - 1 on the root copy (s = 0) and -s - t elsewhere, all mod 3.  This is
+    the lowest-color greedy over the down-one-tree-up-the-other template
+    walks, in closed form: the greedy visits edges by depth, and sibling
+    edges never share a template window, so each color depends only on
+    depths.  When T has depth 1, the depth-1 S edge at the root sees no
+    depth-2 T edge and takes 2 instead of 3, which swaps 2 and 3 everywhere.
+    """
+    s_tree, t_tree, note = _cartesian_trees(g, h, g_eccs, h_eccs)
+    palette = (1, 3, 2) if max(t_tree.depth) == 1 else (1, 2, 3)
     hn = h.n
-
-    def pv(u: int, v: int) -> int:
-        return u * hn + v
-
-    templates: list[list[int]] = []
-    for j in range(g.n):
-        down = [pv(x, v1) for x in reversed(_root_path(s_tree, j))]
-        for t in range(h.n):
-            up = [pv(u1, y) for y in _root_path(t_tree, t)[1:]]
-            templates.append(down + up)
-    for i in range(h.n):
-        if i == v1:
-            continue
-        t_mid = [pv(u1, y) for y in _root_path(t_tree, i)[1:]]
-        for j1 in range(g.n):
-            down = [pv(x, v1) for x in reversed(_root_path(s_tree, j1))]
-            for ji in range(g.n):
-                out = [pv(x, i) for x in _root_path(s_tree, ji)[1:]]
-                templates.append(down + t_mid + out)
-    for s in range(g.n):
-        if s == u1:
-            continue
-        s_mid = [pv(x, v1) for x in _root_path(s_tree, s)[1:]]
-        for t1 in range(h.n):
-            down = [pv(u1, y) for y in reversed(_root_path(t_tree, t1))]
-            for ts in range(h.n):
-                out = [pv(s, y) for y in _root_path(t_tree, ts)[1:]]
-                templates.append(down + s_mid + out)
-    conflicts = _template_constraints(templates)
-
-    order: list[Edge] = []
-    for child, parent, _ in _tree_copy_edges_with_depth(t_tree):
-        order.append(_product_edge(hn, u1, child, u1, parent))
-    for child, parent, _ in _tree_copy_edges_with_depth(s_tree):
-        order.append(_product_edge(hn, child, v1, parent, v1))
-    for i in range(h.n):
-        if i == v1:
-            continue
-        for child, parent, _ in _tree_copy_edges_with_depth(s_tree):
-            order.append(_product_edge(hn, child, i, parent, i))
-    for s in range(g.n):
-        if s == u1:
-            continue
-        for child, parent, _ in _tree_copy_edges_with_depth(t_tree):
-            order.append(_product_edge(hn, s, child, s, parent))
-
     colors: dict[Edge, int] = {}
-    for e in order:
-        taken = {colors[f] for f in conflicts.get(e, ()) if f in colors}
-        colors[e] = _lowest(range(1, 4), taken, f"product tree edge {e}")
+    for x, s in enumerate(s_tree.depth):
+        for y, t in enumerate(t_tree.depth):
+            if s:
+                c = -s if t == 0 else s + t - 1
+                colors[_product_edge(hn, x, y, s_tree.parent[x], y)] = palette[c % 3]
+            if t:
+                c = t - 1 if s == 0 else -s - t
+                colors[_product_edge(hn, x, y, x, t_tree.parent[y])] = palette[c % 3]
     return colors, note
 
 
@@ -704,7 +655,8 @@ def color_cartesian(g: Graph, h: Graph) -> ConstructionReport:
 
     A star times a factor of radius >= 3 gets the 4-color scheme; a K_3
     factor gets its dedicated 3-color scheme; everything else gets the
-    template-greedy 3-coloring.  The output is verified before returning.
+    3-coloring of a spanning tree box by tree depths.  The output is
+    verified before returning.
     Where the scheme fails verification (K_2 times a radius-2 factor that
     branches at depth 1) and the product has a Hamiltonian path, the
     product is colored along that path with 3 colors instead.

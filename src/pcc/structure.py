@@ -319,12 +319,6 @@ class RootedTree:
     def n(self) -> int:
         return len(self.parent)
 
-    def path_to_root(self, v: int) -> list[int]:
-        path = [v]
-        while self.parent[path[-1]] is not None:
-            path.append(self.parent[path[-1]])
-        return path
-
 
 def bfs_tree(g: Graph, root: int) -> RootedTree:
     """BFS spanning tree from root (ascending neighbor order)."""

@@ -2,10 +2,12 @@
 
 Everything here recomputes results from first principles (exhaustive
 enumeration, direct definitions) and deliberately shares no code with the
-implementation paths it checks.  The one exception is
-``per_source_certificate``, a reference rather than an oracle: it rebuilds a
-k = 1 certificate from the library's own tuple-state search, one search per
-source, which the certificate scan must reproduce exactly.
+implementation paths it checks.  Two are references rather than oracles.
+``per_source_certificate`` rebuilds a k = 1 certificate from the library's
+own tuple-state search, one search per source, which the certificate scan
+must reproduce exactly.  ``cartesian_by_template_greedy`` is the greedy
+product coloring whose output ``construct._cartesian_general`` computes in
+closed form.
 """
 
 from __future__ import annotations
@@ -404,3 +406,93 @@ def generated_group(generators, n: int) -> set[tuple[int, ...]]:
                     found.append(q)
         frontier = found
     return group
+
+
+def cartesian_by_template_greedy(g: Graph, h: Graph, s_tree, t_tree) -> dict:
+    """Colors of the spanning tree box s_tree x t_tree by the template
+    greedy: list every walk that goes down one tree to its root copy, then
+    up the other (through the root copy of the first when it leaves it),
+    require edges at most 2 apart on one walk to differ, and give each edge
+    the lowest free color in 1..3, in order of depth."""
+
+    def root_path(tree, v: int) -> list[int]:
+        path = [v]
+        while tree.parent[path[-1]] is not None:
+            path.append(tree.parent[path[-1]])
+        return list(reversed(path))
+
+    def tree_edges_by_depth(tree):
+        out = []
+        for v in range(tree.n):
+            p = tree.parent[v]
+            if p is not None:
+                out.append((v, p, tree.depth[v]))
+        out.sort(key=lambda e: (e[2], e[0]))
+        return out
+
+    u1, v1 = s_tree.root, t_tree.root
+    hn = h.n
+
+    def pv(u: int, v: int) -> int:
+        return u * hn + v
+
+    templates: list[list[int]] = []
+    for j in range(g.n):
+        down = [pv(x, v1) for x in reversed(root_path(s_tree, j))]
+        for t in range(h.n):
+            up = [pv(u1, y) for y in root_path(t_tree, t)[1:]]
+            templates.append(down + up)
+    for i in range(h.n):
+        if i == v1:
+            continue
+        t_mid = [pv(u1, y) for y in root_path(t_tree, i)[1:]]
+        for j1 in range(g.n):
+            down = [pv(x, v1) for x in reversed(root_path(s_tree, j1))]
+            for ji in range(g.n):
+                out = [pv(x, i) for x in root_path(s_tree, ji)[1:]]
+                templates.append(down + t_mid + out)
+    for s in range(g.n):
+        if s == u1:
+            continue
+        s_mid = [pv(x, v1) for x in root_path(s_tree, s)[1:]]
+        for t1 in range(h.n):
+            down = [pv(u1, y) for y in reversed(root_path(t_tree, t1))]
+            for ts in range(h.n):
+                out = [pv(s, y) for y in root_path(t_tree, ts)[1:]]
+                templates.append(down + s_mid + out)
+
+    conflicts: dict = {}
+    for path in templates:
+        edges = [normalize_edge(a, b) for a, b in zip(path, path[1:])]
+        for j in range(len(edges)):
+            for back in (1, 2):
+                if j - back < 0:
+                    continue
+                e, f = edges[j], edges[j - back]
+                conflicts.setdefault(e, set()).add(f)
+                conflicts.setdefault(f, set()).add(e)
+
+    order = []
+    for child, parent, _ in tree_edges_by_depth(t_tree):
+        order.append(normalize_edge(pv(u1, child), pv(u1, parent)))
+    for child, parent, _ in tree_edges_by_depth(s_tree):
+        order.append(normalize_edge(pv(child, v1), pv(parent, v1)))
+    for i in range(h.n):
+        if i == v1:
+            continue
+        for child, parent, _ in tree_edges_by_depth(s_tree):
+            order.append(normalize_edge(pv(child, i), pv(parent, i)))
+    for s in range(g.n):
+        if s == u1:
+            continue
+        for child, parent, _ in tree_edges_by_depth(t_tree):
+            order.append(normalize_edge(pv(s, child), pv(s, parent)))
+
+    colors = {}
+    for e in order:
+        taken = {colors[f] for f in conflicts.get(e, ()) if f in colors}
+        free = [c for c in range(1, 4) if c not in taken]
+        if not free:
+            raise AssertionError(f"no free color for product tree edge {e}")
+        colors[e] = free[0]
+    return colors

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -43,6 +44,7 @@ from pcc.graphs import (
     wheel_graph,
 )
 from pcc.structure import (
+    eccentricity,
     hamiltonian_path,
     is_2_connected,
     is_complete,
@@ -51,7 +53,12 @@ from pcc.structure import (
 )
 from pcc.verify import verify_coloring
 
-from oracles import brute_force_split, tree_conflict_colors_full_scan
+from oracles import (
+    brute_force_split,
+    cartesian_by_template_greedy,
+    random_connected_graph,
+    tree_conflict_colors_full_scan,
+)
 
 
 def assert_sound(report, graph, ell):
@@ -410,6 +417,45 @@ def test_cartesian_surfaced_gap_falls_back_to_hamiltonian_path(monkeypatch):
     monkeypatch.setattr(construct, "hamiltonian_path", lambda g: None)
     with pytest.raises(InvariantViolation):
         color_cartesian(path_graph(2), double_star_graph(3, 3))
+
+
+def test_cartesian_closed_form_matches_template_greedy():
+    # The general scheme colors each tree edge by the two tree depths; the
+    # greedy over template walks it replaced must give the same colors.
+    rng = random.Random(12)
+
+    def factor():
+        n = rng.randint(2, 8)
+        kind = rng.randrange(5)
+        if kind == 0:
+            return path_graph(2)
+        if kind == 1:
+            return path_graph(n)
+        if kind == 2:
+            return cycle_graph(max(3, n))
+        if kind == 3:
+            return random_tree(n, rng.randrange(10**6))
+        return random_connected_graph(n, rng, rng.choice((0.1, 0.3)))
+
+    notes = Counter()
+    for _ in range(300):
+        g, h = factor(), factor()
+        g_eccs = [eccentricity(g, v) for v in range(g.n)]
+        h_eccs = [eccentricity(h, v) for v in range(h.n)]
+        try:
+            s_tree, t_tree, note = construct._cartesian_trees(g, h, g_eccs, h_eccs)
+        except InvariantViolation:
+            continue
+        colors, general_note = construct._cartesian_general(g, h, g_eccs, h_eccs)
+        assert general_note == note
+        assert colors == cartesian_by_template_greedy(g, h, s_tree, t_tree), (g, h)
+        notes[note] += 1
+    assert set(notes) == {
+        "roots at eccentricity (2, 2)",
+        "roots at eccentricity (2, <=2)",
+        "roots at eccentricity (<=2, 2)",
+        "roots at eccentricity (>=3, >=3)",
+    }, notes
 
 
 # -- 2-connected graphs ------------------------------------------------------
