@@ -15,6 +15,7 @@ import itertools
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from .graphs import (
@@ -474,17 +475,8 @@ def color_join(g: Graph, h: Graph) -> ConstructionReport:
 
 
 def _product_edge(h_n: int, u1: int, v1: int, u2: int, v2: int) -> Edge:
+    """The edge (u1, v1)-(u2, v2) of G box H, vertex (u, v) being u * h_n + v."""
     return normalize_edge(u1 * h_n + v1, u2 * h_n + v2)
-
-
-def _transpose_colors(colors: dict[Edge, int], a: Graph, b: Graph) -> dict[Edge, int]:
-    """Map a coloring of a box b onto b box a (swap the coordinates)."""
-    out = {}
-    for (x, y), c in colors.items():
-        xa, xb = divmod(x, b.n)
-        ya, yb = divmod(y, b.n)
-        out[normalize_edge(xb * a.n + xa, yb * a.n + ya)] = c
-    return out
 
 
 def _tree_with_root_ecc_exactly_2(g: Graph, eccs: list[int]) -> Optional[RootedTree]:
@@ -528,17 +520,6 @@ def _tree_with_root_ecc_ge_3(g: Graph, eccs: list[int]) -> Optional[RootedTree]:
                                 queue.append(y)
                     return RootedTree(a, tuple(parent), tuple(depth))
     return None
-
-
-def _tree_copy_edges_with_depth(tree: RootedTree):
-    """Tree edges as (child, parent, child_depth), BFS order."""
-    out = []
-    for v in range(tree.n):
-        p = tree.parent[v]
-        if p is not None:
-            out.append((v, p, tree.depth[v]))
-    out.sort(key=lambda e: (e[2], e[0]))
-    return out
 
 
 def _cartesian_trees(
@@ -598,65 +579,54 @@ def _cartesian_general(
     return colors, note
 
 
-def _cartesian_k3(other: Graph, k3: Graph) -> dict[Edge, int]:
-    """3-coloring of (spanning tree of other) box K_3: the middle triangle
-    copy carries ascending depth colors, the outer two descending ones, and
-    the triangle rungs continue those cyclic runs."""
-    s = bfs_tree(other, 0)
-    hn = 3
-    res: dict[Edge, int] = {}
-    for child, parent, d in _tree_copy_edges_with_depth(s):
-        res[_product_edge(hn, child, 1, parent, 1)] = (d - 1) % 3
-        for copy in (0, 2):
-            res[_product_edge(hn, child, copy, parent, copy)] = (-1 - d) % 3
-    res[_product_edge(hn, 0, 0, 0, 1)] = 2
-    res[_product_edge(hn, 0, 1, 0, 2)] = 2
-    res[_product_edge(hn, 0, 0, 0, 2)] = 2
-    for u in range(other.n):
-        if u == 0:
-            continue
-        d = s.depth[u]
-        res[_product_edge(hn, u, 0, u, 1)] = d % 3
-        res[_product_edge(hn, u, 1, u, 2)] = (-2 - d) % 3
-        res[_product_edge(hn, u, 0, u, 2)] = (d + 1) % 3
-    return {e: c + 1 for e, c in res.items()}
-
-
-def _cartesian_star(star: Graph, other: Graph, other_eccs: list[int]) -> dict[Edge, int]:
-    """4-coloring of star box other.  The tree of the deep factor is rooted
-    at an end of a longest path; its root copy cycles 1,2,3 by depth and all
-    other copies cycle one step ahead.  Star edges take color 4 at the root
-    level and, elsewhere, the single color missing around their level."""
-    center = max(range(star.n), key=lambda v: star.degree(v))
-    root = other_eccs.index(max(other_eccs))
-    t_tree = bfs_tree(other, root)
-    hn = other.n
-    res: dict[Edge, int] = {}
-    for child, parent, d in _tree_copy_edges_with_depth(t_tree):
-        for u in range(star.n):
-            residue = (d - 1) % 3 if u == center else d % 3
-            res[_product_edge(hn, u, child, u, parent)] = residue + 1
-    for v in range(other.n):
-        d = t_tree.depth[v]
-        if v == root or d >= 2:
-            c = 4
+def _cartesian_k3(other: Graph, edge) -> dict[Edge, int]:
+    """3-coloring of (BFS tree of other from 0) box K_3, where ``edge(x1, y1,
+    x2, y2)`` names the product edge for x in other and y in K_3.  The middle
+    triangle copy carries ascending depth colors, the outer two descending
+    ones, and the rungs continue those cyclic runs; the root's rungs take 3."""
+    tree = bfs_tree(other, 0)
+    colors: dict[Edge, int] = {}
+    for x, d in enumerate(tree.depth):
+        if d:
+            p = tree.parent[x]
+            colors[edge(x, 1, p, 1)] = (d - 1) % 3 + 1
+            colors[edge(x, 0, p, 0)] = colors[edge(x, 2, p, 2)] = (-1 - d) % 3 + 1
+            rungs = (d % 3 + 1, (-2 - d) % 3 + 1, (d + 1) % 3 + 1)
         else:
-            # Depth 1: the two color-4 star levels would sit only two apart
-            # on the anchoring cycle, so take the residue missing around it.
-            c = ({0, 1, 2} - {(d - 1) % 3, d % 3}).pop() + 1
-        for leaf in range(star.n):
-            if leaf != center:
-                res[_product_edge(hn, center, v, leaf, v)] = c
-    return res
+            rungs = (3, 3, 3)
+        colors[edge(x, 0, x, 1)], colors[edge(x, 1, x, 2)], colors[edge(x, 0, x, 2)] = rungs
+    return colors
+
+
+def _cartesian_star(star: Graph, other: Graph, other_eccs: list[int], edge) -> dict[Edge, int]:
+    """4-coloring of star box other, where ``edge(x1, y1, x2, y2)`` names the
+    product edge for x in other and y in the star.  The tree of the deep
+    factor is rooted at an end of a longest path; its copy at the star's
+    center cycles 1,2,3 by depth and the leaf copies cycle one step ahead.
+    Star edges take 4, but 3 at depth 1, where two color-4 star levels would
+    sit only two apart on the anchoring cycle."""
+    center = max(range(star.n), key=lambda v: star.degree(v))
+    tree = bfs_tree(other, other_eccs.index(max(other_eccs)))
+    colors: dict[Edge, int] = {}
+    for x, d in enumerate(tree.depth):
+        for y in range(star.n):
+            if d:
+                step = d - 1 if y == center else d
+                colors[edge(x, y, tree.parent[x], y)] = step % 3 + 1
+            if y != center:
+                colors[edge(x, center, x, y)] = 3 if d == 1 else 4
+    return colors
 
 
 def color_cartesian(g: Graph, h: Graph) -> ConstructionReport:
-    """Coloring of G box H (window fixed at 2).
+    """Coloring of G box H (window fixed at 2), with G = ``g`` the left
+    factor and H = ``h`` the right one.
 
     A star times a factor of radius >= 3 gets the 4-color scheme; a K_3
     factor gets its dedicated 3-color scheme; everything else gets the
-    3-coloring of a spanning tree box by tree depths.  The output is
-    verified before returning.
+    3-coloring of a spanning tree box by tree depths.  The star and K_3
+    schemes see the special factor second; only this function knows on
+    which side it is.  The output is verified before returning.
     Where the scheme fails verification (K_2 times a radius-2 factor that
     branches at depth 1) and the product has a Hamiltonian path, the
     product is colored along that path with 3 colors instead.
@@ -670,16 +640,20 @@ def color_cartesian(g: Graph, h: Graph) -> ConstructionReport:
     pg = cartesian_product(g, h)
     g_eccs = [eccentricity(g, v) for v in range(g.n)]
     h_eccs = [eccentricity(h, v) for v in range(h.n)]
+    # Edges named by (other, special) coordinates, the special factor being H or G.
+    right = partial(_product_edge, h.n)
+
+    def left(x1: int, y1: int, x2: int, y2: int) -> Edge:
+        return _product_edge(h.n, y1, x1, y2, x2)
+
     if is_star(g) and min(h_eccs) >= 3:
-        colors, claimed, note = _cartesian_star(g, h, h_eccs), 4, "star times deep factor"
+        colors, claimed, note = _cartesian_star(g, h, h_eccs, left), 4, "star times deep factor"
     elif is_star(h) and min(g_eccs) >= 3:
-        colors = _transpose_colors(_cartesian_star(h, g, g_eccs), h, g)
-        claimed, note = 4, "deep factor times star"
+        colors, claimed, note = _cartesian_star(h, g, g_eccs, right), 4, "deep factor times star"
     elif is_complete(g) and g.n == 3:
-        colors = _transpose_colors(_cartesian_k3(h, g), h, g)
-        claimed, note = 3, "left factor K_3"
+        colors, claimed, note = _cartesian_k3(h, left), 3, "left factor K_3"
     elif is_complete(h) and h.n == 3:
-        colors, claimed, note = _cartesian_k3(g, h), 3, "right factor K_3"
+        colors, claimed, note = _cartesian_k3(g, right), 3, "right factor K_3"
     else:
         colors, note = _cartesian_general(g, h, g_eccs, h_eccs)
         claimed = 3

@@ -168,7 +168,7 @@ def _proper_paths(
 
 
 def _shortest_proper_walks(
-    adjacency, cmat: list[list[int]], u: int, targets, ell: int, time_limit: Optional[float] = None
+    adjacency, cmat: list[list[int]], u: int, targets, ell: int
 ) -> dict[int, Path]:
     """The shortest distance-ell proper walk from u to each target that has
     one, the first found in ascending-neighbor BFS order.
@@ -176,11 +176,8 @@ def _shortest_proper_walks(
     The search runs over the states (vertex, last <= ell walk colors), never
     re-enters u and stops once every target is reached.  A proper path is a
     proper walk that avoids u after its start, so a target missing from the
-    result has no proper path.  A returned walk may repeat a vertex.  The
-    ``time_limit`` budget starts with the search and is checked before the
-    first state and every 256 states after it.
+    result has no proper path.  A returned walk may repeat a vertex.
     """
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     pending = set(targets)
     reached: dict[int, int] = {}
     states = [(u, ())]
@@ -189,10 +186,6 @@ def _shortest_proper_walks(
     for i, (x, window) in enumerate(states):
         if not pending:
             break
-        if deadline is not None and not i & 255 and time.monotonic() > deadline:
-            raise VerificationTimeout(
-                f"search from vertex {u} exceeded the time budget of {time_limit} s"
-            )
         row = cmat[x]
         kept = window[len(window) >= ell:]
         for y in adjacency[x]:
@@ -319,9 +312,9 @@ class _WalkStateTable:
         self, u: int, targets, time_limit: Optional[float] = None
     ) -> dict[int, Path]:
         """The walks that ``_shortest_proper_walks`` finds from u to the
-        targets in this table's graph, under the same time budget: the
-        queue holds the same states in the same order, only encoded as
-        ints."""
+        targets in this table's graph, the same queue encoded as ints.  The
+        ``time_limit`` budget starts with the search and is checked before
+        the first state and every 256 states after it."""
         deadline = None if time_limit is None else time.monotonic() + time_limit
         n = len(self.cmat)
         adjacency, cmat, steps = self.adjacency, self.cmat, self.steps
@@ -437,13 +430,11 @@ def first_failing_pair(g: Graph, coloring: EdgeColoring, ell: int) -> Optional[P
     return _first_failing_pair(g.adjacency, cmat, g.n, ell)
 
 
-def _first_failing_pair(
-    adjacency, cmat: list[list[int]], n: int, ell: int, time_limit: Optional[float] = None
-) -> Optional[Pair]:
+def _first_failing_pair(adjacency, cmat: list[list[int]], n: int, ell: int) -> Optional[Pair]:
     """Scan the pairs u < v in lexicographic order and return the first one
     with no distance-ell proper path, or None, deciding each source's pairs
-    as the module docstring says; ``time_limit`` bounds each source's search
-    and, separately, each fallback.
+    as the module docstring says.  It has no time budget: the exact search
+    reads its own deadline between colorings.
 
     This is the decision scan.  Each source runs its own tuple-state BFS,
     ``_shortest_proper_walks``, because its callers (the exact search above
@@ -454,9 +445,9 @@ def _first_failing_pair(
         targets = [v for v in range(u + 1, n) if not row[v]]
         if not targets:
             continue
-        walks = _shortest_proper_walks(adjacency, cmat, u, targets, ell, time_limit)
+        walks = _shortest_proper_walks(adjacency, cmat, u, targets, ell)
         for v in targets:
-            if _path_from_walk(adjacency, cmat, u, v, ell, walks.get(v), time_limit) is None:
+            if _path_from_walk(adjacency, cmat, u, v, ell, walks.get(v)) is None:
                 return (u, v)
     return None
 

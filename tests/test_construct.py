@@ -36,6 +36,7 @@ from pcc.graphs import (
     double_star_graph,
     hypercube_graph,
     join,
+    normalize_edge,
     path_graph,
     permutation_graph,
     random_2connected,
@@ -376,6 +377,42 @@ def test_cartesian_star_case_uses_four_colors_deep_side():
     r = color_cartesian(star_graph(4), cycle_graph(7))  # rad(C7) = 3
     assert r.claimed_colors == 4
     assert_sound(r, cartesian_product(star_graph(4), cycle_graph(7)), 2)
+
+
+def test_cartesian_swapped_factors_transpose_the_special_schemes():
+    # The star and K_3 schemes are written once, with the special factor
+    # second; swapping the factors must transpose their colorings exactly.
+    def transposed(coloring, a, b):
+        # A coloring of a box b, carried onto b box a.
+        out = {}
+        for (x, y), c in coloring.colors.items():
+            (xa, xb), (ya, yb) = divmod(x, b.n), divmod(y, b.n)
+            out[normalize_edge(xb * a.n + xa, yb * a.n + ya)] = c
+        return EdgeColoring(out)
+
+    rng = random.Random(13)
+    others = [cycle_graph(n) for n in range(6, 12)]
+    others += [path_graph(n) for n in (7, 9, 12)]
+    others += [random_tree(rng.randint(9, 15), seed) for seed in range(8)]
+    others += [
+        random_2connected(8, 10, 1), path_graph(3), cycle_graph(4), star_graph(4),
+        complete_bipartite_graph(2, 3),
+    ]
+    stars = [star_graph(k) for k in range(1, 6)] + [Graph(4, [(0, 2), (1, 2), (2, 3)])]
+    cases = [(star, 4, "star times deep factor", "deep factor times star") for star in stars]
+    cases.append((complete_graph(3), 3, "left factor K_3", "right factor K_3"))
+    checked = Counter()
+    for special, claimed, left_note, right_note in cases:
+        for other in others:
+            if claimed == 4 and min(eccentricity(other, v) for v in range(other.n)) < 3:
+                continue
+            left, right = color_cartesian(special, other), color_cartesian(other, special)
+            assert (left.notes, right.notes) == (left_note, right_note), (special, other)
+            assert left.claimed_colors == right.claimed_colors == claimed
+            assert transposed(left.coloring, special, other) == right.coloring, (special, other)
+            checked[claimed] += 1
+    # Every star meets every factor but the last four, which are shallow.
+    assert checked == {4: len(stars) * (len(others) - 4), 3: len(others)}, checked
 
 
 def test_cartesian_rejects_bad_inputs():
