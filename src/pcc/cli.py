@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -201,6 +202,35 @@ def _cmd_exact(args) -> int:
     return EXIT_OK
 
 
+# The grid flags each theorem reads: flag -> (default, least value that
+# leaves the grid non-empty, or None).  Every other grid flag is a usage
+# error with that theorem, as is a bound that leaves its grid empty.
+_TABLE_FLAGS = {
+    "bipartite": {"max_m": (3, 1), "max_n": (12, 1)},
+    "multipartite": {"ell": (2, None), "max_n": (12, 3)},
+    "wheel": {"ell": (2, None), "max_n": (12, 3)},
+    "cube": {"max_t": (4, 1), "max_ell": (5, 2)},
+    "tree": {"ell": (2, None), "max_n": (12, 2), "count": (20, 1), "seed": (0, None)},
+}
+_GRID_FLAGS = ("ell", "max_n", "max_m", "max_t", "max_ell", "count", "seed")
+
+
+def _table_grid(args) -> None:
+    theorem = args.theorem
+    reads = _TABLE_FLAGS[theorem]
+    for flag in _GRID_FLAGS:
+        if getattr(args, flag) is not None and flag not in reads:
+            raise ValueError(f"--{flag.replace('_', '-')} does not apply to --theorem {theorem}")
+    for flag, (default, least) in reads.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        value = getattr(args, flag)
+        if least is not None and value < least:
+            raise ValueError(
+                f"{theorem} table requires --{flag.replace('_', '-')} >= {least}, got {value}"
+            )
+
+
 def _exact_cell(g: graphs.Graph, ell: int, args) -> str:
     if g.m > args.exact_edges:
         return "skipped"
@@ -240,8 +270,6 @@ def _table_rows(args):
                 report = construct.color_hypercube(t, ell)
                 yield f"t={t}", ell, g, report
     elif theorem == "tree":
-        if args.max_n < 2:
-            raise ValueError(f"tree table requires --max-n >= 2, got {args.max_n}")
         for i in range(args.count):
             n = 2 + (i * 7 + args.seed) % (args.max_n - 1)
             g = graphs.random_tree(n, seed=args.seed + i)
@@ -261,6 +289,7 @@ def _sorted_partitions(total: int, parts: int, minimum: int = 1):
 
 
 def _cmd_table(args) -> int:
+    _table_grid(args)
     rows = []
     any_fail = False
     for params, ell, g, report in _table_rows(args):
@@ -293,6 +322,7 @@ def _cmd_table(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Return a new parser for the `pcc` command line on every call."""
     parser = argparse.ArgumentParser(
         prog="pcc",
         description="Construct, verify, and exactly compute distance-window "
@@ -353,18 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.set_defaults(func=_cmd_exact)
 
     p_tab = sub.add_parser("table", help="sweep a family grid and emit CSV")
-    p_tab.add_argument(
-        "--theorem",
-        required=True,
-        choices=("bipartite", "multipartite", "wheel", "cube", "tree"),
-    )
-    p_tab.add_argument("--ell", type=int, default=2)
-    p_tab.add_argument("--max-n", type=int, default=12)
-    p_tab.add_argument("--max-m", type=int, default=3)
-    p_tab.add_argument("--max-t", type=int, default=4)
-    p_tab.add_argument("--max-ell", type=int, default=5)
-    p_tab.add_argument("--count", type=int, default=20)
-    p_tab.add_argument("--seed", type=int, default=0)
+    p_tab.add_argument("--theorem", required=True, choices=tuple(_TABLE_FLAGS))
+    # No defaults here: _table_grid tells an omitted grid flag from one
+    # given, and fills in the defaults of the flags the theorem reads.
+    for flag in _GRID_FLAGS:
+        p_tab.add_argument("--" + flag.replace("_", "-"), type=int)
     p_tab.add_argument("--exact-edges", type=int, default=10)
     p_tab.add_argument("--time-limit", type=float, default=60.0)
     p_tab.add_argument("-o", "--output", required=True)
@@ -372,9 +395,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that every `main` call in this process shares, built on
+    the first call.  Sharing it is safe because nothing changes it after
+    it is built: no handler sets defaults or adds arguments, no argument
+    has a mutable default or appends, and argparse reads the terminal
+    width only when it formats help."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (io.ParseError, ValueError, OSError) as err:

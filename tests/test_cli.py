@@ -1,4 +1,9 @@
-from pcc import io, verify
+import os
+import pathlib
+import subprocess
+import sys
+
+from pcc import cli, io, verify
 from pcc.cli import main
 from pcc.graphs import cycle_graph, double_star_graph, hypercube_graph, path_graph, wheel_graph
 
@@ -292,3 +297,120 @@ def test_nan_time_limit_exits_2(tmp_path, capsys):
         ["exact", "--graph", str(graph_file), "--ell", "2", "--time-limit", "nan"], capsys
     )
     assert code == 2 and out == "" and err == "error: time_limit must be positive, got nan\n"
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    graph_file = tmp_path / "c4.edges"
+    witness = tmp_path / "c4.pcc"
+    try:
+        for argv in (
+            ["generate", "--family", "cycle", "--n", "4", "-o", str(graph_file)],
+            ["exact", "--graph", str(graph_file), "--ell", "2", "-o", str(witness)],
+            ["verify", "--graph", str(graph_file), "--coloring", str(witness), "--ell", "2"],
+        ):
+            code, _, _ = run(argv, capsys)
+            assert code == 0, argv
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert real() is not real()
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_shared_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
+    # Each pair runs an earlier call and then a later one that leaves the
+    # earlier call's flag out, on the parser main shares; the later call
+    # must print what it prints on a freshly built parser.
+    verify_c4 = _alternating_c4(tmp_path) + ["--ell", "2"]
+    exact_c4 = ["exact", "--graph", str(tmp_path / "c4.edges"), "--ell", "2"]
+    c5 = tmp_path / "c5.edges"
+    c5.write_text(io.write_graph(cycle_graph(5)))
+    out_file = str(tmp_path / "out.pcc")
+    pairs = (
+        (verify_c4 + ["--k", "2"], (1, "verified false\nfailing_pair 0 1\n"),
+         verify_c4, (0, "verified true\n")),
+        (exact_c4 + ["--max-colors", "1"], (1, "inconclusive true\n"),
+         exact_c4, (0, "min_colors 2\n")),
+        (["color", "--family", "wheel", "--n", "9", "--ell", "2", "-o", out_file],
+         (0, "vertices 10\n"),
+         ["color", "--input", str(c5), "--method", "traceable", "--ell", "2", "-o", out_file],
+         (0, "vertices 5\n")),
+        (["verify", "--graph", str(c5)], (2, ""), verify_c4, (0, "verified true\n")),
+    )
+    shared = []
+    for earlier, (code, head), later, (later_code, later_head) in pairs:
+        got = _outcome(earlier, capsys)
+        assert got[0] == code and got[1].startswith(head), earlier
+        got = _outcome(later, capsys)
+        assert got[0] == later_code and got[1].startswith(later_head), later
+        shared.append(got)
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert [_outcome(later, capsys) for _, _, later, _ in pairs] == shared
+
+
+def test_table_usage_errors(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    unused = [("bipartite", "--ell"), ("cube", "--ell"), ("cube", "--max-n")]
+    for theorem in ("bipartite", "multipartite", "wheel", "cube", "tree"):
+        if theorem != "bipartite":
+            unused.append((theorem, "--max-m"))
+        if theorem != "cube":
+            unused += [(theorem, "--max-t"), (theorem, "--max-ell")]
+        if theorem != "tree":
+            unused += [(theorem, "--count"), (theorem, "--seed")]
+    for theorem, flag in unused:
+        code, stdout, err = run(
+            ["table", "--theorem", theorem, flag, "3", "-o", str(out)], capsys
+        )
+        assert (code, stdout) == (2, "") and not out.exists(), (theorem, flag)
+        assert err == f"error: {flag} does not apply to --theorem {theorem}\n"
+    # A bound that leaves the grid empty is a usage error too, naming the
+    # flag, instead of a header-only CSV.
+    for argv, message in (
+        (["wheel", "--max-n", "2"], "wheel table requires --max-n >= 3, got 2"),
+        (["multipartite", "--max-n", "2"], "multipartite table requires --max-n >= 3, got 2"),
+        (["bipartite", "--max-m", "0"], "bipartite table requires --max-m >= 1, got 0"),
+        (["bipartite", "--max-n", "0"], "bipartite table requires --max-n >= 1, got 0"),
+        (["cube", "--max-t", "0"], "cube table requires --max-t >= 1, got 0"),
+        (["cube", "--max-t", "2", "--max-ell", "1"], "cube table requires --max-ell >= 2, got 1"),
+        (["tree", "--count", "0"], "tree table requires --count >= 1, got 0"),
+    ):
+        code, stdout, err = run(["table", "--theorem", *argv, "-o", str(out)], capsys)
+        assert (code, stdout, err) == (2, "", f"error: {message}\n") and not out.exists(), argv
+
+
+def _python_m_pcc(*argv):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "pcc", *argv], cwd=root, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+def test_python_m_pcc_exit_status():
+    done = _python_m_pcc("--help")
+    assert done.returncode == 0 and done.stdout.startswith("usage: pcc"), done.stderr
+    done = _python_m_pcc("verify", "--coloring", "c4.pcc", "--ell", "2")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("usage: pcc verify")
+    assert "the following arguments are required: --graph" in done.stderr
