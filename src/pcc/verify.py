@@ -22,14 +22,18 @@ Two scans run that per-source search over every source.  The decision scan
 runs ``_shortest_proper_walks`` from each source on tuple states.  The
 certificate scan (``_certified_pairs``, behind ``verify_coloring`` at k = 1)
 runs the same search on one ``_WalkStateTable`` shared by all sources, in
-which windows are interned as ints and a state is the int ``w * n + y``.
-Its queue holds the same states in the same order, so its walks are the
-same.  A state's proper successors are kept as a list from its second
-expansion on, which is always by a later source, and later expansions
-iterate that list; a state expanded once keeps nothing.  The sources of a full scan
-expand the same states many times (16x on Q_7 at l=3), so sharing pays;
-the exact search's scans are tiny and mostly stop at source 0, where the
-table only costs its set-up, so the decision scan stays on tuple states.
+which windows are interned as ints and each state gets a dense int id when
+it is first reached.  Per-id lists replace the per-source hash sets: a
+state is seen by source u when its stamp is u, and its predecessor is kept
+beside the stamp.  Every list has one entry per state reached, which on a
+coloring with many colors is a small share of windows x n.  The queue holds
+the same states in the same order, so the walks are the same.  A state's
+proper successors are kept as a list of ids from its second expansion on,
+which is always by a later source, and later expansions iterate that list;
+a state expanded once keeps nothing.  The sources of a full scan expand the
+same states many times (16x on Q_7 at l=3), so sharing pays; the exact
+search's scans are tiny and mostly stop at source 0, where the table only
+costs its set-up, so the decision scan stays on tuple states.
 
 For k >= 2 a backtracking search draws each path from ``_proper_paths``
 with the earlier paths' interiors blocked; the DFS yields paths in
@@ -73,11 +77,16 @@ class VerificationCertificate:
     failing_pair: Optional[Pair]
 
 
+def _positive_int(name: str, value) -> int:
+    """``value`` if it is an int >= 1 (a bool is not), else ValueError
+    naming it; a float such as 2.9 would otherwise act as its floor."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+    return value
+
+
 def _validate_window(ell: int) -> int:
-    ell = int(ell)
-    if ell < 1:
-        raise ValueError(f"window parameter must be >= 1, got {ell}")
-    return ell
+    return _positive_int("window parameter", ell)
 
 
 def is_distance_proper_path(coloring: EdgeColoring, path: Path, ell: int) -> bool:
@@ -279,10 +288,16 @@ class _WalkStateTable:
 
     Each window (last <= ell walk colors) gets an int id on first use, and
     ``steps[w][c]`` holds the id of the window after a step of color c, or
-    -1 if c is already in window w.  A state is the int ``w * n + y``.  The
-    first expansion of a state relaxes its edges; from its second on, which
-    is always by a later source, the state's proper successors are kept as a
-    list in ascending-neighbor order and later expansions iterate that list.
+    -1 if c is already in window w.  Each state (window w, vertex y) gets a
+    dense int id when a search first creates it, and ``ids`` maps the key
+    ``w * n + y`` to that id.  The per-id lists hold a state's ``vertex``,
+    its ``window``, its ``successors``, the last source that reached it
+    (``stamp``) and its predecessor in that source's search (``pred``), so
+    each has one entry per state created and none per unreached pair of a
+    window and a vertex.  ``successors[s]`` is None until s is first
+    expanded and False after that; its second expansion, which is always by
+    a later source, stores the ids of s's proper successors in
+    ascending-neighbor order, and later expansions iterate that list.
     """
 
     def __init__(self, adjacency, cmat: list[list[int]], ell: int) -> None:
@@ -292,8 +307,12 @@ class _WalkStateTable:
         self.windows: list[tuple[int, ...]] = [()]
         self.window_ids: dict[tuple[int, ...], int] = {(): 0}
         self.steps: list[dict[int, int]] = [{}]
-        self.expanded: set[int] = set()
-        self.successors: dict[int, list[int]] = {}
+        self.ids: dict[int, int] = {}
+        self.vertex: list[int] = []
+        self.window: list[int] = []
+        self.successors: list = []
+        self.stamp: list[int] = []
+        self.pred: list[int] = []
 
     def _step(self, w: int, c: int) -> int:
         window = self.windows[w]
@@ -312,73 +331,94 @@ class _WalkStateTable:
         self, u: int, targets, time_limit: Optional[float] = None
     ) -> dict[int, Path]:
         """The walks that ``_shortest_proper_walks`` finds from u to the
-        targets in this table's graph, the same queue encoded as ints.  The
-        ``time_limit`` budget starts with the search and is checked before
-        the first state and every 256 states after it."""
+        targets in this table's graph, the same queue on state ids.  A state
+        is seen by this search when its stamp is u.  The ``time_limit``
+        budget starts with the search and is checked before the first state
+        and every 256 states after it."""
         deadline = None if time_limit is None else time.monotonic() + time_limit
         n = len(self.cmat)
-        adjacency, cmat, steps = self.adjacency, self.cmat, self.steps
-        expanded, successors = self.expanded, self.successors
-        pending = set(targets)
+        adjacency, cmat, steps, ids = self.adjacency, self.cmat, self.steps, self.ids
+        vertex, window, successors = self.vertex, self.window, self.successors
+        stamp, pred = self.stamp, self.pred
+        wanted = bytearray(n)
+        for v in targets:
+            wanted[v] = 1
+        left = wanted.count(1)
         reached: dict[int, int] = {}
-        states = [u]
-        parent = [-1]
-        seen = set()
-        for i, s in enumerate(states):
-            if not pending:
+        start = ids[u] = len(vertex)
+        vertex.append(u)
+        window.append(0)
+        successors.append(None)
+        stamp.append(u)
+        pred.append(-1)
+        size = start + 1
+        queue = [start]
+        for i, s in enumerate(queue):
+            if not left:
                 break
             if deadline is not None and not i & 255 and time.monotonic() > deadline:
                 raise VerificationTimeout(
                     f"search from vertex {u} exceeded the time budget of {time_limit} s"
                 )
-            kept = successors.get(s)
-            if kept is None:
-                w, x = divmod(s, n)
+            kept = successors[s]
+            if not kept:
+                w, x = window[s], vertex[s]
                 row, step = cmat[x], steps[w]
-                kept = [] if s in expanded else None
-                for y in adjacency[x]:
-                    c = row[y]
-                    t = step.get(c)
-                    if t is None:
-                        t = self._step(w, c)
-                    if t < 0:
-                        continue
-                    state = t * n + y
-                    if kept is not None:
-                        kept.append(state)
-                    if state in seen:
-                        continue
-                    seen.add(state)
-                    if y == u:
-                        continue
-                    parent.append(i)
-                    states.append(state)
-                    if y in pending:
-                        pending.remove(y)
-                        reached[y] = len(states) - 1
-                if kept is None:
-                    expanded.add(s)
+                if kept is not None:
+                    # The first expansion gave every proper successor its id.
+                    # An empty list is built again, at the cost of one pass.
+                    kept = successors[s] = [
+                        ids[after * n + y] for y in adjacency[x] if (after := step[row[y]]) >= 0
+                    ]
                 else:
-                    successors[s] = kept
-                continue
-            for state in kept:
-                if state in seen:
+                    for y in adjacency[x]:
+                        c = row[y]
+                        after = step.get(c)
+                        if after is None:
+                            after = self._step(w, c)
+                        if after < 0:
+                            continue
+                        t = ids.setdefault(after * n + y, size)
+                        if t == size:
+                            size += 1
+                            vertex.append(y)
+                            window.append(after)
+                            successors.append(None)
+                            stamp.append(u)
+                            pred.append(s)
+                        elif stamp[t] == u:
+                            continue
+                        else:
+                            stamp[t] = u
+                            pred[t] = s
+                        if y == u:
+                            continue
+                        queue.append(t)
+                        if wanted[y]:
+                            wanted[y] = 0
+                            left -= 1
+                            reached[y] = t
+                    successors[s] = False
                     continue
-                seen.add(state)
-                y = state % n
+            for t in kept:
+                if stamp[t] == u:
+                    continue
+                stamp[t] = u
+                pred[t] = s
+                y = vertex[t]
                 if y == u:
                     continue
-                parent.append(i)
-                states.append(state)
-                if y in pending:
-                    pending.remove(y)
-                    reached[y] = len(states) - 1
+                queue.append(t)
+                if wanted[y]:
+                    wanted[y] = 0
+                    left -= 1
+                    reached[y] = t
         walks = {}
-        for v, j in reached.items():
+        for v, t in reached.items():
             walk = []
-            while j >= 0:
-                walk.append(states[j] % n)
-                j = parent[j]
+            while t >= 0:
+                walk.append(vertex[t])
+                t = pred[t]
             walks[v] = tuple(reversed(walk))
         return walks
 
@@ -403,8 +443,7 @@ def verify_coloring(
     pair and the budget, rather than guessing a verdict.
     """
     ell = _validate_window(ell)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _positive_int("k", k)
     if time_limit is not None and not time_limit >= 0:
         raise ValueError(f"time_limit must be >= 0, got {time_limit}")
     cmat = _color_matrix(g, coloring)
@@ -463,10 +502,12 @@ def _certified_pairs(
     """The certificate scan: ``_first_failing_pair`` with the witnesses of
     the pairs before the failing one put into ``witnesses``.
 
-    Its sources search one ``_WalkStateTable``, which keeps the successor
-    lists of the states that more than one source expands, so a scan of
-    every source does not redo their edge steps; the walks, and so the
-    witnesses, are those of the decision scan."""
+    Its sources search one ``_WalkStateTable``, which numbers the states
+    densely and keeps the successor lists of the states that more than one
+    source expands, so a scan of every source does not redo their edge
+    steps; the walks, and so the witnesses, are those of the decision scan.
+    A simple walk is the witness as it is; only a walk that repeats a vertex
+    goes to ``_path_from_walk`` and its DFS fallback."""
     table = _WalkStateTable(adjacency, cmat, ell)
     for u in range(n - 1):
         row = cmat[u]
@@ -476,7 +517,9 @@ def _certified_pairs(
             if row[v]:
                 found = (u, v)
             else:
-                found = _path_from_walk(adjacency, cmat, u, v, ell, walks.get(v), time_limit)
+                found = walks.get(v)
+                if found is not None and len(set(found)) < len(found):
+                    found = _path_from_walk(adjacency, cmat, u, v, ell, found, time_limit)
                 if found is None:
                     return (u, v)
             witnesses[(u, v)] = (found,)

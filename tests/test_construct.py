@@ -88,6 +88,22 @@ def test_traceable_examples():
     assert_sound(r, k4, 3)
 
 
+def test_constructors_reject_a_non_int_window():
+    # A float window is refused, not colored as its floor.
+    calls = [
+        lambda ell: color_wheel(5, ell),
+        lambda ell: color_hypercube(3, ell),
+        lambda ell: color_tree(path_graph(5), ell),
+        lambda ell: color_traceable(path_graph(4), (0, 1, 2, 3), ell),
+        lambda ell: color_complete_bipartite(2, 3, ell),
+        lambda ell: color_complete_multipartite((2, 3), ell),
+    ]
+    for call in calls:
+        for ell in (2.9, 2.0):
+            with pytest.raises(ValueError, match=f"window parameter must be an int >= 1, got {ell}"):
+                call(ell)
+
+
 def test_traceable_rejects_non_hamiltonian_sequence():
     with pytest.raises(ValueError):
         color_traceable(path_graph(4), (0, 1, 2), 2)

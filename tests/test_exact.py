@@ -112,6 +112,15 @@ def test_budget_validation():
         SearchBudget(time_limit=-1)
 
 
+def test_window_must_be_an_int():
+    # A float window is refused, not searched as its floor.
+    for ell in (2.5, 2.0):
+        with pytest.raises(ValueError, match=f"window parameter must be an int >= 1, got {ell}"):
+            min_colors_exact(wheel_graph(5), ell)
+        with pytest.raises(ValueError, match="window parameter"):
+            prove_lower_bound(wheel_graph(5), ell, 2)
+
+
 def test_nan_time_limit_is_rejected():
     with pytest.raises(ValueError, match="time_limit must be positive, got nan"):
         SearchBudget(time_limit=float("nan"))

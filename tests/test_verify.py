@@ -363,6 +363,27 @@ def test_time_limit_must_be_a_number_at_least_zero():
     assert verify_coloring(k9, EdgeColoring({e: 1 for e in k9.edges}), 3, time_limit=0.0).ok
 
 
+def test_window_and_k_must_be_ints():
+    # A float window or k is refused with the value named, not read as its
+    # floor: l = 2.9 read as 2 would certify a coloring that l = 3 refutes.
+    g = cycle_graph(6)
+    c = color_traceable(g, list(range(6)), 2).coloring
+    for ell in (2.9, 2.0, "2", True):
+        with pytest.raises(ValueError, match=f"window parameter must be an int >= 1, got {ell!r}"):
+            verify_coloring(g, c, ell)
+    for k in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match=f"k must be an int >= 1, got {k!r}"):
+            verify_coloring(g, c, 2, k=k)
+    for call in (
+        lambda: first_failing_pair(g, c, 2.5),
+        lambda: find_distance_proper_path(g, c, 0, 3, 2.5),
+        lambda: is_distance_proper_path(c, (0, 1, 2), 2.5),
+    ):
+        with pytest.raises(ValueError, match="got 2.5"):
+            call()
+    assert verify_coloring(g, c, 2).ok and not verify_coloring(g, c, 3).ok
+
+
 def test_disjoint_witnesses_match_combination_oracle():
     # Whole certificates for k = 2, 3 against the first interior-disjoint
     # combination of the sorted proper paths.  The graphs are Hamiltonian
@@ -467,15 +488,15 @@ def test_k1_certificates_are_pinned():
     assert cert.failing_pair == (13, 18) and len(cert.witnesses) == 303
 
 
-class _CountingSuccessors(dict):
-    """The kept successor lists of a scan, counting the expansions that
-    iterate one instead of the adjacency."""
+class _CountingSuccessors(list):
+    """The per-state successor entries of a scan, counting the expansions
+    that find a kept list to iterate instead of the adjacency."""
 
     reuses = 0
 
-    def get(self, state, default=None):
-        kept = dict.get(self, state, default)
-        if kept is not None:
+    def __getitem__(self, state):
+        kept = list.__getitem__(self, state)
+        if kept:
             _CountingSuccessors.reuses += 1
         return kept
 
@@ -521,6 +542,43 @@ def test_shared_state_scan_matches_per_source_reference(monkeypatch):
         graphs_reusing += _CountingSuccessors.reuses > before
     assert graphs_reusing >= 20
     assert verdicts[True, True] >= 30 and verdicts[False, True] >= 25
+
+
+def test_shared_state_scan_with_many_colors_stores_only_reached_states(monkeypatch):
+    # Random colorings with 12-30 colors at l = 2-4 give many windows, most
+    # of which meet few vertices: windows x n is 10-50x the states reached.
+    # Whole certificates still match one tuple-state search per source, and
+    # the table keeps one entry per distinct state in each per-state list.
+    tables = []
+
+    class RecordingTable(pcc.verify._WalkStateTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(pcc.verify, "_WalkStateTable", RecordingTable)
+    rng = random.Random(43)
+    states = slots = 0
+    verdicts = collections.Counter()
+    for _ in range(12):
+        n = rng.randint(20, 60)
+        g = random_2connected(n, rng.randint(n + n // 4, 2 * n), rng.randrange(10**6))
+        top = rng.randint(12, 30)
+        c = EdgeColoring({e: rng.randint(1, top) for e in g.edges})
+        for ell in (2, 3, 4):
+            cert = verify_coloring(g, c, ell)
+            assert (cert.ok, cert.failing_pair, cert.witnesses) == per_source_certificate(
+                g, c, ell
+            )
+            verdicts[cert.ok] += 1
+            table = tables[-1]
+            reached = list(zip(table.window, table.vertex))
+            assert len(set(reached)) == len(reached)
+            assert len(table.successors) == len(table.stamp) == len(table.pred) == len(reached)
+            assert table.ids == {w * n + y: s for s, (w, y) in enumerate(reached)}
+            states += len(reached)
+            slots += len(table.windows) * n
+    assert verdicts[True] >= 30 and slots > 20 * states
 
 
 def test_shared_scan_timeout_names_a_source_iterating_kept_lists(monkeypatch):
