@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -414,3 +415,36 @@ def test_python_m_pcc_exit_status():
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("usage: pcc verify")
     assert "the following arguments are required: --graph" in done.stderr
+
+
+# (theorem, small grid, SHA-256 of stdout, SHA-256 of the CSV), digests of
+# the output that `pcc table` wrote when its rows were verified by
+# verify_coloring.  The table is run from its own directory with a relative
+# output path, so stdout does not depend on where the test runs.
+_TABLE_PINS = (
+    ("bipartite", ["--max-m", "3", "--max-n", "7", "--exact-edges", "9"],
+     "7d796989b4741e0131447e1c70b6378c0db28bd74bba7be0b4f4b2466dfc090e",
+     "765d696d1b377d664b6016dd4a4296d7c7d899fe493909562c0941d09cf59bee"),
+    ("multipartite", ["--max-n", "7", "--exact-edges", "9"],
+     "f63d04ba80ab110f2985059aaa84502ca70fe03f22bf8f392cf76ad2d055bb47",
+     "2541d5fe9ba59e95d61ca8b637992ebd9002dbaf4159b00aed06bba10a498cc2"),
+    ("wheel", ["--max-n", "10", "--exact-edges", "10"],
+     "27f4ccb5e889d3e63a050c0d37e501dd16905fb0e571ef54ed0313131284aab5",
+     "5edfa0d2d8daa8c07bd01f3da580f157f7b601bb87ece2b589c069a826e0a787"),
+    ("cube", ["--max-t", "3", "--max-ell", "4", "--exact-edges", "4"],
+     "eb786e447a238dea2ef5ebec0d29872d663d00dab10a4861ab8c38f6063d775b",
+     "0f7a73267041cf03f3887163b027983542c86819ba3e5b9719b38333a5b7fd2f"),
+    ("tree", ["--count", "8", "--max-n", "16", "--seed", "3", "--exact-edges", "7"],
+     "27f4ccb5e889d3e63a050c0d37e501dd16905fb0e571ef54ed0313131284aab5",
+     "740f44678d792c75d9b9467f0223cf6feeb136b3ee93b8cb4dba2b2cadaa8740"),
+)
+
+
+def test_table_output_is_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for theorem, grid, stdout_digest, csv_digest in _TABLE_PINS:
+        code, stdout, err = run(["table", "--theorem", theorem, *grid, "-o", "table.csv"], capsys)
+        assert (code, err) == (0, ""), theorem
+        assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest, theorem
+        csv_bytes = (tmp_path / "table.csv").read_bytes()
+        assert hashlib.sha256(csv_bytes).hexdigest() == csv_digest, theorem
