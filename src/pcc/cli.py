@@ -143,10 +143,13 @@ def _cmd_color(args) -> int:
         g, report = _construct_for_family(args)
     else:
         g, report = _construct_for_method(args)
-    cert = report.certificate or verify.verify_coloring(g, report.coloring, args.ell)
-    if not cert.ok:
+    if report.certificate is not None:
+        failing = report.certificate.failing_pair
+    else:
+        failing = verify.first_failing_pair(g, report.coloring, args.ell)
+    if failing is not None:
         print("verified false")
-        print(f"failing_pair {cert.failing_pair[0]} {cert.failing_pair[1]}")
+        print(f"failing_pair {failing[0]} {failing[1]}")
         return EXIT_NEGATIVE
     _write_file(args.output, io.write_coloring(report.coloring, g))
     if args.graph_out:
@@ -165,18 +168,21 @@ def _cmd_verify(args) -> int:
     with open(args.coloring, "r", encoding="utf-8") as fh:
         coloring = io.read_coloring(fh.read(), g)
     try:
-        cert = verify.verify_coloring(
-            g, coloring, args.ell, k=args.k, time_limit=args.time_limit
-        )
+        if args.k == 1:
+            failing = verify.first_failing_pair(g, coloring, args.ell, args.time_limit)
+        else:
+            failing = verify.verify_coloring(
+                g, coloring, args.ell, k=args.k, time_limit=args.time_limit
+            ).failing_pair
     except verify.VerificationTimeout as err:
         print("inconclusive timeout")
         print(str(err), file=sys.stderr)
         return EXIT_NEGATIVE
-    if cert.ok:
+    if failing is None:
         print("verified true")
         return EXIT_OK
     print("verified false")
-    print(f"failing_pair {cert.failing_pair[0]} {cert.failing_pair[1]}")
+    print(f"failing_pair {failing[0]} {failing[1]}")
     return EXIT_NEGATIVE
 
 
@@ -293,10 +299,10 @@ def _cmd_table(args) -> int:
     rows = []
     any_fail = False
     for params, ell, g, report in _table_rows(args):
-        cert = verify.verify_coloring(g, report.coloring, ell)
+        verified = verify.first_failing_pair(g, report.coloring, ell) is None
         exact_cell = _exact_cell(g, ell, args)
         status = "ok"
-        if not cert.ok:
+        if not verified:
             status = "fail"
         elif exact_cell.isdigit() and int(exact_cell) != report.claimed_colors:
             status = "mismatch"
@@ -306,7 +312,7 @@ def _cmd_table(args) -> int:
                 "params": params,
                 "ell": ell,
                 "claimed": report.claimed_colors,
-                "verified": str(cert.ok).lower(),
+                "verified": str(verified).lower(),
                 "exact_lower_bound": exact_cell,
                 "status": status,
             }

@@ -18,22 +18,31 @@ that pair fall back to the exhaustive, iterative DFS over simple paths
 are found.
 
 Two scans run that per-source search over every source.  The decision scan
-(``_first_failing_pair``, behind ``first_failing_pair`` and the exact search)
-runs ``_shortest_proper_walks`` from each source on tuple states.  The
-certificate scan (``_certified_pairs``, behind ``verify_coloring`` at k = 1)
-runs the same search on one ``_WalkStateTable`` shared by all sources, in
-which windows are interned as ints and each state gets a dense int id when
-it is first reached.  Per-id lists replace the per-source hash sets: a
-state is seen by source u when its stamp is u, and its predecessor is kept
-beside the stamp.  Every list has one entry per state reached, which on a
-coloring with many colors is a small share of windows x n.  The queue holds
-the same states in the same order, so the walks are the same.  A state's
-proper successors are kept as a list of ids from its second expansion on,
-which is always by a later source, and later expansions iterate that list;
-a state expanded once keeps nothing.  The sources of a full scan expand the
-same states many times (16x on Q_7 at l=3), so sharing pays; the exact
-search's scans are tiny and mostly stop at source 0, where the table only
-costs its set-up, so the decision scan stays on tuple states.
+(``_first_failing_pair``, behind the exact search) runs
+``_shortest_proper_walks`` from each source on tuple states.  The table
+scan (``_certified_pairs``) runs the same search on one ``_WalkStateTable``
+shared by all sources, in which windows are interned as ints and each state
+gets a dense int id when it is first reached.  Per-id lists replace the
+per-source hash sets: a state is seen by source u when its stamp is u, and
+its predecessor is kept beside the stamp.  Every list has one entry per
+state reached, which on a coloring with many colors is a small share of
+windows x n.  The queue holds the same states in the same order, so the
+walks are the same.  A state's proper successors are kept as a list of ids
+from its second expansion on, which is always by a later source, and later
+expansions iterate that list; a state expanded once keeps nothing.  The
+sources of a full scan expand the same states many times (16x on Q_7 at
+l=3), so sharing pays; the exact search's scans are tiny and mostly stop at
+source 0, where the table only costs its set-up, so the decision scan stays
+on tuple states.
+
+The table scan has two modes.  With a witness dict it is the certificate
+scan behind ``verify_coloring`` at k = 1: it turns each target's state id
+into its walk and records it.  Without one it is the verdict scan behind
+``first_failing_pair``, and so behind every k = 1 verdict of the CLI: it
+skips adjacent pairs, builds no walk, and tells the walks that repeat a
+vertex by a bitmask of vertices per state of the predecessor chains.  Both
+modes send the same pairs to the fallback under the same budgets, so they
+return the same failing pair and raise the same timeouts.
 
 For k >= 2 a backtracking search draws each path from ``_proper_paths``
 with the earlier paths' interiors blocked; the DFS yields paths in
@@ -87,6 +96,14 @@ def _positive_int(name: str, value) -> int:
 
 def _validate_window(ell: int) -> int:
     return _positive_int("window parameter", ell)
+
+
+def _validate_time_limit(time_limit: Optional[float]) -> Optional[float]:
+    """``time_limit`` if it is None or a number >= 0, else ValueError; NaN
+    fails the test, so it cannot disable every budget check."""
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time_limit must be >= 0, got {time_limit}")
+    return time_limit
 
 
 def is_distance_proper_path(coloring: EdgeColoring, path: Path, ell: int) -> bool:
@@ -284,7 +301,7 @@ def _disjoint_proper_paths(
 
 class _WalkStateTable:
     """The walk states of one colored graph, shared by the per-source
-    searches of one certificate scan and dropped with it.
+    searches of one table scan and dropped with it.
 
     Each window (last <= ell walk colors) gets an int id on first use, and
     ``steps[w][c]`` holds the id of the window after a step of color c, or
@@ -327,14 +344,14 @@ class _WalkStateTable:
         self.steps[w][c] = t
         return t
 
-    def shortest_walks(
-        self, u: int, targets, time_limit: Optional[float] = None
-    ) -> dict[int, Path]:
-        """The walks that ``_shortest_proper_walks`` finds from u to the
-        targets in this table's graph, the same queue on state ids.  A state
-        is seen by this search when its stamp is u.  The ``time_limit``
-        budget starts with the search and is checked before the first state
-        and every 256 states after it."""
+    def reach(self, u: int, targets, time_limit: Optional[float] = None) -> dict[int, int]:
+        """The state id at which ``_shortest_proper_walks`` from u would end
+        the walk to each target it reaches in this table's graph, by the
+        same queue on state ids; ``walks`` turns the ids into walks.  A
+        state is seen by this search when its stamp is u, and its ``pred``
+        chain is its walk until the next search.  The ``time_limit`` budget
+        starts with the search and is checked before the first state and
+        every 256 states after it."""
         deadline = None if time_limit is None else time.monotonic() + time_limit
         n = len(self.cmat)
         adjacency, cmat, steps, ids = self.adjacency, self.cmat, self.steps, self.ids
@@ -413,6 +430,12 @@ class _WalkStateTable:
                     wanted[y] = 0
                     left -= 1
                     reached[y] = t
+        return reached
+
+    def walks(self, reached: dict[int, int]) -> dict[int, Path]:
+        """The walk of the last search to each target, which ends at the
+        state that ``reached`` maps it to."""
+        vertex, pred = self.vertex, self.pred
         walks = {}
         for v, t in reached.items():
             walk = []
@@ -421,6 +444,31 @@ class _WalkStateTable:
                 t = pred[t]
             walks[v] = tuple(reversed(walk))
         return walks
+
+    def repeating(self, reached: dict[int, int]) -> set[int]:
+        """The targets whose walk in the last search, which ends at the
+        state ``reached`` maps them to, repeats a vertex, found without
+        building the walks.  ``masks`` maps each state read so far to the
+        bitmask of its walk's vertices, or to -1 once that walk repeats one;
+        -1 has every bit set, so it stays -1 down the chain.  The walks of
+        one source share their prefixes, so each state's mask is computed
+        once."""
+        vertex, pred = self.vertex, self.pred
+        masks = {-1: 0}
+        repeats = set()
+        for v, t in reached.items():
+            chain = []
+            while t not in masks:
+                chain.append(t)
+                t = pred[t]
+            mask = masks[t]
+            for s in reversed(chain):
+                bit = 1 << vertex[s]
+                mask = -1 if mask & bit else mask | bit
+                masks[s] = mask
+            if mask < 0:
+                repeats.add(v)
+        return repeats
 
 
 def verify_coloring(
@@ -444,8 +492,7 @@ def verify_coloring(
     """
     ell = _validate_window(ell)
     k = _positive_int("k", k)
-    if time_limit is not None and not time_limit >= 0:
-        raise ValueError(f"time_limit must be >= 0, got {time_limit}")
+    time_limit = _validate_time_limit(time_limit)
     cmat = _color_matrix(g, coloring)
     witnesses: dict[Pair, tuple[Path, ...]] = {}
     if k == 1:
@@ -459,14 +506,20 @@ def verify_coloring(
     return VerificationCertificate(True, witnesses, None)
 
 
-def first_failing_pair(g: Graph, coloring: EdgeColoring, ell: int) -> Optional[Pair]:
+def first_failing_pair(
+    g: Graph, coloring: EdgeColoring, ell: int, time_limit: Optional[float] = None
+) -> Optional[Pair]:
     """Lexicographically first pair with no distance-ell proper path, or
-    None if the coloring makes the graph (1, ell)-proper connected.  Leaner
-    than verify_coloring: it runs the decision scan, which records no
-    witnesses."""
+    None if the coloring makes the graph (1, ell)-proper connected: the
+    ``failing_pair`` of ``verify_coloring(g, coloring, ell)``, with the same
+    ``time_limit`` budgets and timeouts.  It runs the table scan in its
+    verdict mode, which builds no witness; the CLI takes every k = 1
+    verdict from here.  The exact search runs the decision scan
+    ``_first_failing_pair`` instead."""
     ell = _validate_window(ell)
+    time_limit = _validate_time_limit(time_limit)
     cmat = _color_matrix(g, coloring)
-    return _first_failing_pair(g.adjacency, cmat, g.n, ell)
+    return _certified_pairs(g.adjacency, cmat, g.n, ell, None, time_limit)
 
 
 def _first_failing_pair(adjacency, cmat: list[list[int]], n: int, ell: int) -> Optional[Pair]:
@@ -475,9 +528,9 @@ def _first_failing_pair(adjacency, cmat: list[list[int]], n: int, ell: int) -> O
     as the module docstring says.  It has no time budget: the exact search
     reads its own deadline between colorings.
 
-    This is the decision scan.  Each source runs its own tuple-state BFS,
-    ``_shortest_proper_walks``, because its callers (the exact search above
-    all) make many small scans that usually stop at source 0, where a shared
+    This is the decision scan of the exact search.  Each source runs its own
+    tuple-state BFS, ``_shortest_proper_walks``, because the exact search
+    makes many small scans that usually stop at source 0, where a shared
     table of states would only cost its set-up."""
     for u in range(n - 1):
         row = cmat[u]
@@ -496,23 +549,39 @@ def _certified_pairs(
     cmat: list[list[int]],
     n: int,
     ell: int,
-    witnesses: dict[Pair, tuple[Path, ...]],
+    witnesses: Optional[dict[Pair, tuple[Path, ...]]] = None,
     time_limit: Optional[float] = None,
 ) -> Optional[Pair]:
-    """The certificate scan: ``_first_failing_pair`` with the witnesses of
-    the pairs before the failing one put into ``witnesses``.
+    """The table scan: ``_first_failing_pair`` on one shared
+    ``_WalkStateTable``.  With a ``witnesses`` dict (the certificate scan)
+    it puts there the witnesses of the pairs before the failing one; with
+    None (the verdict scan) it only decides them.
 
-    Its sources search one ``_WalkStateTable``, which numbers the states
-    densely and keeps the successor lists of the states that more than one
-    source expands, so a scan of every source does not redo their edge
-    steps; the walks, and so the witnesses, are those of the decision scan.
-    A simple walk is the witness as it is; only a walk that repeats a vertex
-    goes to ``_path_from_walk`` and its DFS fallback."""
+    The table numbers the states densely and keeps the successor lists of
+    the states that more than one source expands, so a scan of every source
+    does not redo their edge steps; the walks, and so the witnesses, are
+    those of the decision scan.  A simple walk is the witness as it is; only
+    a walk that repeats a vertex goes to the DFS fallback ``_proper_paths``.
+    The verdict scan skips adjacent pairs and builds no walk: ``repeating``
+    reads the walks that repeat a vertex off the predecessor chains, and the
+    fallback runs on the same pairs under the same budgets, so the failing
+    pair and every timeout are those of the certificate scan."""
     table = _WalkStateTable(adjacency, cmat, ell)
     for u in range(n - 1):
         row = cmat[u]
         targets = [v for v in range(u + 1, n) if not row[v]]
-        walks = table.shortest_walks(u, targets, time_limit) if targets else {}
+        reached = table.reach(u, targets, time_limit) if targets else {}
+        if witnesses is None:
+            repeats = table.repeating(reached)
+            for v in targets:
+                if v in repeats:
+                    paths = _proper_paths(adjacency, cmat, (u,), [], v, ell, time_limit)
+                    if next(paths, None) is None:
+                        return (u, v)
+                elif v not in reached:
+                    return (u, v)
+            continue
+        walks = table.walks(reached)
         for v in range(u + 1, n):
             if row[v]:
                 found = (u, v)

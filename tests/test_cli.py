@@ -4,9 +4,11 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from pcc import cli, io, verify
 from pcc.cli import main
-from pcc.graphs import cycle_graph, double_star_graph, hypercube_graph, path_graph, wheel_graph
+from pcc.graphs import EdgeColoring, cycle_graph, double_star_graph, hypercube_graph, path_graph, wheel_graph
 
 
 def run(args, capsys):
@@ -122,15 +124,16 @@ def test_color_method_permutation(tmp_path, capsys):
 def test_color_reuses_constructor_certificate(tmp_path, capsys, monkeypatch):
     # color_cartesian, color_2connected and color_permutation_graph verify
     # their own output; `pcc color` prints their certificate instead of
-    # verifying again, and verifies only what other constructors return.
+    # verifying again, and runs the verdict scan only on what other
+    # constructors return.
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    real = verify.verify_coloring
-    monkeypatch.setattr(verify, "verify_coloring", counting)
+    real = verify.first_failing_pair
+    monkeypatch.setattr(verify, "first_failing_pair", counting)
     a, b = tmp_path / "a.edges", tmp_path / "b.edges"
     c6, p4 = tmp_path / "c6.edges", tmp_path / "p4.edges"
     a.write_text(io.write_graph(path_graph(2)))
@@ -151,6 +154,37 @@ def test_color_reuses_constructor_certificate(tmp_path, capsys, monkeypatch):
     )
     assert code == 0 and "verified true" in out
     assert len(calls) == 1
+
+
+def test_k1_verdicts_build_no_certificate(tmp_path, capsys, monkeypatch):
+    # `pcc verify --k 1`, `pcc color` with a constructor that does not
+    # verify itself and every `pcc table` row take their verdict from the
+    # verdict scan; verify_coloring, which builds every witness, is left to
+    # --k >= 2.
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_coloring called")
+
+    w9 = wheel_graph(9)
+    graph_file, color_file, mono = tmp_path / "w9.edges", tmp_path / "w9.pcc", tmp_path / "mono.pcc"
+    graph_file.write_text(io.write_graph(w9))
+    mono.write_text(io.write_coloring(EdgeColoring({e: 1 for e in w9.edges}), w9))
+    monkeypatch.setattr(verify, "verify_coloring", refuse)
+    code, out, _ = run(
+        ["color", "--family", "wheel", "--n", "9", "--ell", "2", "-o", str(color_file)], capsys
+    )
+    assert code == 0 and "verified true" in out.splitlines()
+    verify_w9 = ["verify", "--graph", str(graph_file), "--coloring", str(color_file)]
+    code, out, _ = run(verify_w9 + ["--ell", "2", "--k", "1"], capsys)
+    assert (code, out) == (0, "verified true\n")
+    code, out, _ = run(verify_w9[:3] + ["--coloring", str(mono), "--ell", "1"], capsys)
+    assert (code, out) == (1, "verified false\nfailing_pair 0 2\n")
+    for theorem, grid, _, _ in _TABLE_PINS:
+        code, out, _ = run(
+            ["table", "--theorem", theorem, *grid, "-o", str(tmp_path / "table.csv")], capsys
+        )
+        assert code == 0, theorem
+    with pytest.raises(AssertionError, match="verify_coloring called"):
+        main(verify_w9 + ["--ell", "2", "--k", "2"])
 
 
 def test_color_usage_errors(tmp_path, capsys):

@@ -363,6 +363,18 @@ def test_time_limit_must_be_a_number_at_least_zero():
     assert verify_coloring(k9, EdgeColoring({e: 1 for e in k9.edges}), 3, time_limit=0.0).ok
 
 
+def test_first_failing_pair_checks_time_limit_as_verify_coloring_does():
+    g = wheel_graph(9)
+    c = EdgeColoring({e: 1 + (i % 4) for i, e in enumerate(g.edges)})
+    for bad in (float("nan"), -1):
+        with pytest.raises(ValueError, match=f"^time_limit must be >= 0, got {bad}$"):
+            first_failing_pair(g, c, 3, time_limit=bad)
+    with pytest.raises(VerificationTimeout, match=r"^search from vertex 0 .* 0\.0 s$"):
+        first_failing_pair(g, c, 3, time_limit=0.0)
+    k9 = complete_graph(9)
+    assert first_failing_pair(k9, EdgeColoring({e: 1 for e in k9.edges}), 3, time_limit=0.0) is None
+
+
 def test_window_and_k_must_be_ints():
     # A float window or k is refused with the value named, not read as its
     # floor: l = 2.9 read as 2 would certify a coloring that l = 3 refutes.
@@ -600,3 +612,96 @@ def test_shared_scan_timeout_names_a_source_iterating_kept_lists(monkeypatch):
     with pytest.raises(VerificationTimeout) as err:
         verify_coloring(g, c, 3, time_limit=0.0)
     assert str(err.value) == "search from vertex 0 exceeded the time budget of 0.0 s"
+
+
+def _verdict_corpus(seed, count):
+    """Random trees, random 2-connected graphs and cycles on 4-16 vertices,
+    each with 2-5 random colors, at l = 1-4."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 16)
+        g = rng.choice(
+            (
+                lambda: random_tree(n, rng.randrange(10**6)),
+                lambda: random_2connected(n, None, rng.randrange(10**6)),
+                lambda: cycle_graph(n),
+            )
+        )()
+        yield g, random_coloring(g, rng.randint(2, 5), rng), rng.randint(1, 4)
+
+
+def test_verdict_scan_matches_both_other_scans(monkeypatch):
+    # first_failing_pair runs the table scan without witnesses; its verdict
+    # must be the certificate's failing pair and the tuple-state decision
+    # scan's.  Most random colorings are refuted early, so only a few reach
+    # a walk that repeats a vertex; counting the fallback calls makes sure
+    # some did, and that the fallback both found and refuted paths.
+    calls = collections.Counter()
+
+    def counting(*args):
+        found = next(real(*args), None)
+        calls[found is None] += 1
+        yield from () if found is None else (found,)
+
+    real = pcc.verify._proper_paths
+    verdicts = collections.Counter()
+    with_fallback = 0
+    for g, c, ell in _verdict_corpus(47, 1500):
+        before = sum(calls.values())
+        monkeypatch.setattr(pcc.verify, "_proper_paths", counting)
+        failing = first_failing_pair(g, c, ell)
+        monkeypatch.setattr(pcc.verify, "_proper_paths", real)
+        with_fallback += sum(calls.values()) > before
+        assert failing == verify_coloring(g, c, ell).failing_pair
+        assert failing == pcc.verify._first_failing_pair(g.adjacency, _color_matrix(g, c), g.n, ell)
+        verdicts[failing is None] += 1
+    assert verdicts[True] >= 150 and verdicts[False] >= 1000
+    assert with_fallback >= 10 and calls[True] >= 3 and calls[False] >= 3
+
+
+def test_repeating_walks_read_off_the_predecessor_chains():
+    # The masks against the walks themselves, for every reached target of
+    # every source, past the pair at which a scan would stop.  Random
+    # 2-connected graphs with l+1 or l+2 colors give many walks that repeat
+    # a vertex.
+    rng = random.Random(59)
+    repeats = 0
+    for _ in range(200):
+        ell, n = rng.randint(1, 4), rng.randint(10, 24)
+        g = random_2connected(n, None, rng.randrange(10**6))
+        c = random_coloring(g, ell + rng.randint(1, 2), rng)
+        table = pcc.verify._WalkStateTable(g.adjacency, _color_matrix(g, c), ell)
+        for u in range(g.n - 1):
+            reached = table.reach(u, range(u + 1, g.n))
+            walks = table.walks(reached)
+            assert list(walks) == list(reached)
+            expect = {v for v, walk in walks.items() if len(set(walk)) < len(walk)}
+            assert table.repeating(reached) == expect
+            repeats += len(expect)
+    assert repeats >= 200
+
+
+def test_verdict_scan_times_out_at_the_certificate_scans_source(monkeypatch):
+    # A clock that ticks once per reading runs out each budget at its first
+    # check, so both scans of the table stop at the first source that has a
+    # non-adjacent target, with the same message.
+    ticks = itertools.count()
+    monkeypatch.setattr(pcc.verify, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    sources = collections.Counter()
+    for g, c, ell in _verdict_corpus(53, 100):
+        if g.m == g.n * (g.n - 1) // 2:
+            continue
+        with pytest.raises(VerificationTimeout) as cert_err:
+            verify_coloring(g, c, ell, time_limit=0.0)
+        with pytest.raises(VerificationTimeout) as verdict_err:
+            first_failing_pair(g, c, ell, time_limit=0.0)
+        assert str(verdict_err.value) == str(cert_err.value)
+        sources[str(cert_err.value).split()[3]] += 1
+    # Source 0 is adjacent to every other vertex of the star, so it is the
+    # later source 1 that is named.
+    star = Graph(6, [(0, v) for v in range(1, 6)] + [(1, 2)])
+    c = EdgeColoring({e: 1 + i % 2 for i, e in enumerate(star.edges)})
+    for scan in (verify_coloring, first_failing_pair):
+        with pytest.raises(VerificationTimeout, match=r"^search from vertex 1 .* 0\.0 s$"):
+            scan(star, c, 2, time_limit=0.0)
+    assert len(sources) >= 2
