@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -27,6 +28,8 @@ from pcc.graphs import (
     cycle_graph,
     hypercube_graph,
     path_graph,
+    random_2connected,
+    random_tree,
     wheel_graph,
 )
 from pcc.structure import automorphism_generators, twin_swaps
@@ -356,3 +359,59 @@ def test_deadline_trip_counts_on_a_ticking_clock(monkeypatch):
     monkeypatch.setattr(pcc.exact, "time", ticking())
     r = min_colors_exact(wheel_graph(16), 2, SearchBudget(max_edges=32, time_limit=1.5))
     assert r == Inconclusive((1,), 351797249, "time limit")
+
+
+def _visit_trace_corpus():
+    """(graph, ell, budget) of 315 seeded searches: random 2-connected graphs
+    and random trees on 5-9 vertices and W_4-W_7, each at l = 1-3, then Q_3
+    and K_2,5 at l=2 and the lower bound pc_{1,2}(W_8) > 2."""
+    rng = random.Random(61)
+    budget = SearchBudget(max_edges=32)
+    graphs = []
+    for _ in range(50):
+        n = rng.randint(5, 9)
+        graphs.append(random_2connected(n, None, rng.randrange(10**6)))
+        graphs.append(random_tree(n, rng.randrange(10**6)))
+    graphs += [wheel_graph(rim) for rim in range(4, 8)]
+    searches = [(g, ell, budget) for g in graphs for ell in (1, 2, 3)]
+    searches += [(hypercube_graph(3), 2, budget), (complete_bipartite_graph(2, 5), 2, budget),
+                 (wheel_graph(8), 2, SearchBudget(max_edges=32, max_colors=2))]
+    return searches
+
+
+def test_visit_trace_is_pinned(monkeypatch):
+    # Each search's sequence of lex-leader skip results, failing pairs and
+    # refuting prefixes, with its outputs, hashed with SHA-256; the pin is
+    # the SHA-256 of those digests in corpus order.  It was recorded while
+    # the lex-leader test found the common prefix and the color counts
+    # itself, and the decision scan rebuilt a walk for every target.
+    events = []
+
+    def recording(kind, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            events.append((kind, out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(pcc.exact._LexLeader, "skip", recording("skip", pcc.exact._LexLeader.skip))
+    monkeypatch.setattr(pcc.exact, "_first_failing_pair",
+                        recording("pair", pcc.exact._first_failing_pair))
+    monkeypatch.setattr(pcc.exact, "_refuting_prefix", recording("prefix", pcc.exact._refuting_prefix))
+    digests = []
+    total = 0
+    for g, ell, budget in _visit_trace_corpus():
+        events.clear()
+        r = min_colors_exact(g, ell, budget)
+        if isinstance(r, ExactResult):
+            outputs = (r.min_colors, sorted(r.witness.colors.items()), r.exhausted_levels,
+                       r.colorings_examined)
+        else:
+            outputs = (r.exhausted_levels, r.colorings_examined, r.reason)
+        text = repr((events, outputs))
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+        total += len(events)
+    assert len(digests) == 315
+    assert isinstance(r, Inconclusive) and r.exhausted_levels == (1, 2)
+    pin = (total, hashlib.sha256("".join(digests).encode()).hexdigest())
+    assert pin == (42115, "ea0412463b7c59546cd13403d055e36718b360d9c264edc320837011427edb0b")
