@@ -29,6 +29,11 @@ which begin with those swaps) replace them, found only then so that the
 many small searches never pay for them.  Any set of automorphisms is
 sound; a missing one costs pruning, never an answer.
 
+The colorings come from one odometer (``_Odometer``), which knows what
+changed between one coloring and the next: it reports the first edge that
+changed since the coloring it yielded before, and the colors used by each
+prefix.  The lex-leader test reads both instead of recomputing them.
+
 Only colorings that cannot be the witness are skipped, so the witness is
 still the canonically first valid coloring, and ``colorings_examined``
 counts the skipped ones too: it is the canonical rank of the witness plus
@@ -101,32 +106,62 @@ def canonical_colorings(m: int, t: int) -> Generator[tuple[int, ...], Optional[i
     to the next coloring that differs from the current one within its first
     p edges, skipping every coloring that shares that prefix.
     """
-    if m < 1 or t < 1 or t > m:
-        return
-    assignment = [0] * m
-    used = [0] * (m + 1)  # used[i]: colors among the first i edges
-    i = 0
-    while True:
-        # Fill edges i.. with the smallest completion: color 1 while enough
-        # edges remain to introduce the missing colors, then the next new one.
-        for j in range(i, m):
-            u = used[j]
-            c = 1 if t - max(u, 1) < m - j else u + 1
-            assignment[j] = c
-            used[j + 1] = max(u, c)
-        p = yield tuple(assignment)
-        i = m if p is None else p
-        while i:
-            i -= 1
-            u = used[i]
-            c = assignment[i] + 1
-            if c <= min(u + 1, t) and t - max(u, c) < m - i:
-                assignment[i] = c
-                used[i + 1] = max(u, c)
-                i += 1
-                break
-        else:
+    yield from _Odometer(m, t)
+
+
+class _Odometer:
+    """The odometer behind ``canonical_colorings(m, t)``.  Iterating it
+    gives that generator, and for the coloring it yielded last it reports
+    ``changed``, the first edge at which that coloring differs from the one
+    yielded before it (0 for the first), and ``used``, in which used[i] is
+    the number of colors among its first i edges.  ``used`` is one list,
+    updated in place."""
+
+    __slots__ = ("m", "t", "changed", "used")
+
+    def __init__(self, m: int, t: int):
+        self.m, self.t = m, t
+        self.changed = 0
+        self.used = [0] * (m + 1)
+
+    def __iter__(self) -> Generator[tuple[int, ...], Optional[int], None]:
+        m, t, used = self.m, self.t, self.used
+        if m < 1 or t < 1 or t > m:
             return
+        assignment = [0] * m
+        i = 0
+        while True:
+            # Fill edges i.. with the smallest completion: color 1 up to edge
+            # k, which leaves just enough edges to bring in the missing colors
+            # u + 1..t one by one.  Edge 0 always takes color 1.  A plain step
+            # mostly changes only the last edge and leaves nothing to fill.
+            if i < m:
+                u = used[i] or 1
+                k = m - t + u
+                assignment[i:k] = [1] * (k - i)
+                used[i + 1:k + 1] = [u] * (k - i)
+                assignment[k:] = used[k + 1:] = range(u + 1, t + 1)
+            p = yield tuple(assignment)
+            i = m if p is None else p
+            while i:
+                i -= 1
+                u = used[i]
+                c = assignment[i] + 1
+                # Edge i can take the next color if it is at most one past the
+                # colors before it and enough edges remain for the rest.
+                if c <= u:
+                    if t - u < m - i:
+                        assignment[i] = c
+                        i += 1
+                        break
+                elif c == u + 1 <= t and t - c < m - i:
+                    assignment[i] = used[i + 1] = c
+                    i += 1
+                    break
+            else:
+                return
+            # Edges before i - 1 kept their colors; edge i - 1 took the next.
+            self.changed = i - 1
 
 
 def _completion_counts(m: int, t: int) -> list[list[int]]:
@@ -256,10 +291,13 @@ class _LexLeader:
     """Lex-leader test of canonical colorings under edge permutations of
     automorphisms (Crawford, Ginsberg, Luks & Roy 1996).
 
-    ``skip(assignment)`` returns a prefix length p such that no canonical
-    coloring sharing the first p colors of ``assignment`` is the least in
-    its orbit, or None if no permutation shows that.  For each sigma the
-    image d[i] = assignment[sigma[i]] is relabeled by first use and
+    ``skip(assignment, changed, used)`` returns a prefix length p such that
+    no canonical coloring sharing the first p colors of ``assignment`` is
+    the least in its orbit, or None if no permutation shows that.  The
+    odometer reports ``changed``, the first edge at which ``assignment``
+    differs from the coloring passed before it, and ``used``, the number of
+    colors among each prefix of ``assignment`` (``_Odometer``).  For each
+    sigma the image d[i] = assignment[sigma[i]] is relabeled by first use and
     compared with ``assignment`` from edge 0; edges before sigma's first
     moved edge map to themselves, so there the relabeling is the identity.
     If the first difference, at edge i, is smaller in the image, every
@@ -267,38 +305,36 @@ class _LexLeader:
     edges, has the same smaller image prefix.  If it is larger, the same
     holds with "larger", so ``settled[k]`` keeps reach[i] and the next
     coloring that shares that prefix with this one skips the comparison.
+    A ``changed`` that is too small only drops those entries, which never
+    changes a verdict.
     """
 
-    __slots__ = ("perms", "settled", "last")
+    __slots__ = ("perms", "settled")
 
     def __init__(self, perms: list[tuple]):
-        self.perms = perms
+        # Each permutation with the edges it compares, from its first moved one.
+        self.perms = [(*perm, range(perm[0], len(perm[1]))) for perm in perms]
         self.settled = [0] * len(perms)
-        self.last: tuple[int, ...] = ()
 
-    def skip(self, assignment: tuple[int, ...]) -> Optional[int]:
+    def skip(self, assignment: tuple[int, ...], changed: int, used: list[int]) -> Optional[int]:
         if not self.perms:
             return None
-        last, same = self.last, 0
-        while same < len(last) and assignment[same] == last[same]:
-            same += 1
-        self.last = assignment
-        settled = self.settled = [r if r <= same else 0 for r in self.settled]
-        used = [0, *accumulate(assignment, max)]
-        for k, (start, sigma, reach) in enumerate(self.perms):
+        settled = self.settled = [r if r <= changed else 0 for r in self.settled]
+        for k, (start, sigma, reach, compared) in enumerate(self.perms):
             if settled[k]:
                 continue
             top = base = used[start]
             fresh: dict[int, int] = {}
-            for i in range(start, len(sigma)):
+            for i in compared:
                 c = assignment[sigma[i]]
                 if c > base:
                     if c not in fresh:
                         top += 1
                         fresh[c] = top
                     c = fresh[c]
-                if c != assignment[i]:
-                    if c < assignment[i]:
+                a = assignment[i]
+                if c != a:
+                    if c < a:
                         return reach[i]
                     settled[k] = reach[i]
                     break
@@ -351,7 +387,8 @@ def min_colors_exact(
     exhausted: list[int] = []
     for t in range(1, top + 1):
         ways = _completion_counts(m, t)
-        colorings = canonical_colorings(m, t)
+        odometer = _Odometer(m, t)
+        colorings, used = iter(odometer), odometer.used
         p = None
         while True:
             try:
@@ -366,7 +403,7 @@ def min_colors_exact(
             if (visits % 512 == 1 or visits == defer) and expired():
                 examined += _rank(assignment, ways) + 1
                 return Inconclusive(tuple(exhausted), examined, "time limit")
-            p = lex.skip(assignment)
+            p = lex.skip(assignment, odometer.changed, used)
             if p is None:
                 for (a, b), c in zip(g.edges, assignment):
                     cmat[a][b] = cmat[b][a] = c

@@ -9,31 +9,33 @@ connected when every vertex pair is joined by k internally vertex-disjoint
 distance-l proper paths.
 
 The pairs of a source are decided by one breadth-first search from it,
-``_shortest_proper_walks``, over the states (vertex, last <= l walk
-colors); it finds the shortest proper walk to every target in polynomial
-time.  A target the search never reaches has no proper path.  A walk that
-is simple is the witness; only when the shortest walk repeats a vertex does
-that pair fall back to the exhaustive, iterative DFS over simple paths
-(``_proper_paths``).  Neither search recurses, so witnesses of any length
-are found.
+``_walk_states``, over the states (vertex, last <= l walk colors); it finds
+the shortest proper walk to every target in polynomial time.  A target the
+search never reaches has no proper path.  A walk that is simple is the
+witness; only when the shortest walk repeats a vertex does that pair fall
+back to the exhaustive, iterative DFS over simple paths (``_proper_paths``).
+Neither search recurses, so witnesses of any length are found.
 
 Two scans run that per-source search over every source.  The decision scan
-(``_first_failing_pair``, behind the exact search) runs
-``_shortest_proper_walks`` from each source on tuple states.  The table
-scan (``_certified_pairs``) runs the same search on one ``_WalkStateTable``
-shared by all sources, in which windows are interned as ints and each state
-gets a dense int id when it is first reached.  Per-id lists replace the
-per-source hash sets: a state is seen by source u when its stamp is u, and
-its predecessor is kept beside the stamp.  Every list has one entry per
-state reached, which on a coloring with many colors is a small share of
-windows x n.  The queue holds the same states in the same order, so the
-walks are the same.  A state's proper successors are kept as a list of ids
-from its second expansion on, which is always by a later source, and later
-expansions iterate that list; a state expanded once keeps nothing.  The
-sources of a full scan expand the same states many times (16x on Q_7 at
-l=3), so sharing pays; the exact search's scans are tiny and mostly stop at
-source 0, where the table only costs its set-up, so the decision scan stays
-on tuple states.
+(``_first_failing_pair``, behind the exact search) runs ``_walk_states``
+from each source on tuple states and reads masks, not walks: each state
+carries the vertex bitmask of its walk, -1 once the walk repeats a vertex,
+so only a target whose mask is -1 needs the fallback.  It builds no walk;
+``_shortest_proper_walks`` builds them from the same states' parents, for
+``find_distance_proper_path``.  The table scan (``_certified_pairs``) runs
+the same search on one ``_WalkStateTable`` shared by all sources, in which
+windows are interned as ints and each state gets a dense int id when it is
+first reached.  Per-id lists replace the per-source hash sets: a state is
+seen by source u when its stamp is u, and its predecessor is kept beside the
+stamp.  Every list has one entry per state reached, which on a coloring with
+many colors is a small share of windows x n.  The queue holds the same
+states in the same order, so the walks are the same.  A state's proper
+successors are kept as a list of ids from its second expansion on, which is
+always by a later source, and later expansions iterate that list; a state
+expanded once keeps nothing.  The sources of a full scan expand the same
+states many times (16x on Q_7 at l=3), so sharing pays; the exact search's
+scans are tiny and mostly stop at source 0, where the table only costs its
+set-up, so the decision scan stays on tuple states.
 
 The table scan has two modes.  With a witness dict it is the certificate
 scan behind ``verify_coloring`` at k = 1: it turns each target's state id
@@ -193,27 +195,32 @@ def _proper_paths(
                 colors.pop()
 
 
-def _shortest_proper_walks(
+def _walk_states(
     adjacency, cmat: list[list[int]], u: int, targets, ell: int
-) -> dict[int, Path]:
-    """The shortest distance-ell proper walk from u to each target that has
-    one, the first found in ascending-neighbor BFS order.
+) -> tuple[dict[int, int], list[tuple], list[int], list[int]]:
+    """The breadth-first search from u over the states (vertex, last <= ell
+    walk colors), in ascending-neighbor order; it never re-enters u and
+    stops once every target is reached.
 
-    The search runs over the states (vertex, last <= ell walk colors), never
-    re-enters u and stops once every target is reached.  A proper path is a
-    proper walk that avoids u after its start, so a target missing from the
-    result has no proper path.  A returned walk may repeat a vertex.
+    Returns ``(reached, states, parent, masks)``: ``reached`` maps each
+    reached target to the first state at which the search reached it, state
+    i is ``states[i]``, entered from state ``parent[i]`` (-1 for the start),
+    and ``masks[i]`` is the vertex bitmask of the walk that ends at state i,
+    or -1 once that walk repeats a vertex.  -1 has every bit set, so it
+    stays -1 down the chain.
     """
     pending = set(targets)
     reached: dict[int, int] = {}
     states = [(u, ())]
     parent = [-1]
+    masks = [1 << u]
     seen = set()
     for i, (x, window) in enumerate(states):
         if not pending:
             break
         row = cmat[x]
         kept = window[len(window) >= ell:]
+        mask = masks[i]
         for y in adjacency[x]:
             c = row[y]
             if c in window or y == u:
@@ -222,11 +229,28 @@ def _shortest_proper_walks(
             if state in seen:
                 continue
             seen.add(state)
+            bit = 1 << y
+            masks.append(-1 if mask & bit else mask | bit)
             parent.append(i)
             states.append(state)
             if y in pending:
                 pending.remove(y)
                 reached[y] = len(states) - 1
+    return reached, states, parent, masks
+
+
+def _shortest_proper_walks(
+    adjacency, cmat: list[list[int]], u: int, targets, ell: int
+) -> dict[int, Path]:
+    """The shortest distance-ell proper walk from u to each target that has
+    one, the first found in ascending-neighbor BFS order, read off the
+    parent chains of ``_walk_states``.
+
+    A proper path is a proper walk that avoids u after its start, so a
+    target missing from the result has no proper path.  A returned walk may
+    repeat a vertex.
+    """
+    reached, states, parent, _ = _walk_states(adjacency, cmat, u, targets, ell)
     walks = {}
     for v, j in reached.items():
         walk = []
@@ -529,18 +553,25 @@ def _first_failing_pair(adjacency, cmat: list[list[int]], n: int, ell: int) -> O
     reads its own deadline between colorings.
 
     This is the decision scan of the exact search.  Each source runs its own
-    tuple-state BFS, ``_shortest_proper_walks``, because the exact search
-    makes many small scans that usually stop at source 0, where a shared
-    table of states would only cost its set-up."""
+    tuple-state BFS, ``_walk_states``, because the exact search makes many
+    small scans that usually stop at source 0, where a shared table of
+    states would only cost its set-up.  It builds no walk: a target whose
+    walk's mask is -1 goes to the DFS fallback ``_proper_paths``, and every
+    other reached target has its walk as a proper path."""
     for u in range(n - 1):
         row = cmat[u]
         targets = [v for v in range(u + 1, n) if not row[v]]
         if not targets:
             continue
-        walks = _shortest_proper_walks(adjacency, cmat, u, targets, ell)
+        reached, _, _, masks = _walk_states(adjacency, cmat, u, targets, ell)
         for v in targets:
-            if _path_from_walk(adjacency, cmat, u, v, ell, walks.get(v)) is None:
+            j = reached.get(v)
+            if j is None:
                 return (u, v)
+            if masks[j] < 0:
+                paths = _proper_paths(adjacency, cmat, (u,), [], v, ell)
+                if next(paths, None) is None:
+                    return (u, v)
     return None
 
 

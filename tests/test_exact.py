@@ -282,6 +282,55 @@ def _canonical_completions(prefix, m):
         yield from _canonical_completions(prefix + (c,), m)
 
 
+def _odometer_reports(colorings, first, c):
+    # What the odometer reports on c when a test object sees the colorings
+    # from colorings[first] on in order: the first edge at which c differs
+    # from the coloring before it (0 for the first one seen), and the number
+    # of colors among each prefix of c.
+    k = colorings.index(c)
+    before = colorings[k - 1] if k > first else ()
+    changed = next((i for i, (a, b) in enumerate(zip(c, before)) if a != b), 0)
+    return changed, [0, *itertools.accumulate(c, max)]
+
+
+def test_odometer_reports_the_changed_edge_and_the_prefix_counts():
+    # Through every canonical coloring with m <= 6, and on random runs that
+    # mix plain steps with send(p) jumps, the odometer reports the common
+    # prefix with the coloring it yielded before (0 for the first) and the
+    # colors used by each prefix, and yields what canonical_colorings does.
+    rng = random.Random(67)
+    checked = jumps = 0
+    for m in range(1, 7):
+        for t in range(1, m + 1):
+            for run in range(10):
+                odometer = pcc.exact._Odometer(m, t)
+                colorings = iter(odometer)
+                plain = canonical_colorings(m, t)
+                before, p = (), None
+                while True:
+                    try:
+                        c = colorings.send(p)
+                    except StopIteration:
+                        c = None
+                    try:
+                        expect = plain.send(p)
+                    except StopIteration:
+                        expect = None
+                    assert c == expect, (m, t, before, p)
+                    if c is None:
+                        break
+                    changed = next((i for i, (a, b) in enumerate(zip(c, before)) if a != b), 0)
+                    assert odometer.changed == changed, (m, t, before, p, c)
+                    assert odometer.used == [0, *itertools.accumulate(c, max)], (m, t, c)
+                    checked += 1
+                    before = c
+                    p = rng.randint(1, m) if run and rng.random() < 0.5 else None
+                    jumps += p is not None
+    # 866 colorings checked and 301 jumps sent; run 0 of each (m, t) steps
+    # through all 278 canonical colorings with m <= 6.
+    assert checked > 800 and jumps > 250, (checked, jumps)
+
+
 def test_lex_leader_skip_holds_for_every_completion():
     # For every twin swap and group permutation of small random graphs: a
     # returned prefix p means every canonical completion of c[:p] has a
@@ -302,7 +351,7 @@ def test_lex_leader_skip_holds_for_every_completion():
             colorings = list(canonical_colorings(g.m, t))
             first = rng.randrange(len(colorings))
             for c in colorings[first:first + 40]:
-                p = lex.skip(c)
+                p = lex.skip(c, *_odometer_reports(colorings, first, c))
                 if p is None:
                     kept += 1
                     assert c <= canonical_form(tuple(c[j] for j in sigma)), (g.edges, sigma, c)

@@ -659,6 +659,46 @@ def test_verdict_scan_matches_both_other_scans(monkeypatch):
     assert with_fallback >= 10 and calls[True] >= 3 and calls[False] >= 3
 
 
+def test_decision_scan_falls_back_on_exactly_the_repeating_walks(monkeypatch):
+    # The exact search's decision scan builds no walk: a reached target goes
+    # to the DFS fallback when its state's mask is -1.  Its fallback calls
+    # must be, in order, the pairs up to the failing one whose shortest walk
+    # repeats a vertex, and on every source the masks must flag exactly the
+    # targets whose walk from _shortest_proper_walks repeats a vertex.
+    calls = []
+    real = pcc.verify._proper_paths
+
+    def counting(adjacency, cmat, prefix, prefix_colors, v, *rest):
+        calls.append((prefix[0], v))
+        return real(adjacency, cmat, prefix, prefix_colors, v, *rest)
+
+    monkeypatch.setattr(pcc.verify, "_proper_paths", counting)
+    fallbacks = refuted = flagged = 0
+    for g, c, ell in _verdict_corpus(47, 1500):
+        cmat = _color_matrix(g, c)
+        calls.clear()
+        failing = pcc.verify._first_failing_pair(g.adjacency, cmat, g.n, ell)
+        fallbacks += len(calls)
+        expect = []
+        scanned = True
+        for u in range(g.n - 1):
+            targets = [v for v in range(u + 1, g.n) if not cmat[u][v]]
+            walks = _shortest_proper_walks(g.adjacency, cmat, u, targets, ell)
+            repeats = {v for v, walk in walks.items() if len(set(walk)) < len(walk)}
+            reached, _, _, masks = pcc.verify._walk_states(g.adjacency, cmat, u, targets, ell)
+            assert {v for v, j in reached.items() if masks[j] < 0} == repeats
+            flagged += len(repeats)
+            for v in targets:
+                if scanned and v in repeats:
+                    expect.append((u, v))
+                scanned = scanned and (u, v) != failing
+        assert calls == expect, (g.edges, ell)
+        refuted += bool(calls) and calls[-1] == failing
+    # 16 fallbacks, 9 of them refuting, and 34 flagged targets.
+    assert fallbacks >= 10 and refuted >= 3 and flagged > 2 * fallbacks, (
+        fallbacks, refuted, flagged)
+
+
 def test_repeating_walks_read_off_the_predecessor_chains():
     # The masks against the walks themselves, for every reached target of
     # every source, past the pair at which a scan would stop.  Random
