@@ -237,10 +237,9 @@ def _table_grid(args) -> None:
             )
 
 
-def _exact_cell(g: graphs.Graph, ell: int, args) -> str:
-    if g.m > args.exact_edges:
+def _exact_cell(g: graphs.Graph, ell: int, exact_edges: int, budget: exact.SearchBudget) -> str:
+    if g.m > exact_edges:
         return "skipped"
-    budget = exact.SearchBudget(time_limit=args.time_limit, max_edges=args.exact_edges)
     result = exact.min_colors_exact(g, ell, budget)
     if isinstance(result, exact.Inconclusive):
         return "inconclusive"
@@ -296,11 +295,17 @@ def _sorted_partitions(total: int, parts: int, minimum: int = 1):
 
 def _cmd_table(args) -> int:
     _table_grid(args)
+    if args.exact_edges < 0:
+        raise ValueError(f"--exact-edges must be >= 0, got {args.exact_edges}")
+    # Built before the sweep, so a bad --time-limit is an error even when no
+    # cell reaches the exact search.  A budget allows at least one edge;
+    # --exact-edges 0 skips every cell before the budget is read.
+    budget = exact.SearchBudget(time_limit=args.time_limit, max_edges=max(args.exact_edges, 1))
     rows = []
     any_fail = False
     for params, ell, g, report in _table_rows(args):
         verified = verify.first_failing_pair(g, report.coloring, ell) is None
-        exact_cell = _exact_cell(g, ell, args)
+        exact_cell = _exact_cell(g, ell, args.exact_edges, budget)
         status = "ok"
         if not verified:
             status = "fail"

@@ -20,22 +20,23 @@ Two scans run that per-source search over every source.  The decision scan
 (``_first_failing_pair``, behind the exact search) runs ``_walk_states``
 from each source on tuple states and reads masks, not walks: each state
 carries the vertex bitmask of its walk, -1 once the walk repeats a vertex,
-so only a target whose mask is -1 needs the fallback.  It builds no walk;
-``_shortest_proper_walks`` builds them from the same states' parents, for
-``find_distance_proper_path``.  The table scan (``_certified_pairs``) runs
-the same search on one ``_WalkStateTable`` shared by all sources, in which
-windows are interned as ints and each state gets a dense int id when it is
-first reached.  Per-id lists replace the per-source hash sets: a state is
-seen by source u when its stamp is u, and its predecessor is kept beside the
-stamp.  Every list has one entry per state reached, which on a coloring with
-many colors is a small share of windows x n.  The queue holds the same
-states in the same order, so the walks are the same.  A state's proper
-successors are kept as a list of ids from its second expansion on, which is
-always by a later source, and later expansions iterate that list; a state
-expanded once keeps nothing.  The sources of a full scan expand the same
-states many times (16x on Q_7 at l=3), so sharing pays; the exact search's
-scans are tiny and mostly stop at source 0, where the table only costs its
-set-up, so the decision scan stays on tuple states.
+so only a target whose mask is -1 needs the fallback.  It keeps no parents
+and builds no walk.  The table scan (``_certified_pairs``) runs the same
+search on one ``_WalkStateTable`` shared by all sources, in which windows
+are interned as ints and each state gets a dense int id when it is first
+reached.  Per-id lists replace the per-source hash sets: a state is seen by
+source u when its stamp is u, and its predecessor is kept beside the stamp.
+Every list has one entry per state reached, which on a coloring with many
+colors is a small share of windows x n.  The queue holds the same states in
+the same order, so both scans reach each target by the same walk.  A state's
+proper successors are kept as a list of ids from its second expansion on,
+which is always by a later source, and later expansions iterate that list;
+a state expanded once keeps nothing.  The sources of a full scan expand the
+same states many times (16x on Q_7 at l=3), so sharing pays; the exact
+search's scans are tiny and mostly stop at source 0, where the table only
+costs its set-up, so the decision scan stays on tuple states.  The table is
+the only walk builder: ``find_distance_proper_path`` runs one search on a
+table of its own.
 
 The table scan has two modes.  With a witness dict it is the certificate
 scan behind ``verify_coloring`` at k = 1: it turns each target's state id
@@ -197,22 +198,20 @@ def _proper_paths(
 
 def _walk_states(
     adjacency, cmat: list[list[int]], u: int, targets, ell: int
-) -> tuple[dict[int, int], list[tuple], list[int], list[int]]:
+) -> tuple[dict[int, int], list[int]]:
     """The breadth-first search from u over the states (vertex, last <= ell
     walk colors), in ascending-neighbor order; it never re-enters u and
     stops once every target is reached.
 
-    Returns ``(reached, states, parent, masks)``: ``reached`` maps each
-    reached target to the first state at which the search reached it, state
-    i is ``states[i]``, entered from state ``parent[i]`` (-1 for the start),
-    and ``masks[i]`` is the vertex bitmask of the walk that ends at state i,
-    or -1 once that walk repeats a vertex.  -1 has every bit set, so it
-    stays -1 down the chain.
+    Returns ``(reached, masks)``: ``reached`` maps each reached target to
+    the index of the first state at which the search reached it, and
+    ``masks[i]`` is the vertex bitmask of the walk that ends at state i, or
+    -1 once that walk repeats a vertex.  -1 has every bit set, so it stays
+    -1 down the chain.  No walk is kept: the masks are all a verdict reads.
     """
     pending = set(targets)
     reached: dict[int, int] = {}
     states = [(u, ())]
-    parent = [-1]
     masks = [1 << u]
     seen = set()
     for i, (x, window) in enumerate(states):
@@ -231,45 +230,11 @@ def _walk_states(
             seen.add(state)
             bit = 1 << y
             masks.append(-1 if mask & bit else mask | bit)
-            parent.append(i)
             states.append(state)
             if y in pending:
                 pending.remove(y)
                 reached[y] = len(states) - 1
-    return reached, states, parent, masks
-
-
-def _shortest_proper_walks(
-    adjacency, cmat: list[list[int]], u: int, targets, ell: int
-) -> dict[int, Path]:
-    """The shortest distance-ell proper walk from u to each target that has
-    one, the first found in ascending-neighbor BFS order, read off the
-    parent chains of ``_walk_states``.
-
-    A proper path is a proper walk that avoids u after its start, so a
-    target missing from the result has no proper path.  A returned walk may
-    repeat a vertex.
-    """
-    reached, states, parent, _ = _walk_states(adjacency, cmat, u, targets, ell)
-    walks = {}
-    for v, j in reached.items():
-        walk = []
-        while j >= 0:
-            walk.append(states[j][0])
-            j = parent[j]
-        walks[v] = tuple(reversed(walk))
-    return walks
-
-
-def _path_from_walk(
-    adjacency, cmat, u: int, v: int, ell: int, walk: Optional[Path], time_limit=None
-) -> Optional[Path]:
-    """The witness for (u, v) given its shortest proper walk: None when there
-    is no walk, the walk when it is simple, else the first proper path of
-    the exhaustive DFS, which may still find none."""
-    if walk is None or len(set(walk)) == len(walk):
-        return walk
-    return next(_proper_paths(adjacency, cmat, (u,), [], v, ell, time_limit), None)
+    return reached, masks
 
 
 def find_distance_proper_path(
@@ -278,13 +243,19 @@ def find_distance_proper_path(
     """A distance-ell proper simple path from u to v, or None if no simple
     path of the colored graph satisfies the window condition.  The path is
     the shortest proper walk when that is simple, else the first proper path
-    in DFS order; verify_coloring certifies non-adjacent pairs with it."""
+    in DFS order; verify_coloring certifies non-adjacent pairs with it.  It
+    takes the table scan's three steps for one pair on a one-source table:
+    ``reach``, then the DFS fallback if ``repeating`` flags v, else the
+    walk."""
     ell = _validate_window(ell)
     if u == v or not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError(f"endpoints must be distinct vertices 0..{g.n - 1}, got {u}, {v}")
     cmat = _color_matrix(g, coloring)
-    walk = _shortest_proper_walks(g.adjacency, cmat, u, (v,), ell).get(v)
-    return _path_from_walk(g.adjacency, cmat, u, v, ell, walk)
+    table = _WalkStateTable(g.adjacency, cmat, ell)
+    reached = table.reach(u, (v,))
+    if v in table.repeating(reached):
+        return next(_proper_paths(g.adjacency, cmat, (u,), [], v, ell), None)
+    return table.walks(reached).get(v)
 
 
 def _disjoint_proper_paths(
@@ -369,13 +340,15 @@ class _WalkStateTable:
         return t
 
     def reach(self, u: int, targets, time_limit: Optional[float] = None) -> dict[int, int]:
-        """The state id at which ``_shortest_proper_walks`` from u would end
-        the walk to each target it reaches in this table's graph, by the
-        same queue on state ids; ``walks`` turns the ids into walks.  A
-        state is seen by this search when its stamp is u, and its ``pred``
-        chain is its walk until the next search.  The ``time_limit`` budget
-        starts with the search and is checked before the first state and
-        every 256 states after it."""
+        """The state id at which the breadth-first search from u over the
+        states (vertex, last <= ell walk colors), in ascending-neighbor
+        order and never re-entering u, first reaches each target it
+        reaches; the queue holds the states of ``_walk_states`` in the same
+        order, and ``walks`` turns the ids into walks.  A state is seen by
+        this search when its stamp is u, and its ``pred`` chain is its walk
+        until the next search.  The ``time_limit`` budget starts with the
+        search and is checked before the first state and every 256 states
+        after it."""
         deadline = None if time_limit is None else time.monotonic() + time_limit
         n = len(self.cmat)
         adjacency, cmat, steps, ids = self.adjacency, self.cmat, self.steps, self.ids
@@ -563,7 +536,7 @@ def _first_failing_pair(adjacency, cmat: list[list[int]], n: int, ell: int) -> O
         targets = [v for v in range(u + 1, n) if not row[v]]
         if not targets:
             continue
-        reached, _, _, masks = _walk_states(adjacency, cmat, u, targets, ell)
+        reached, masks = _walk_states(adjacency, cmat, u, targets, ell)
         for v in targets:
             j = reached.get(v)
             if j is None:
@@ -590,8 +563,8 @@ def _certified_pairs(
 
     The table numbers the states densely and keeps the successor lists of
     the states that more than one source expands, so a scan of every source
-    does not redo their edge steps; the walks, and so the witnesses, are
-    those of the decision scan.  A simple walk is the witness as it is; only
+    does not redo their edge steps; its walks are those whose masks the
+    decision scan reads.  A simple walk is the witness as it is; only
     a walk that repeats a vertex goes to the DFS fallback ``_proper_paths``.
     The verdict scan skips adjacent pairs and builds no walk: ``repeating``
     reads the walks that repeat a vertex off the predecessor chains, and the
@@ -619,7 +592,8 @@ def _certified_pairs(
             else:
                 found = walks.get(v)
                 if found is not None and len(set(found)) < len(found):
-                    found = _path_from_walk(adjacency, cmat, u, v, ell, found, time_limit)
+                    paths = _proper_paths(adjacency, cmat, (u,), [], v, ell, time_limit)
+                    found = next(paths, None)
                 if found is None:
                     return (u, v)
             witnesses[(u, v)] = (found,)

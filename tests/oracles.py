@@ -3,20 +3,23 @@
 Everything here recomputes results from first principles (exhaustive
 enumeration, direct definitions) and deliberately shares no code with the
 implementation paths it checks.  Two are references rather than oracles.
-``per_source_certificate`` rebuilds a k = 1 certificate from the library's
-own tuple-state search, one search per source, which the certificate scan
-must reproduce exactly.  ``cartesian_by_template_greedy`` is the greedy
-product coloring whose output ``construct._cartesian_general`` computes in
-closed form.
+``per_source_certificate`` rebuilds a k = 1 certificate from a tuple-state
+search of its own, ``shortest_proper_walks``, one search per source, which
+the certificate scan must reproduce exactly; from the library it takes only
+the color matrix and the DFS over simple paths (``_proper_paths``) that
+stands in for a walk that repeats a vertex.  ``cartesian_by_template_greedy``
+is the greedy product coloring whose output ``construct._cartesian_general``
+computes in closed form.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
 from pcc.graphs import Graph, normalize_edge
-from pcc.verify import _color_matrix, _path_from_walk, _shortest_proper_walks
+from pcc.verify import _color_matrix, _proper_paths
 
 
 def all_simple_paths(g: Graph, u: int, v: int) -> list[tuple[int, ...]]:
@@ -81,22 +84,63 @@ def disjoint_certificate(g: Graph, coloring, ell: int, k: int):
     return True, None, witnesses
 
 
+def shortest_proper_walks(adjacency, cmat, u: int, targets, ell: int):
+    """The shortest distance-ell proper walk from u to each target that has
+    one, by the definition: a breadth-first search over the states (vertex,
+    last <= ell walk colors) that tries neighbors in ascending order, never
+    steps back onto u, and gives each target the walk of the first state
+    at which it arrives.  Each state keeps its parent state, and the walk
+    is read off the parent chain.  A walk may repeat a vertex other than u;
+    a target missing from the result has no proper path."""
+    start = (u, ())
+    parent = {start: None}
+    first = {}
+    pending = set(targets)
+    queue = collections.deque([start])
+    while queue and pending:
+        state = queue.popleft()
+        x, recent = state
+        for y in sorted(adjacency[x]):
+            c = cmat[x][y]
+            if y == u or c in recent:
+                continue
+            step = (y, (recent + (c,))[-ell:])
+            if step in parent:
+                continue
+            parent[step] = state
+            queue.append(step)
+            if y in pending:
+                pending.remove(y)
+                first[y] = step
+    walks = {}
+    for v, state in first.items():
+        walk = []
+        while state is not None:
+            walk.append(state[0])
+            state = parent[state]
+        walks[v] = tuple(reversed(walk))
+    return walks
+
+
 def per_source_certificate(g: Graph, coloring, ell: int):
     """(ok, failing_pair, witnesses) of (1, ell)-proper connectivity, pairs
     scanned in lexicographic order: an adjacent pair is witnessed by its
-    edge, and the other pairs of source u by the walks of one tuple-state
-    search from u (``_shortest_proper_walks``), made into paths by
-    ``_path_from_walk``.  No state is shared between sources."""
+    edge, and each other pair of source u by its walk from one
+    ``shortest_proper_walks`` search from u when that walk is simple, else
+    by the first proper path of the DFS over simple paths.  No state is
+    shared between sources."""
     cmat = _color_matrix(g, coloring)
     witnesses = {}
     for u in range(g.n - 1):
         targets = [v for v in range(u + 1, g.n) if not g.has_edge(u, v)]
-        walks = _shortest_proper_walks(g.adjacency, cmat, u, targets, ell)
+        walks = shortest_proper_walks(g.adjacency, cmat, u, targets, ell)
         for v in range(u + 1, g.n):
             if g.has_edge(u, v):
                 witnesses[(u, v)] = ((u, v),)
                 continue
-            path = _path_from_walk(g.adjacency, cmat, u, v, ell, walks.get(v))
+            path = walks.get(v)
+            if path is not None and len(set(path)) < len(path):
+                path = next(_proper_paths(g.adjacency, cmat, (u,), [], v, ell), None)
             if path is None:
                 return False, (u, v), witnesses
             witnesses[(u, v)] = (path,)

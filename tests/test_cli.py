@@ -427,9 +427,23 @@ def test_table_usage_errors(tmp_path, capsys):
         (["cube", "--max-t", "0"], "cube table requires --max-t >= 1, got 0"),
         (["cube", "--max-t", "2", "--max-ell", "1"], "cube table requires --max-ell >= 2, got 1"),
         (["tree", "--count", "0"], "tree table requires --count >= 1, got 0"),
+        # The budget flags are checked before the sweep, so a bad one is an
+        # error even when no cell reaches the exact search.
+        (["wheel", "--max-n", "4", "--exact-edges", "1", "--time-limit", "-1"],
+         "time_limit must be positive, got -1.0"),
+        (["wheel", "--max-n", "4", "--exact-edges", "1", "--time-limit", "nan"],
+         "time_limit must be positive, got nan"),
+        (["wheel", "--max-n", "4", "--exact-edges", "0", "--time-limit", "0"],
+         "time_limit must be positive, got 0.0"),
+        (["wheel", "--max-n", "4", "--exact-edges", "-3"], "--exact-edges must be >= 0, got -3"),
     ):
         code, stdout, err = run(["table", "--theorem", *argv, "-o", str(out)], capsys)
         assert (code, stdout, err) == (2, "", f"error: {message}\n") and not out.exists(), argv
+    # --exact-edges 0 is no error: it skips every cell.
+    code, _, _ = run(["table", "--theorem", "wheel", "--max-n", "4", "--exact-edges", "0",
+                      "-o", str(out)], capsys)
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert code == 0 and len(rows) == 2 and all(",skipped," in row for row in rows), rows
 
 
 def _python_m_pcc(*argv):

@@ -33,7 +33,7 @@ from pcc.graphs import (
     wheel_graph,
 )
 from pcc.structure import automorphism_generators, twin_swaps
-from pcc.verify import first_failing_pair, verify_coloring
+from pcc.verify import _color_matrix, first_failing_pair, verify_coloring
 
 from oracles import (
     all_simple_paths,
@@ -464,3 +464,29 @@ def test_visit_trace_is_pinned(monkeypatch):
     assert isinstance(r, Inconclusive) and r.exhausted_levels == (1, 2)
     pin = (total, hashlib.sha256("".join(digests).encode()).hexdigest())
     assert pin == (42115, "ea0412463b7c59546cd13403d055e36718b360d9c264edc320837011427edb0b")
+
+
+def test_each_verification_reads_the_matrix_of_the_coloring_it_checks(monkeypatch):
+    # min_colors_exact writes each coloring that passes the lex-leader test
+    # into its color matrix before the decision scan reads it.  At every
+    # verification the matrix must be that of the coloring skip last saw,
+    # however many colorings were skipped since the one verified before: a
+    # write from only the edge the odometer reports changed on this visit
+    # leaves edges stale and fails here.
+    seen, verified = [], []
+    real_skip, real_scan = pcc.exact._LexLeader.skip, pcc.exact._first_failing_pair
+
+    def skip(self, assignment, changed, used):
+        seen[:] = [assignment]
+        return real_skip(self, assignment, changed, used)
+
+    def scan(adjacency, cmat, n, ell):
+        assert cmat == _color_matrix(g, EdgeColoring(dict(zip(g.edges, seen[0])))), g.edges
+        verified.append(seen[0])
+        return real_scan(adjacency, cmat, n, ell)
+
+    monkeypatch.setattr(pcc.exact._LexLeader, "skip", skip)
+    monkeypatch.setattr(pcc.exact, "_first_failing_pair", scan)
+    for g, ell, budget in random.Random(67).sample(_visit_trace_corpus(), 100):
+        min_colors_exact(g, ell, budget)
+    assert len(verified) >= 1000, len(verified)

@@ -1,6 +1,8 @@
+import ast
 import collections
 import hashlib
 import itertools
+import pathlib
 import random
 from types import SimpleNamespace
 
@@ -32,7 +34,6 @@ from pcc.verify import (
     VerificationTimeout,
     _color_matrix,
     _proper_paths,
-    _shortest_proper_walks,
     find_distance_proper_path,
     first_failing_pair,
     is_distance_proper_path,
@@ -47,6 +48,7 @@ from oracles import (
     proper_path_exists,
     random_coloring,
     random_connected_graph,
+    shortest_proper_walks as _shortest_proper_walks,
     window_proper,
 )
 
@@ -317,7 +319,9 @@ def test_scan_matches_oracle_on_random_graphs():
             c = random_coloring(g, ell + rng.randint(1, 2), rng)
             cmat = _color_matrix(g, c)
             failing = None
-            for u, v in itertools.combinations(range(g.n), 2):
+            # Each pair is searched from both ends: from the larger one, the
+            # one-source table searches toward a smaller target.
+            for u, v in itertools.permutations(range(g.n), 2):
                 path = find_distance_proper_path(g, c, u, v, ell)
                 assert (path is not None) == proper_path_exists(g, c, u, v, ell)
                 walk = _shortest_proper_walks(g.adjacency, cmat, u, (v,), ell).get(v)
@@ -326,7 +330,8 @@ def test_scan_matches_oracle_on_random_graphs():
                 elif walk != path:
                     pytest.fail(f"{(u, v)}: simple shortest walk {walk}, witness {path}")
                 if path is None:
-                    failing = failing or (u, v)
+                    if u < v:
+                        failing = failing or (u, v)
                     continue
                 assert path[0] == u and path[-1] == v
                 assert is_distance_proper_path(c, path, ell)  # raises unless simple
@@ -556,6 +561,28 @@ def test_shared_state_scan_matches_per_source_reference(monkeypatch):
     assert verdicts[True, True] >= 30 and verdicts[False, True] >= 25
 
 
+def test_reference_takes_only_the_color_matrix_and_the_dfs_from_the_verifier():
+    # per_source_certificate checks the scans, so it must not share their
+    # BFS: tests/oracles.py may take from pcc.verify only _color_matrix and
+    # the DFS _proper_paths.  A plain `import pcc...` reaches every function
+    # of pcc.verify, and so does `from pcc import verify`; a name taken from
+    # the package counts when pcc.verify defines it.
+    def from_verify(name):
+        obj = getattr(pcc, name)
+        return obj is pcc.verify or getattr(obj, "__module__", None) == "pcc.verify"
+
+    source = pathlib.Path(__file__).with_name("oracles.py").read_text(encoding="utf-8")
+    taken = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            taken += [a.name for a in node.names if a.name.split(".")[0] == "pcc"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "pcc.verify":
+            taken += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "pcc":
+            taken += [a.name for a in node.names if from_verify(a.name)]
+    assert set(taken) <= {"_color_matrix", "_proper_paths"}, taken
+
+
 def test_shared_state_scan_with_many_colors_stores_only_reached_states(monkeypatch):
     # Random colorings with 12-30 colors at l = 2-4 give many windows, most
     # of which meet few vertices: windows x n is 10-50x the states reached.
@@ -685,7 +712,7 @@ def test_decision_scan_falls_back_on_exactly_the_repeating_walks(monkeypatch):
             targets = [v for v in range(u + 1, g.n) if not cmat[u][v]]
             walks = _shortest_proper_walks(g.adjacency, cmat, u, targets, ell)
             repeats = {v for v, walk in walks.items() if len(set(walk)) < len(walk)}
-            reached, _, _, masks = pcc.verify._walk_states(g.adjacency, cmat, u, targets, ell)
+            reached, masks = pcc.verify._walk_states(g.adjacency, cmat, u, targets, ell)
             assert {v for v, j in reached.items() if masks[j] < 0} == repeats
             flagged += len(repeats)
             for v in targets:
