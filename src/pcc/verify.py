@@ -47,6 +47,15 @@ vertex by a bitmask of vertices per state of the predecessor chains.  Both
 modes send the same pairs to the fallback under the same budgets, so they
 return the same failing pair and raise the same timeouts.
 
+A tree joins each pair by one path, so it is (1, l)-proper connected
+exactly when its paths of at most l+1 edges are rainbow.
+``first_failing_pair`` checks that with ``_windows_rainbow``, one DFS per
+vertex over at most n - 1 paths, and returns None on a tree that passes it
+when no time limit is set.  A tree that fails still runs the scan, which
+names the failing pair, and a time limit keeps the scan, so its timeouts
+stay those of ``verify_coloring``.  On other graphs the verdict is not
+local.
+
 For k >= 2 a backtracking search draws each path from ``_proper_paths``
 with the earlier paths' interiors blocked; the DFS yields paths in
 lexicographic order blocked or not, so it finds the lexicographically first
@@ -66,6 +75,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .graphs import EdgeColoring, Graph, normalize_edge
+from .structure import is_tree
 
 Pair = tuple[int, int]
 Path = tuple[int, ...]
@@ -512,11 +522,40 @@ def first_failing_pair(
     ``time_limit`` budgets and timeouts.  It runs the table scan in its
     verdict mode, which builds no witness; the CLI takes every k = 1
     verdict from here.  The exact search runs the decision scan
-    ``_first_failing_pair`` instead."""
+    ``_first_failing_pair`` instead.
+
+    A tree whose paths of at most ell+1 edges are all rainbow passes, as
+    each pair has one path, and returns None without the scan, unless a
+    time limit is set: then the scan runs, so the budget runs out where
+    ``verify_coloring``'s does."""
     ell = _validate_window(ell)
     time_limit = _validate_time_limit(time_limit)
     cmat = _color_matrix(g, coloring)
+    if time_limit is None and is_tree(g) and _windows_rainbow(g.adjacency, cmat, ell):
+        return None
     return _certified_pairs(g.adjacency, cmat, g.n, ell, None, time_limit)
+
+
+def _windows_rainbow(adjacency, cmat: list[list[int]], ell: int) -> bool:
+    """True iff every path of at most ell+1 edges that a DFS from each
+    vertex finds without turning straight back is rainbow; False at the
+    first whose last edge repeats a color on it.  In a tree these are all
+    such paths, at most n - 1 from each vertex, so it takes at most as many
+    steps as the scan."""
+    for u in range(len(cmat)):
+        stack = [(u, -1, ())]
+        while stack:
+            x, back, colors = stack.pop()
+            row = cmat[x]
+            for y in adjacency[x]:
+                if y == back:
+                    continue
+                c = row[y]
+                if c in colors:
+                    return False
+                if len(colors) < ell:
+                    stack.append((y, x, colors + (c,)))
+    return True
 
 
 def _first_failing_pair(adjacency, cmat: list[list[int]], n: int, ell: int) -> Optional[Pair]:

@@ -8,7 +8,15 @@ import pytest
 
 from pcc import cli, io, verify
 from pcc.cli import main
-from pcc.graphs import EdgeColoring, cycle_graph, double_star_graph, hypercube_graph, path_graph, wheel_graph
+from pcc.graphs import (
+    EdgeColoring,
+    cycle_graph,
+    double_star_graph,
+    hypercube_graph,
+    path_graph,
+    random_tree,
+    wheel_graph,
+)
 
 
 def run(args, capsys):
@@ -290,6 +298,31 @@ def test_verify_timeout_names_source_and_budget(tmp_path, capsys):
     )
     assert code == 1 and out == "inconclusive timeout\n"
     assert err == "search from vertex 0 exceeded the time budget of 0.0 s\n"
+
+
+def test_tree_verdicts_agree_with_and_without_a_time_limit(tmp_path, capsys):
+    # Without a time limit a tree's k=1 verdict comes from its short paths,
+    # with one from the table scan; `pcc color --method tree` and `pcc
+    # verify` must print the same either way, for a passing coloring and
+    # for one with two adjacent edges of one color.
+    t = random_tree(40, 3)
+    graph_file, good, bad = tmp_path / "t.edges", tmp_path / "good.pcc", tmp_path / "bad.pcc"
+    graph_file.write_text(io.write_graph(t))
+    code, out, _ = run(
+        ["color", "--input", str(graph_file), "--method", "tree", "--ell", "2", "-o", str(good)],
+        capsys,
+    )
+    assert code == 0 and "verified true" in out.splitlines()
+    colors = io.read_coloring(good.read_text(), t).colors
+    e = t.edges[0]
+    f = next(f for f in t.edges if f != e and set(f) & set(e))
+    bad.write_text(io.write_coloring(EdgeColoring({**colors, e: colors[f]}), t))
+    for color_file, expect in ((good, 0), (bad, 1)):
+        argv = ["verify", "--graph", str(graph_file), "--coloring", str(color_file), "--ell", "2"]
+        code, out, err = run(argv, capsys)
+        assert code == expect and err == ""
+        assert run(argv + ["--time-limit", "5"], capsys) == (code, out, err)
+        assert out.splitlines()[0] == ("verified true" if expect == 0 else "verified false")
 
 
 def _alternating_c4(tmp_path):

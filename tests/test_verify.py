@@ -24,10 +24,12 @@ from pcc.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    double_star_graph,
     hypercube_graph,
     path_graph,
     random_2connected,
     random_tree,
+    star_graph,
     wheel_graph,
 )
 from pcc.verify import (
@@ -772,3 +774,102 @@ def test_verdict_scan_times_out_at_the_certificate_scans_source(monkeypatch):
         with pytest.raises(VerificationTimeout, match=r"^search from vertex 1 .* 0\.0 s$"):
             scan(star, c, 2, time_limit=0.0)
     assert len(sources) >= 2
+
+
+def _tree_corpus(seed, count):
+    """Random trees on 2-40 vertices, stars, paths and double stars."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng.choice(
+            (
+                lambda: random_tree(rng.randint(2, 40), rng.randrange(10**6)),
+                lambda: star_graph(rng.randint(1, 12)),
+                lambda: path_graph(rng.randint(2, 30)),
+                lambda: double_star_graph(rng.randint(1, 6), rng.randint(1, 6)),
+            )
+        )()
+
+
+def _first_pair_without_proper_path(g, c, ell):
+    for u, v in itertools.combinations(range(g.n), 2):
+        if not proper_path_exists(g, c, u, v, ell):
+            return (u, v)
+    return None
+
+
+def test_tree_verdicts_from_short_paths_match_the_scans():
+    # first_failing_pair decides a tree whose paths of at most l+1 edges are
+    # all rainbow without the scan.  Each tree is colored by color_tree at
+    # l = 1-4 (every one passes), by the same colorings with one edge given
+    # a neighbouring edge's color (every one fails) and by random colorings.
+    rng = random.Random(61)
+    verdicts = collections.Counter()
+    for t in _tree_corpus(61, 320):
+        cases = []
+        for ell in range(1, 5):
+            colors = dict(color_tree(t, ell).coloring.colors)
+            cases.append(("tree", colors, ell))
+            if t.m >= 2:
+                e = rng.choice(t.edges)
+                f = rng.choice([f for f in t.edges if f != e and set(f) & set(e)])
+                cases.append(("recolored", {**colors, e: colors[f]}, ell))
+            cases.append(("random", random_coloring(t, rng.randint(2, 6), rng).colors, ell))
+        for kind, colors, ell in cases:
+            c = EdgeColoring(colors)
+            failing = first_failing_pair(t, c, ell)
+            assert failing == verify_coloring(t, c, ell).failing_pair, (kind, t.edges, ell)
+            if t.n <= 14:
+                assert failing == _first_pair_without_proper_path(t, c, ell)
+            if kind != "random":
+                assert (failing is None) == (kind == "tree")
+            verdicts[kind, failing is None] += 1
+    assert verdicts["tree", True] >= 100 and verdicts["recolored", False] >= 100
+    assert verdicts["random", True] >= 100 and verdicts["random", False] >= 100, verdicts
+
+
+def test_disconnected_graph_with_n_minus_one_edges_is_no_tree():
+    # A rainbow triangle plus an isolated vertex has m = n - 1 and rainbow
+    # short paths, but vertex 3 is reached from nowhere.
+    g = Graph(4, [(0, 1), (0, 2), (1, 2)])
+    c = EdgeColoring({(0, 1): 1, (0, 2): 2, (1, 2): 3})
+    for ell in range(1, 5):
+        assert first_failing_pair(g, c, ell) == (0, 3)
+
+
+def test_tree_verdict_skips_the_scan_only_without_a_time_limit(monkeypatch):
+    # A passing tree is decided without the table scan; a failing tree, a
+    # non-tree and any tree under a time limit run it once, so failing
+    # pairs, fallbacks and timeouts stay those of verify_coloring.
+    calls = []
+    real = pcc.verify._certified_pairs
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pcc.verify, "_certified_pairs", counting)
+    t = random_tree(30, 7)
+    good = color_tree(t, 2).coloring
+    e = t.edges[0]
+    f = next(f for f in t.edges if f != e and set(f) & set(e))
+    bad = EdgeColoring({**good.colors, e: good.colors[f]})
+    w = wheel_graph(9)
+    for g, c, time_limit, scans in (
+        (t, good, None, 0),
+        (t, bad, None, 1),
+        (w, color_wheel(9, 2).coloring, None, 1),
+        (t, good, 5.0, 1),
+        (t, bad, 5.0, 1),
+    ):
+        expect = verify_coloring(g, c, 2).failing_pair
+        calls.clear()
+        assert first_failing_pair(g, c, 2, time_limit) == expect
+        assert len(calls) == scans, (g.edges, time_limit)
+
+    ticks = itertools.count()
+    monkeypatch.setattr(pcc.verify, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    with pytest.raises(VerificationTimeout) as cert_err:
+        verify_coloring(t, good, 2, time_limit=0.0)
+    with pytest.raises(VerificationTimeout) as verdict_err:
+        first_failing_pair(t, good, 2, time_limit=0.0)
+    assert str(verdict_err.value) == str(cert_err.value)
