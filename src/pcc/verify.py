@@ -42,10 +42,14 @@ The table scan has two modes.  With a witness dict it is the certificate
 scan behind ``verify_coloring`` at k = 1: it turns each target's state id
 into its walk and records it.  Without one it is the verdict scan behind
 ``first_failing_pair``, and so behind every k = 1 verdict of the CLI: it
-skips adjacent pairs, builds no walk, and tells the walks that repeat a
-vertex by a bitmask of vertices per state of the predecessor chains.  Both
-modes send the same pairs to the fallback under the same budgets, so they
-return the same failing pair and raise the same timeouts.
+skips adjacent pairs and builds no walk.  The targets that one expansion of
+a state s reaches are one run of the search's result and are s's walk plus
+one step, so per run the certificate scan reads s's walk off the
+predecessor chain once and the verdict scan s's vertex bitmask.  A walk of
+at most 4 edges by which the search first reaches a target is simple, so
+only longer walks are tested for a repeated vertex.  Both modes send the
+same pairs to the fallback under the same budgets, so they return the same
+failing pair and raise the same timeouts.
 
 A tree joins each pair by one path, so it is (1, l)-proper connected
 exactly when its paths of at most l+1 edges are rainbow.
@@ -91,7 +95,9 @@ class VerificationCertificate:
 
     When ok, ``witnesses`` maps every unordered vertex pair (u < v) to a
     tuple of k internally disjoint distance-l proper paths.  When not ok,
-    ``failing_pair`` is the lexicographically first pair with no witness.
+    ``failing_pair`` is the lexicographically first pair with no witness,
+    and ``witnesses`` holds those of every pair before it.  Either way the
+    pairs iterate in lexicographic order.
     """
 
     ok: bool
@@ -441,39 +447,59 @@ class _WalkStateTable:
 
     def walks(self, reached: dict[int, int]) -> dict[int, Path]:
         """The walk of the last search to each target, which ends at the
-        state that ``reached`` maps it to."""
+        state that ``reached`` maps it to.  ``reach`` sets a state's
+        ``pred`` only when it first stamps it, so the targets found by one
+        expansion of a state s form one run of ``reached`` and share s's
+        walk as their prefix: the first is read off its chain, and the
+        prefix is sliced off it only when a second one needs it."""
         vertex, pred = self.vertex, self.pred
         walks = {}
+        s = -2
         for v, t in reached.items():
-            walk = []
-            while t >= 0:
-                walk.append(vertex[t])
-                t = pred[t]
-            walks[v] = tuple(reversed(walk))
+            x = pred[t]
+            if x == s:
+                if prefix is None:
+                    prefix = walk[:-1]
+                walks[v] = prefix + (v,)
+                continue
+            s = x
+            prefix = None
+            chain = [v]
+            while x >= 0:
+                chain.append(vertex[x])
+                x = pred[x]
+            walks[v] = walk = tuple(reversed(chain))
         return walks
 
     def repeating(self, reached: dict[int, int]) -> set[int]:
         """The targets whose walk in the last search, which ends at the
         state ``reached`` maps them to, repeats a vertex, found without
-        building the walks.  ``masks`` maps each state read so far to the
-        bitmask of its walk's vertices, or to -1 once that walk repeats one;
-        -1 has every bit set, so it stays -1 down the chain.  The walks of
-        one source share their prefixes, so each state's mask is computed
-        once."""
+        building the walks.  Each run of targets found by one expansion of
+        a state s (see ``walks``) computes the vertex bitmask of s's walk
+        once, -1 if that walk already repeats a vertex; a target v repeats
+        iff that mask is -1 or holds bit v.  ``masks`` keeps the mask of
+        each such s, and the chain is read only up to the nearest state
+        in it, so deep chains are not read once per run."""
         vertex, pred = self.vertex, self.pred
         masks = {-1: 0}
         repeats = set()
+        s = -2
         for v, t in reached.items():
-            chain = []
-            while t not in masks:
-                chain.append(t)
-                t = pred[t]
-            mask = masks[t]
-            for s in reversed(chain):
-                bit = 1 << vertex[s]
-                mask = -1 if mask & bit else mask | bit
+            x = pred[t]
+            if x != s:
+                s = x
+                mask = 0
+                while x not in masks:
+                    bit = 1 << vertex[x]
+                    if mask & bit:
+                        mask = -1
+                        break
+                    mask |= bit
+                    x = pred[x]
+                else:
+                    mask = -1 if masks[x] & mask else masks[x] | mask
                 masks[s] = mask
-            if mask < 0:
+            if mask & (1 << v):
                 repeats.add(v)
         return repeats
 
@@ -608,7 +634,8 @@ def _certified_pairs(
     The verdict scan skips adjacent pairs and builds no walk: ``repeating``
     reads the walks that repeat a vertex off the predecessor chains, and the
     fallback runs on the same pairs under the same budgets, so the failing
-    pair and every timeout are those of the certificate scan."""
+    pair and every timeout are those of the certificate scan.  Each source's
+    witnesses go into the dict in one batch, in pair order."""
     table = _WalkStateTable(adjacency, cmat, ell)
     for u in range(n - 1):
         row = cmat[u]
@@ -625,15 +652,18 @@ def _certified_pairs(
                     return (u, v)
             continue
         walks = table.walks(reached)
+        paths = []
         for v in range(u + 1, n):
-            if row[v]:
-                found = (u, v)
-            else:
-                found = walks.get(v)
-                if found is not None and len(set(found)) < len(found):
-                    paths = _proper_paths(adjacency, cmat, (u,), [], v, ell, time_limit)
-                    found = next(paths, None)
-                if found is None:
-                    return (u, v)
-            witnesses[(u, v)] = (found,)
+            found = (u, v) if row[v] else walks.get(v)
+            # A first-reach walk of at most 4 edges is simple: it never
+            # re-enters u, x-y-x repeats a color and v is not on it before
+            # its end, so no two of its vertices 3 or 4 steps apart match.
+            if found is not None and len(found) > 5 and len(set(found)) < len(found):
+                found = next(_proper_paths(adjacency, cmat, (u,), [], v, ell, time_limit), None)
+            if found is None:
+                break
+            paths.append(found)
+        witnesses.update(zip(zip(itertools.repeat(u), range(u + 1, n)), zip(paths)))
+        if len(paths) < n - 1 - u:
+            return (u, u + 1 + len(paths))
     return None

@@ -750,6 +750,77 @@ def test_repeating_walks_read_off_the_predecessor_chains():
     assert repeats >= 200
 
 
+def _chain_corpus():
+    """The 200 colored graphs of
+    test_repeating_walks_read_off_the_predecessor_chains, with their
+    tables, followed by wheels and complete bipartite graphs colored by
+    their constructors, where one expansion of the hub reaches many
+    targets."""
+    rng = random.Random(59)
+    for _ in range(200):
+        ell, n = rng.randint(1, 4), rng.randint(10, 24)
+        g = random_2connected(n, None, rng.randrange(10**6))
+        c = random_coloring(g, ell + rng.randint(1, 2), rng)
+        yield g, pcc.verify._WalkStateTable(g.adjacency, _color_matrix(g, c), ell)
+    for n in (5, 12, 30):
+        g, c = wheel_graph(n), color_wheel(n, 2).coloring
+        yield g, pcc.verify._WalkStateTable(g.adjacency, _color_matrix(g, c), 2)
+    for a, b, ell in ((2, 9, 2), (3, 20, 2), (4, 12, 3)):
+        g, c = complete_bipartite_graph(a, b), color_complete_bipartite(a, b, ell).coloring
+        yield g, pcc.verify._WalkStateTable(g.adjacency, _color_matrix(g, c), ell)
+
+
+def test_targets_of_one_expansion_are_one_run_of_the_search_result():
+    # walks and repeating read a state's walk once per run of targets with
+    # the same predecessor.  That is sound only if the targets reached by
+    # one expansion are consecutive in reach's result, so no predecessor
+    # may start two runs.
+    longest = 0
+    for g, table in _chain_corpus():
+        for u in range(g.n - 1):
+            reached = table.reach(u, range(u + 1, g.n))
+            runs = [
+                (s, len(list(run)))
+                for s, run in itertools.groupby(table.pred[t] for t in reached.values())
+            ]
+            assert len({s for s, _ in runs}) == len(runs), (g.edges, u)
+            longest = max([longest] + [size for _, size in runs])
+    assert longest >= 15
+
+
+def test_first_reach_walks_of_at_most_four_edges_are_simple():
+    # The certificate scan tests only walks of 5 or more edges for a
+    # repeated vertex.  Every shorter walk must be simple, and some 5-edge
+    # walk must repeat a vertex, so 4 is the largest bound that holds.
+    short = repeating_five = 0
+    for g, table in _chain_corpus():
+        for u in range(g.n - 1):
+            for walk in table.walks(table.reach(u, range(u + 1, g.n))).values():
+                if len(walk) <= 5:
+                    assert len(set(walk)) == len(walk), walk
+                    short += 1
+                elif len(walk) == 6:
+                    repeating_five += len(set(walk)) < len(walk)
+    assert short >= 10000 and repeating_five >= 1, (short, repeating_five)
+
+
+def test_certificates_list_their_pairs_in_lexicographic_order():
+    # The witness dict iterates its pairs in lexicographic order: all of
+    # them in a full certificate, those before the failing pair in a
+    # refuted one.  The pins above sort the items, so only this test sees
+    # the order in which the pairs went in.
+    kinds = collections.Counter()
+    for g, c, ell in _verdict_corpus(61, 300):
+        for k in (1, 2):
+            cert = verify_coloring(g, c, ell, k=k)
+            pairs = list(itertools.combinations(range(g.n), 2))
+            end = len(pairs) if cert.ok else pairs.index(cert.failing_pair)
+            assert list(cert.witnesses) == pairs[:end]
+            kinds[k, cert.ok, bool(cert.witnesses)] += 1
+    for k in (1, 2):
+        assert kinds[k, True, True] >= 5 and kinds[k, False, True] >= 5, kinds
+
+
 def test_verdict_scan_times_out_at_the_certificate_scans_source(monkeypatch):
     # A clock that ticks once per reading runs out each budget at its first
     # check, so both scans of the table stop at the first source that has a
