@@ -378,9 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--time-limit",
         type=float,
-        help="seconds for each source's path search and, separately, for each "
-        "pair's fallback search (each pair's search for k disjoint paths when "
-        "--k >= 2); running out prints 'inconclusive timeout'",
+        help="seconds for the whole check, shared by all of its path searches; "
+        "running out prints 'inconclusive timeout'",
     )
     p_ver.set_defaults(func=_cmd_verify)
 

@@ -797,7 +797,7 @@ def _color_ear(
                 interior[1],
                 _lowest(
                     palette,
-                    {lookup(last, v), c_vv1, c_vv2, lookup(u, interior[0]), c_uw1},
+                    {lookup(last, v), c_vv1, c_vv2, c_uw1},
                     f"{ctx} middle edge",
                 ),
             )

@@ -48,8 +48,8 @@ one step, so per run the certificate scan reads s's walk off the
 predecessor chain once and the verdict scan s's vertex bitmask.  A walk of
 at most 4 edges by which the search first reaches a target is simple, so
 only longer walks are tested for a repeated vertex.  Both modes send the
-same pairs to the fallback under the same budgets, so they return the same
-failing pair and raise the same timeouts.
+same pairs to the fallback and check the call's one deadline at the same
+points, so they return the same failing pair and raise the same timeouts.
 
 A tree joins each pair by one path, so it is (1, l)-proper connected
 exactly when its paths of at most l+1 edges are rainbow.
@@ -117,12 +117,23 @@ def _validate_window(ell: int) -> int:
     return _positive_int("window parameter", ell)
 
 
-def _validate_time_limit(time_limit: Optional[float]) -> Optional[float]:
-    """``time_limit`` if it is None or a number >= 0, else ValueError; NaN
-    fails the test, so it cannot disable every budget check."""
-    if time_limit is not None and not time_limit >= 0:
-        raise ValueError(f"time_limit must be >= 0, got {time_limit}")
-    return time_limit
+class _Deadline:
+    """The one budget of a ``verify_coloring`` or ``first_failing_pair``
+    call, made on entry and passed unchanged to each of its searches, which
+    stop once ``time.monotonic()`` passes ``end``; the timeout names the
+    ``budget`` in seconds.  ValueError unless ``time_limit`` is a number
+    >= 0; NaN fails the test, so it cannot disable every check."""
+
+    __slots__ = ("end", "budget")
+
+    def __init__(self, time_limit: float) -> None:
+        if not time_limit >= 0:
+            raise ValueError(f"time_limit must be >= 0, got {time_limit}")
+        self.end = time.monotonic() + time_limit
+        self.budget = time_limit
+
+    def timeout(self, search: str) -> VerificationTimeout:
+        return VerificationTimeout(f"{search} exceeded the time budget of {self.budget} s")
 
 
 def is_distance_proper_path(coloring: EdgeColoring, path: Path, ell: int) -> bool:
@@ -166,7 +177,7 @@ def _proper_paths(
     prefix_colors: list[int],
     v: int,
     ell: int,
-    time_limit: Optional[float] = None,
+    deadline: Optional[_Deadline] = None,
     blocked: Iterable[int] = (),
 ) -> Iterator[Path]:
     """Every distance-ell proper simple path that extends ``prefix`` (whose
@@ -177,10 +188,8 @@ def _proper_paths(
     recursion limit.  A frame holds the neighbor iterator of a path vertex
     and the last ell path colors, which the next edge must avoid; the window
     condition is hereditary on prefixes, so pruning on it is sound and
-    complete.  The ``time_limit`` budget starts with the search and is
-    checked before every step.
+    complete.  The call's ``deadline`` is checked before every step.
     """
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     on_path = [False] * len(cmat)
     for x in itertools.chain(prefix, blocked):
         on_path[x] = True
@@ -188,11 +197,8 @@ def _proper_paths(
     colors = list(prefix_colors)
     stack = [(iter(adjacency[path[-1]]), cmat[path[-1]], colors[-ell:])]
     while stack:
-        if deadline is not None and time.monotonic() > deadline:
-            raise VerificationTimeout(
-                f"path search for pair {(prefix[0], v)} exceeded the time budget "
-                f"of {time_limit} s"
-            )
+        if deadline is not None and time.monotonic() > deadline.end:
+            raise deadline.timeout(f"path search for pair {(prefix[0], v)}")
         nbrs, row, recent = stack[-1]
         for y in nbrs:
             if on_path[y] or row[y] in recent:
@@ -275,38 +281,31 @@ def find_distance_proper_path(
 
 
 def _disjoint_proper_paths(
-    adjacency, cmat: list[list[int]], u: int, v: int, ell: int, k: int, time_limit=None
+    adjacency, cmat: list[list[int]], u: int, v: int, ell: int, k: int, deadline=None
 ) -> Optional[tuple[Path, ...]]:
     """The lexicographically first k internally disjoint distance-ell proper
     u-v paths, or None.  Level j draws, in DFS order, the paths after the
     last chosen one that avoid the chosen interiors (so the edge uv is not
-    chosen twice), and backtracks when it runs out.  One ``time_limit``
-    covers every level."""
-    deadline = None if time_limit is None else time.monotonic() + time_limit
+    chosen twice), and backtracks when it runs out.  Every level checks the
+    call's one ``deadline``."""
 
     def paths_avoiding(chosen: list[Path]) -> Iterator[Path]:
-        left = None if deadline is None else deadline - time.monotonic()
         blocked = [x for p in chosen for x in p[1:-1]]
-        return _proper_paths(adjacency, cmat, (u,), [], v, ell, left, blocked)
+        return _proper_paths(adjacency, cmat, (u,), [], v, ell, deadline, blocked)
 
     chosen: list[Path] = []
     levels = [paths_avoiding(chosen)]
-    try:
-        while levels:
-            path = next(levels[-1], None)
-            if path is None:
-                levels.pop()
-                if chosen:
-                    chosen.pop()
-            elif not chosen or path > chosen[-1]:
-                chosen.append(path)
-                if len(chosen) == k:
-                    return tuple(chosen)
-                levels.append(paths_avoiding(chosen))
-    except VerificationTimeout:
-        raise VerificationTimeout(
-            f"path search for pair {(u, v)} exceeded the time budget of {time_limit} s"
-        ) from None
+    while levels:
+        path = next(levels[-1], None)
+        if path is None:
+            levels.pop()
+            if chosen:
+                chosen.pop()
+        elif not chosen or path > chosen[-1]:
+            chosen.append(path)
+            if len(chosen) == k:
+                return tuple(chosen)
+            levels.append(paths_avoiding(chosen))
     return None
 
 
@@ -355,17 +354,15 @@ class _WalkStateTable:
         self.steps[w][c] = t
         return t
 
-    def reach(self, u: int, targets, time_limit: Optional[float] = None) -> dict[int, int]:
+    def reach(self, u: int, targets, deadline: Optional[_Deadline] = None) -> dict[int, int]:
         """The state id at which the breadth-first search from u over the
         states (vertex, last <= ell walk colors), in ascending-neighbor
         order and never re-entering u, first reaches each target it
         reaches; the queue holds the states of ``_walk_states`` in the same
         order, and ``walks`` turns the ids into walks.  A state is seen by
         this search when its stamp is u, and its ``pred`` chain is its walk
-        until the next search.  The ``time_limit`` budget starts with the
-        search and is checked before the first state and every 256 states
-        after it."""
-        deadline = None if time_limit is None else time.monotonic() + time_limit
+        until the next search.  The call's ``deadline`` is checked before
+        the first state and every 256 states after it."""
         n = len(self.cmat)
         adjacency, cmat, steps, ids = self.adjacency, self.cmat, self.steps, self.ids
         vertex, window, successors = self.vertex, self.window, self.successors
@@ -386,10 +383,8 @@ class _WalkStateTable:
         for i, s in enumerate(queue):
             if not left:
                 break
-            if deadline is not None and not i & 255 and time.monotonic() > deadline:
-                raise VerificationTimeout(
-                    f"search from vertex {u} exceeded the time budget of {time_limit} s"
-                )
+            if deadline is not None and not i & 255 and time.monotonic() > deadline.end:
+                raise deadline.timeout(f"search from vertex {u}")
             kept = successors[s]
             if not kept:
                 w, x = window[s], vertex[s]
@@ -518,21 +513,21 @@ def verify_coloring(
     k >= 2 the witness is the lexicographically first k-tuple of internally
     disjoint proper paths, since the DFS yields the paths that avoid the
     blocked interiors in the same order as it yields all of them.
-    ``time_limit`` (seconds >= 0, or None) bounds, for k = 1, each source's
-    search and, separately, each fallback, and for k >= 2 each pair's whole
-    search; running out raises VerificationTimeout, naming the source or
-    pair and the budget, rather than guessing a verdict.
+    ``time_limit`` (seconds >= 0, or None) bounds the whole call: every
+    search in it, for any k, checks the one deadline set on entry.  Running
+    out raises VerificationTimeout, naming the source or pair whose search
+    it stopped and the budget, rather than guessing a verdict.
     """
     ell = _validate_window(ell)
     k = _positive_int("k", k)
-    time_limit = _validate_time_limit(time_limit)
+    deadline = None if time_limit is None else _Deadline(time_limit)
     cmat = _color_matrix(g, coloring)
     witnesses: dict[Pair, tuple[Path, ...]] = {}
     if k == 1:
-        failing = _certified_pairs(g.adjacency, cmat, g.n, ell, witnesses, time_limit)
+        failing = _certified_pairs(g.adjacency, cmat, g.n, ell, witnesses, deadline)
         return VerificationCertificate(failing is None, witnesses, failing)
     for u, v in itertools.combinations(range(g.n), 2):
-        found = _disjoint_proper_paths(g.adjacency, cmat, u, v, ell, k, time_limit)
+        found = _disjoint_proper_paths(g.adjacency, cmat, u, v, ell, k, deadline)
         if found is None:
             return VerificationCertificate(False, witnesses, (u, v))
         witnesses[(u, v)] = found
@@ -544,22 +539,22 @@ def first_failing_pair(
 ) -> Optional[Pair]:
     """Lexicographically first pair with no distance-ell proper path, or
     None if the coloring makes the graph (1, ell)-proper connected: the
-    ``failing_pair`` of ``verify_coloring(g, coloring, ell)``, with the same
-    ``time_limit`` budgets and timeouts.  It runs the table scan in its
-    verdict mode, which builds no witness; the CLI takes every k = 1
-    verdict from here.  The exact search runs the decision scan
-    ``_first_failing_pair`` instead.
+    ``failing_pair`` of ``verify_coloring(g, coloring, ell)``, with the
+    same ``time_limit`` (one budget for the whole call) and timeouts.  It
+    runs the table scan in its verdict mode, which builds no witness; the
+    CLI takes every k = 1 verdict from here.  The exact search runs the
+    decision scan ``_first_failing_pair`` instead.
 
     A tree whose paths of at most ell+1 edges are all rainbow passes, as
     each pair has one path, and returns None without the scan, unless a
     time limit is set: then the scan runs, so the budget runs out where
     ``verify_coloring``'s does."""
     ell = _validate_window(ell)
-    time_limit = _validate_time_limit(time_limit)
+    deadline = None if time_limit is None else _Deadline(time_limit)
     cmat = _color_matrix(g, coloring)
-    if time_limit is None and is_tree(g) and _windows_rainbow(g.adjacency, cmat, ell):
+    if deadline is None and is_tree(g) and _windows_rainbow(g.adjacency, cmat, ell):
         return None
-    return _certified_pairs(g.adjacency, cmat, g.n, ell, None, time_limit)
+    return _certified_pairs(g.adjacency, cmat, g.n, ell, None, deadline)
 
 
 def _windows_rainbow(adjacency, cmat: list[list[int]], ell: int) -> bool:
@@ -619,7 +614,7 @@ def _certified_pairs(
     n: int,
     ell: int,
     witnesses: Optional[dict[Pair, tuple[Path, ...]]] = None,
-    time_limit: Optional[float] = None,
+    deadline: Optional[_Deadline] = None,
 ) -> Optional[Pair]:
     """The table scan: ``_first_failing_pair`` on one shared
     ``_WalkStateTable``.  With a ``witnesses`` dict (the certificate scan)
@@ -633,19 +628,19 @@ def _certified_pairs(
     a walk that repeats a vertex goes to the DFS fallback ``_proper_paths``.
     The verdict scan skips adjacent pairs and builds no walk: ``repeating``
     reads the walks that repeat a vertex off the predecessor chains, and the
-    fallback runs on the same pairs under the same budgets, so the failing
-    pair and every timeout are those of the certificate scan.  Each source's
-    witnesses go into the dict in one batch, in pair order."""
+    fallback runs on the same pairs under the same ``deadline``, so the
+    failing pair and every timeout are those of the certificate scan.  Each
+    source's witnesses go into the dict in one batch, in pair order."""
     table = _WalkStateTable(adjacency, cmat, ell)
     for u in range(n - 1):
         row = cmat[u]
         targets = [v for v in range(u + 1, n) if not row[v]]
-        reached = table.reach(u, targets, time_limit) if targets else {}
+        reached = table.reach(u, targets, deadline) if targets else {}
         if witnesses is None:
             repeats = table.repeating(reached)
             for v in targets:
                 if v in repeats:
-                    paths = _proper_paths(adjacency, cmat, (u,), [], v, ell, time_limit)
+                    paths = _proper_paths(adjacency, cmat, (u,), [], v, ell, deadline)
                     if next(paths, None) is None:
                         return (u, v)
                 elif v not in reached:
@@ -659,7 +654,7 @@ def _certified_pairs(
             # re-enters u, x-y-x repeats a color and v is not on it before
             # its end, so no two of its vertices 3 or 4 steps apart match.
             if found is not None and len(found) > 5 and len(set(found)) < len(found):
-                found = next(_proper_paths(adjacency, cmat, (u,), [], v, ell, time_limit), None)
+                found = next(_proper_paths(adjacency, cmat, (u,), [], v, ell, deadline), None)
             if found is None:
                 break
             paths.append(found)

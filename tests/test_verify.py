@@ -1,17 +1,21 @@
 import ast
 import collections
+import contextlib
 import hashlib
 import itertools
 import pathlib
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pcc.construct
 import pcc.verify
 from pcc.construct import (
     color_2connected,
+    color_cartesian,
     color_complete_bipartite,
     color_hypercube,
     color_traceable,
@@ -21,6 +25,7 @@ from pcc.construct import (
 from pcc.graphs import (
     EdgeColoring,
     Graph,
+    cartesian_product,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -33,6 +38,7 @@ from pcc.graphs import (
     wheel_graph,
 )
 from pcc.verify import (
+    VerificationCertificate,
     VerificationTimeout,
     _color_matrix,
     _proper_paths,
@@ -264,7 +270,7 @@ def test_timeout_names_source_pair_and_budget():
     # A fallback names its pair.
     cmat = _color_matrix(g, c)
     with pytest.raises(VerificationTimeout, match=r"^path search for pair \(0, 4\) .* 0\.0 s$"):
-        next(_proper_paths(g.adjacency, cmat, (0,), [], 4, 3, 0.0))
+        next(_proper_paths(g.adjacency, cmat, (0,), [], 4, 3, pcc.verify._Deadline(0.0)))
 
 
 def _triangle_gadget(detour: bool):
@@ -459,7 +465,7 @@ def test_hypercube_six_at_window_three_has_two_disjoint_witnesses():
 
 def test_disjoint_search_levels_share_one_budget(monkeypatch):
     # A clock that ticks once per reading; the second level runs out, and
-    # the timeout names the pair's whole budget.
+    # the timeout names the call's whole budget.
     ticks = itertools.count()
     monkeypatch.setattr(pcc.verify, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     levels = []
@@ -474,8 +480,47 @@ def test_disjoint_search_levels_share_one_budget(monkeypatch):
     with pytest.raises(VerificationTimeout) as err:
         verify_coloring(g, c, 3, k=2, time_limit=5.0)
     assert str(err.value) == "path search for pair (0, 1) exceeded the time budget of 5.0 s"
-    # Each level's search gets what is left of the pair's budget.
-    assert len(levels) == 2 and levels[1][6] < levels[0][6] <= 5.0
+    # Every level's search gets the one deadline made on entry, at tick 0.
+    assert len(levels) == 2 and levels[1][6] is levels[0][6]
+    assert (levels[0][6].end, levels[0][6].budget) == (5.0, 5.0)
+
+
+def test_time_limit_is_one_budget_for_the_whole_call(monkeypatch):
+    # A clock that ticks once per reading.  The call reads it once on entry
+    # and every search checks that one deadline, so a budget of t ticks runs
+    # out at reading t + 1, however many sources or pairs came before.  A
+    # budget per source or per pair would start afresh at each and certify
+    # W_9 at k = 1 and k = 2.
+    g, c = wheel_graph(9), color_wheel(9, 2).coloring
+    assert verify_coloring(g, c, 2).ok and verify_coloring(g, c, 2, k=2).ok
+    for k, time_limit, search in (
+        (1, 2.0, "search from vertex 2"),
+        (2, 40.0, "path search for pair (0, 5)"),
+    ):
+        ticks = itertools.count()
+        monkeypatch.setattr(pcc.verify, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        with pytest.raises(VerificationTimeout) as err:
+            verify_coloring(g, c, 2, k=k, time_limit=time_limit)
+        assert str(err.value) == f"{search} exceeded the time budget of {time_limit} s"
+        assert next(ticks) == time_limit + 2
+
+
+def test_time_limit_bounds_the_call_on_wall_time(monkeypatch):
+    # color_cartesian's coloring of C_20 x C_20, taken with the constructor's
+    # own check patched out.  The scan meets pairs whose shortest proper walk
+    # repeats a vertex, and the DFS fallback on pair (11, 69) alone runs past
+    # 1 s.  Budgets that restart for each source and each fallback let this
+    # call run 8.4 s under time_limit=1.0 (2-CPU Xeon, Python 3.11); one
+    # total budget must end it within 2 s.
+    ok = VerificationCertificate(True, {}, None)
+    monkeypatch.setattr(pcc.construct, "verify_coloring", lambda *args: ok)
+    c20 = cycle_graph(20)
+    coloring = color_cartesian(c20, c20).coloring
+    g = cartesian_product(c20, c20)
+    start = time.monotonic()
+    with contextlib.suppress(VerificationTimeout):
+        verify_coloring(g, coloring, 2, time_limit=1.0)
+    assert time.monotonic() - start < 2.0
 
 
 def test_k1_certificates_are_pinned():
