@@ -466,6 +466,21 @@ def test_visit_trace_is_pinned(monkeypatch):
     assert pin == (42115, "ea0412463b7c59546cd13403d055e36718b360d9c264edc320837011427edb0b")
 
 
+def test_exact_outputs_are_pinned():
+    # Only the outputs of each search, not the colorings it visits: a change
+    # to how the search skips blocks must keep this pin as it is.
+    digest = hashlib.sha256()
+    for g, ell, budget in _visit_trace_corpus():
+        r = min_colors_exact(g, ell, budget)
+        if isinstance(r, ExactResult):
+            outputs = (r.min_colors, sorted(r.witness.colors.items()), r.exhausted_levels,
+                       r.colorings_examined)
+        else:
+            outputs = (r.exhausted_levels, r.colorings_examined, r.reason)
+        digest.update(repr(outputs).encode())
+    assert digest.hexdigest() == "574ffccd30253ca09bc8e4488813302dd8bed7debe754a2acd92502082ae4172"
+
+
 def test_each_verification_reads_the_matrix_of_the_coloring_it_checks(monkeypatch):
     # min_colors_exact writes each coloring that passes the lex-leader test
     # into its color matrix before the decision scan reads it.  At every
