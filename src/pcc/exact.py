@@ -7,14 +7,16 @@ order, until one makes the graph (1, ell)-proper connected.  Canonical form
 breaks the color-relabeling symmetry only; there are S(m, t) (Stirling
 partition number) such colorings of m edges.
 
-Not all of them are verified.  When a coloring fails at a pair (u, v), a
-relaxed search, in which the edges after a prefix may take any color,
-finds the shortest prefix of its edge colors that already leaves u and v
-without a proper path, and the search skips every coloring that shares
-that prefix (conflict-directed backjumping; Prosser 1993).  That relaxed
-search runs once per failure: it starts with only the last edge free and
-frees one more edge at a time, keeping every walk state it has reached,
-until u reaches v.
+Not all of them are verified.  When a coloring fails, the decision scan
+(``verify._failing_source``) names its first failing pair (u, v) and the
+later targets w of u that its search from u never reached, each of which
+fails too.  A relaxed search, in which the edges after a prefix may take
+any color, finds the shortest prefix of the edge colors that already
+leaves u and one of those targets without a proper path, and the search
+skips every coloring that shares that prefix (conflict-directed
+backjumping; Prosser 1993).  That relaxed search runs once per failure: it
+starts with only the last edge free and frees one more edge at a time,
+keeping every walk state it has reached, until u reaches every target.
 
 Nor does it verify a coloring that is not the least in its orbit under
 the automorphisms of the graph (lex-leader pruning; Crawford, Ginsberg,
@@ -52,7 +54,7 @@ from typing import Generator, Optional, Union
 
 from .graphs import EdgeColoring, Graph, normalize_edge
 from .structure import automorphism_generators, is_connected, twin_swaps
-from .verify import _first_failing_pair, _validate_window
+from .verify import _failing_source, _validate_window
 
 
 @dataclass(frozen=True)
@@ -200,30 +202,36 @@ def _refuting_prefix(
     assignment: tuple[int, ...],
     t: int,
     u: int,
-    v: int,
+    targets,
     ell: int,
 ) -> int:
     """The shortest prefix of ``assignment``, at least 1 edge long, whose
-    colors alone leave u and v without a distance-ell proper path, given
-    that the full assignment does.
+    colors alone leave u and some vertex of ``targets`` without a
+    distance-ell proper path, given that the full assignment leaves u and
+    each of them without one.
 
     Under prefix q the first q edges keep their colors and every later edge
     may take any color in 1..t, anew at each traversal.  The search runs
     over the states (vertex, previous vertex, last <= ell colors); the walk
     never re-enters u and never turns straight back along the edge it came
-    in on.  Every proper simple u-v path of every completion of the prefix
-    is such a walk, so if no walk reaches v, prefix q refutes (u, v).
+    in on.  Every proper simple u-w path of every completion of the prefix
+    is such a walk, so if no walk reaches w, prefix q refutes (u, w).
 
-    The walks allowed only grow as q falls, so one search serves every q:
-    it starts at q = m - 1, saves each step it takes along a kept edge e
-    in ``deferred[e]``, and when v stays out of reach it releases edge
-    q - 1 by retrying the steps saved there with their other colors.  The
-    first q under which v is reached is the longest prefix that does not
-    refute, so the answer is q + 1.
+    The walks allowed only grow as q falls, so one search serves every q
+    and every target: it starts at q = m - 1, saves each step it takes
+    along a kept edge e in ``deferred[e]``, and while some target stays out
+    of reach it releases edge q - 1 by retrying the steps saved there with
+    their other colors.  A target reached first under q has q + 1 as its
+    shortest refuting prefix, so the answer is q + 1 for the q under which
+    the last target is reached: the least of the targets' prefixes.
     """
     q = len(assignment) - 1
     if q < 1:
         return 1
+    pending = [False] * len(incident)
+    for w in targets:
+        pending[w] = True
+    left = len(targets)
     deferred: list[list[tuple]] = [[] for _ in range(q)]  # (x, y, window, kept)
     start = (u, -1, ())
     seen = {start}
@@ -243,8 +251,11 @@ def _refuting_prefix(
                 for c in colors:
                     if c in window:
                         continue
-                    if y == v:
-                        return q + 1
+                    if pending[y]:
+                        left -= 1
+                        if not left:
+                            return q + 1
+                        pending[y] = False
                     state = (y, x, kept + (c,))
                     if state not in seen:
                         seen.add(state)
@@ -258,8 +269,11 @@ def _refuting_prefix(
             for c in free:
                 if c == fixed or c in window:
                     continue
-                if y == v:
-                    return q + 1
+                if pending[y]:
+                    left -= 1
+                    if not left:
+                        return q + 1
+                    pending[y] = False
                 state = (y, x, kept + (c,))
                 if state not in seen:
                     seen.add(state)
@@ -352,10 +366,12 @@ def min_colors_exact(
 
     A coloring that the lex-leader test shows is not the least in its orbit
     is skipped unverified, with the block of colorings that share the
-    prefix the test returns.  A coloring that fails at (u, v) is cut back
-    to the shortest prefix of its edge colors under which no relaxed walk
-    joins u and v, found by one incremental ``_refuting_prefix`` search,
-    and every coloring sharing that prefix is skipped unverified.
+    prefix the test returns.  A coloring that fails at source u is cut
+    back to the shortest prefix of its edge colors under which no relaxed
+    walk joins u and some target that ``_failing_source`` cuts off, found
+    by one incremental ``_refuting_prefix`` search, and every coloring
+    sharing that prefix is skipped unverified: each leaves that pair
+    without a proper path.
     Visits are counted over every level, skipped colorings included; on
     the n*m-th the generators of Aut(g) replace the twin swaps in the
     lex-leader test.  The deadline is read on the first and every 512th
@@ -407,12 +423,12 @@ def min_colors_exact(
             if p is None:
                 for (a, b), c in zip(g.edges, assignment):
                     cmat[a][b] = cmat[b][a] = c
-                pair = _first_failing_pair(g.adjacency, cmat, n, ell)
-                if pair is None:
+                failing = _failing_source(g.adjacency, cmat, n, ell)
+                if failing is None:
                     examined += _rank(assignment, ways) + 1
                     witness = EdgeColoring(dict(zip(g.edges, assignment)), num_colors=t)
                     return ExactResult(t, witness, examined, tuple(exhausted))
-                p = _refuting_prefix(incident, assignment, t, *pair, ell)
+                p = _refuting_prefix(incident, assignment, t, *failing, ell)
         examined += ways[0][0]
         exhausted.append(t)
     return Inconclusive(tuple(exhausted), examined, f"no valid coloring with <= {top} colors")

@@ -17,7 +17,7 @@ back to the exhaustive, iterative DFS over simple paths (``_proper_paths``).
 Neither search recurses, so witnesses of any length are found.
 
 Two scans run that per-source search over every source.  The decision scan
-(``_first_failing_pair``, behind the exact search) runs ``_walk_states``
+(``_failing_source``, behind the exact search) runs ``_walk_states``
 from each source on tuple states and reads masks, not walks: each state
 carries the vertex bitmask of its walk, -1 once the walk repeats a vertex,
 so only a target whose mask is -1 needs the fallback.  It keeps no parents
@@ -543,7 +543,7 @@ def first_failing_pair(
     same ``time_limit`` (one budget for the whole call) and timeouts.  It
     runs the table scan in its verdict mode, which builds no witness; the
     CLI takes every k = 1 verdict from here.  The exact search runs the
-    decision scan ``_first_failing_pair`` instead.
+    decision scan ``_failing_source`` instead.
 
     A tree whose paths of at most ell+1 edges are all rainbow passes, as
     each pair has one path, and returns None without the scan, unless a
@@ -579,11 +579,16 @@ def _windows_rainbow(adjacency, cmat: list[list[int]], ell: int) -> bool:
     return True
 
 
-def _first_failing_pair(adjacency, cmat: list[list[int]], n: int, ell: int) -> Optional[Pair]:
-    """Scan the pairs u < v in lexicographic order and return the first one
-    with no distance-ell proper path, or None, deciding each source's pairs
-    as the module docstring says.  It has no time budget: the exact search
-    reads its own deadline between colorings.
+def _failing_source(
+    adjacency, cmat: list[list[int]], n: int, ell: int
+) -> Optional[tuple[int, list[int]]]:
+    """Scan the pairs u < v in lexicographic order and return None if each
+    has a distance-ell proper path, or else ``(u, cut)`` for the first pair
+    (u, cut[0]) with none, deciding each source's pairs as the module
+    docstring says.  The rest of ``cut`` are the later targets of u that the
+    same ``_walk_states`` search never reached, so they have no path either;
+    listing them costs no further search.  It has no time budget: the exact
+    search reads its own deadline between colorings.
 
     This is the decision scan of the exact search.  Each source runs its own
     tuple-state BFS, ``_walk_states``, because the exact search makes many
@@ -599,12 +604,11 @@ def _first_failing_pair(adjacency, cmat: list[list[int]], n: int, ell: int) -> O
         reached, masks = _walk_states(adjacency, cmat, u, targets, ell)
         for v in targets:
             j = reached.get(v)
-            if j is None:
-                return (u, v)
-            if masks[j] < 0:
-                paths = _proper_paths(adjacency, cmat, (u,), [], v, ell)
-                if next(paths, None) is None:
-                    return (u, v)
+            if j is not None and (
+                masks[j] >= 0 or next(_proper_paths(adjacency, cmat, (u,), [], v, ell), None)
+            ):
+                continue
+            return u, [v, *(w for w in targets if w > v and w not in reached)]
     return None
 
 
@@ -616,7 +620,7 @@ def _certified_pairs(
     witnesses: Optional[dict[Pair, tuple[Path, ...]]] = None,
     deadline: Optional[_Deadline] = None,
 ) -> Optional[Pair]:
-    """The table scan: ``_first_failing_pair`` on one shared
+    """The table scan: the pair search of ``_failing_source`` on one shared
     ``_WalkStateTable``.  With a ``witnesses`` dict (the certificate scan)
     it puts there the witnesses of the pairs before the failing one; with
     None (the verdict scan) it only decides them.

@@ -206,23 +206,37 @@ def test_relaxed_refutation_holds_for_every_completion():
 def test_refuting_prefix_matches_linear_rescan():
     # The incremental search gives the prefix that rescanning the relaxed
     # search at m - 1, m - 2, ... gives, on random (not only canonical)
-    # assignments and every ordered pair, adjacent pairs included.
+    # assignments and every ordered pair, adjacent pairs included.  Given
+    # several targets, it gives the least of their prefixes.
     rng = random.Random(37)
-    compared = 0
+    compared = several = 0
     for _ in range(60):
         g = random_connected_graph(rng.randint(2, 8), rng, extra=rng.choice((0.1, 0.3)))
         incident = _incident_edges(g)
         for _ in range(3):
             t, ell = rng.randint(1, 4), rng.randint(1, 3)
             assignment = tuple(rng.randint(1, t) for _ in range(g.m))
+            prefixes = {}
             for u, v in itertools.permutations(range(g.n), 2):
                 p = g.m
                 while p > 1 and not relaxed_walk_exists(incident, assignment, p - 1, t, u, v, ell):
                     p -= 1
-                assert _refuting_prefix(incident, assignment, t, u, v, ell) == p, (
+                assert _refuting_prefix(incident, assignment, t, u, (v,), ell) == p, (
                     g.edges, assignment, t, u, v, ell)
+                prefixes[u, v] = p
                 compared += 1
-    assert compared > 3000
+            # Several targets at once: the least of their own prefixes.
+            for _ in range(g.n):
+                u = rng.randrange(g.n)
+                others = [v for v in range(g.n) if v != u]
+                if not others:
+                    continue
+                targets = rng.sample(others, rng.randint(1, len(others)))
+                assert _refuting_prefix(incident, assignment, t, u, targets, ell) == min(
+                    prefixes[u, v] for v in targets), (g.edges, assignment, t, u, targets, ell)
+                several += len(targets) > 1
+    # 4,440 pairs, and 680 target sets of more than one.
+    assert compared > 3000 and several > 600, (compared, several)
 
 
 def test_search_decides_past_the_default_edge_cap():
@@ -235,6 +249,17 @@ def test_search_decides_past_the_default_edge_cap():
     r = min_colors_exact(hypercube_graph(4), 2, budget)
     assert r.min_colors == 3
     assert r.min_colors == len(color_hypercube(4, 2).coloring.used_colors())
+
+
+def test_sparse_graph_without_symmetry_decides_at_window_three_within_three_seconds():
+    # No automorphism prunes this graph, so every block it skips is a
+    # refutation's; backjumping on the least prefix of every target the
+    # failing source cuts off decides it in well under the cap.
+    g = random_2connected(12, 17, 99)
+    r = min_colors_exact(g, 3, SearchBudget(max_edges=32, time_limit=3))
+    assert isinstance(r, ExactResult), r
+    assert (r.min_colors, r.exhausted_levels, r.colorings_examined) == (4, (1, 2, 3), 22150789)
+    assert verify_coloring(g, r.witness, 3).ok
 
 
 def test_sending_a_prefix_skips_to_the_next_block():
@@ -429,11 +454,11 @@ def _visit_trace_corpus():
 
 
 def test_visit_trace_is_pinned(monkeypatch):
-    # Each search's sequence of lex-leader skip results, failing pairs and
-    # refuting prefixes, with its outputs, hashed with SHA-256; the pin is
-    # the SHA-256 of those digests in corpus order.  It was recorded while
-    # the lex-leader test found the common prefix and the color counts
-    # itself, and the decision scan rebuilt a walk for every target.
+    # Each search's sequence of lex-leader skip results, failing sources
+    # with their cut-off targets and refuting prefixes, with its outputs,
+    # hashed with SHA-256; the pin is the SHA-256 of those digests in corpus
+    # order.  It was recorded when the search first backjumped on every
+    # target that the failing source cuts off.
     events = []
 
     def recording(kind, fn):
@@ -444,8 +469,8 @@ def test_visit_trace_is_pinned(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(pcc.exact._LexLeader, "skip", recording("skip", pcc.exact._LexLeader.skip))
-    monkeypatch.setattr(pcc.exact, "_first_failing_pair",
-                        recording("pair", pcc.exact._first_failing_pair))
+    monkeypatch.setattr(pcc.exact, "_failing_source",
+                        recording("source", pcc.exact._failing_source))
     monkeypatch.setattr(pcc.exact, "_refuting_prefix", recording("prefix", pcc.exact._refuting_prefix))
     digests = []
     total = 0
@@ -463,7 +488,7 @@ def test_visit_trace_is_pinned(monkeypatch):
     assert len(digests) == 315
     assert isinstance(r, Inconclusive) and r.exhausted_levels == (1, 2)
     pin = (total, hashlib.sha256("".join(digests).encode()).hexdigest())
-    assert pin == (42115, "ea0412463b7c59546cd13403d055e36718b360d9c264edc320837011427edb0b")
+    assert pin == (35012, "2f722a17c53b74f3f3487b5a9ce89c339410ef2121f2aecf7bf8fe02b34fb10a")
 
 
 def test_exact_outputs_are_pinned():
@@ -489,7 +514,7 @@ def test_each_verification_reads_the_matrix_of_the_coloring_it_checks(monkeypatc
     # write from only the edge the odometer reports changed on this visit
     # leaves edges stale and fails here.
     seen, verified = [], []
-    real_skip, real_scan = pcc.exact._LexLeader.skip, pcc.exact._first_failing_pair
+    real_skip, real_scan = pcc.exact._LexLeader.skip, pcc.exact._failing_source
 
     def skip(self, assignment, changed, used):
         seen[:] = [assignment]
@@ -501,7 +526,7 @@ def test_each_verification_reads_the_matrix_of_the_coloring_it_checks(monkeypatc
         return real_scan(adjacency, cmat, n, ell)
 
     monkeypatch.setattr(pcc.exact._LexLeader, "skip", skip)
-    monkeypatch.setattr(pcc.exact, "_first_failing_pair", scan)
+    monkeypatch.setattr(pcc.exact, "_failing_source", scan)
     for g, ell, budget in random.Random(67).sample(_visit_trace_corpus(), 100):
         min_colors_exact(g, ell, budget)
     assert len(verified) >= 1000, len(verified)

@@ -704,6 +704,12 @@ def _verdict_corpus(seed, count):
         yield g, random_coloring(g, rng.randint(2, 5), rng), rng.randint(1, 4)
 
 
+def _decision_pair(adjacency, cmat, n, ell):
+    """The first failing pair of the exact search's decision scan, or None."""
+    found = pcc.verify._failing_source(adjacency, cmat, n, ell)
+    return found and (found[0], found[1][0])
+
+
 def test_verdict_scan_matches_both_other_scans(monkeypatch):
     # first_failing_pair runs the table scan without witnesses; its verdict
     # must be the certificate's failing pair and the tuple-state decision
@@ -727,7 +733,7 @@ def test_verdict_scan_matches_both_other_scans(monkeypatch):
         monkeypatch.setattr(pcc.verify, "_proper_paths", real)
         with_fallback += sum(calls.values()) > before
         assert failing == verify_coloring(g, c, ell).failing_pair
-        assert failing == pcc.verify._first_failing_pair(g.adjacency, _color_matrix(g, c), g.n, ell)
+        assert failing == _decision_pair(g.adjacency, _color_matrix(g, c), g.n, ell)
         verdicts[failing is None] += 1
     assert verdicts[True] >= 150 and verdicts[False] >= 1000
     assert with_fallback >= 10 and calls[True] >= 3 and calls[False] >= 3
@@ -751,7 +757,7 @@ def test_decision_scan_falls_back_on_exactly_the_repeating_walks(monkeypatch):
     for g, c, ell in _verdict_corpus(47, 1500):
         cmat = _color_matrix(g, c)
         calls.clear()
-        failing = pcc.verify._first_failing_pair(g.adjacency, cmat, g.n, ell)
+        failing = _decision_pair(g.adjacency, cmat, g.n, ell)
         fallbacks += len(calls)
         expect = []
         scanned = True
@@ -771,6 +777,29 @@ def test_decision_scan_falls_back_on_exactly_the_repeating_walks(monkeypatch):
     # 16 fallbacks, 9 of them refuting, and 34 flagged targets.
     assert fallbacks >= 10 and refuted >= 3 and flagged > 2 * fallbacks, (
         fallbacks, refuted, flagged)
+
+
+def test_failing_source_cuts_off_only_unreached_failing_targets():
+    # The decision scan's cut is its failing target followed by the later
+    # targets of the same source that its one walk-state search never
+    # reached; each of them has no proper path from the source.
+    cuts = longer = 0
+    for g, c, ell in _verdict_corpus(53, 1500):
+        cmat = _color_matrix(g, c)
+        found = pcc.verify._failing_source(g.adjacency, cmat, g.n, ell)
+        assert (found and (found[0], found[1][0])) == first_failing_pair(g, c, ell)
+        if found is None:
+            continue
+        u, cut = found
+        targets = [v for v in range(u + 1, g.n) if not cmat[u][v]]
+        reached, _ = pcc.verify._walk_states(g.adjacency, cmat, u, targets, ell)
+        assert cut[1:] == [w for w in targets if w > cut[0] and w not in reached]
+        for w in cut:
+            assert not proper_path_exists(g, c, u, w, ell), (g.edges, u, w, ell)
+        cuts += 1
+        longer += len(cut) > 1
+    # 1,195 cuts, 981 of them with more than one target.
+    assert cuts >= 1000 and longer >= 900, (cuts, longer)
 
 
 def test_repeating_walks_read_off_the_predecessor_chains():
