@@ -143,10 +143,7 @@ def _cmd_color(args) -> int:
         g, report = _construct_for_family(args)
     else:
         g, report = _construct_for_method(args)
-    if report.certificate is not None:
-        failing = report.certificate.failing_pair
-    else:
-        failing = verify.first_failing_pair(g, report.coloring, args.ell)
+    failing = None if report.verified else verify.first_failing_pair(g, report.coloring, args.ell)
     if failing is not None:
         print("verified false")
         print(f"failing_pair {failing[0]} {failing[1]}")

@@ -2,11 +2,11 @@
 
 Every constructor returns a ConstructionReport whose coloring is expected
 to pass verify_coloring at the requested window; the constructors for
-2-connected graphs, Cartesian products, and permutation graphs verify
-their own output, attach the certificate to the report, and raise
-InvariantViolation rather than return a bad coloring.  Greedy choices
-always take the lowest admissible color so outputs are reproducible byte
-for byte.
+2-connected graphs, Cartesian products, and permutation graphs check their
+own output with the verdict scan ``first_failing_pair``, mark the report
+``verified``, and raise InvariantViolation rather than return a bad
+coloring.  Greedy choices always take the lowest admissible color so
+outputs are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Optional, Sequence
 
@@ -47,29 +47,22 @@ from .structure import (
     max_subtree_size_with_diameter,
     minimally_2connected_spanning,
 )
-from .verify import (
-    VerificationCertificate,
-    _proper_paths,
-    _validate_window,
-    verify_coloring,
-)
+from .verify import _proper_paths, _validate_window, first_failing_pair
 
 
 @dataclass(frozen=True)
 class ConstructionReport:
     """A constructed coloring together with the claimed color count.
 
-    ``certificate`` is the passing verification of the coloring, at the
-    constructor's window, when the constructor verified its own output.
+    ``verified`` is True when the constructor found the coloring
+    (1, l)-proper connected at its window before returning it.
     """
 
     coloring: EdgeColoring
     claimed_colors: int
     theorem: str
     notes: str = ""
-    certificate: Optional[VerificationCertificate] = field(
-        default=None, compare=False, repr=False
-    )
+    verified: bool = False
 
     def __post_init__(self):
         if len(self.coloring.used_colors()) > self.claimed_colors:
@@ -661,18 +654,18 @@ def color_cartesian(g: Graph, h: Graph) -> ConstructionReport:
     for e in pg.edges:
         full.setdefault(e, 1)
     coloring = EdgeColoring(full)
-    cert = verify_coloring(pg, coloring, 2)
-    if not cert.ok:
+    failing = first_failing_pair(pg, coloring, 2)
+    if failing is not None:
         path = hamiltonian_path(pg)
         if path is not None:
-            note = f"{note} failed at pair {cert.failing_pair}; Hamiltonian path instead"
+            note = f"{note} failed at pair {failing}; Hamiltonian path instead"
             coloring, claimed = color_traceable(pg, path, 2).coloring, 3
-            cert = verify_coloring(pg, coloring, 2)
-    if not cert.ok:
+            failing = first_failing_pair(pg, coloring, 2)
+    if failing is not None:
         raise InvariantViolation(
-            f"product coloring failed verification at pair {cert.failing_pair} ({note})"
+            f"product coloring failed verification at pair {failing} ({note})"
         )
-    return ConstructionReport(coloring, claimed, "cartesian", note, cert)
+    return ConstructionReport(coloring, claimed, "cartesian", note, verified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -735,8 +728,22 @@ def _color_ear(
     v: int,
 ) -> tuple[dict[Edge, int], dict[int, AnchorSet]]:
     """Assign colors to one ear attached at (u, v); returns the new edge
-    colors and the anchor sets for the interior vertices.  Raises
-    InvariantViolation when no admissible color exists in this orientation.
+    colors and the anchor sets for the interior vertices.
+
+    Raises InvariantViolation only when ``_anchored_proper_path`` finds no
+    path, and then the ear has none from v to u either, so one orientation
+    is all there is to try.  While every anchor set spans at most 4 colors,
+    as ``color_2connected`` checks, each ``_lowest`` call has more
+    candidates than exclusions: palette calls exclude at most 4 of 5 colors,
+    the 3 distinct candidates {lookup(x, v), c_vv1, c_vv2} meet at most 2,
+    and the pinned edge's 2 meet 1.  Each new AnchorSet has distinct
+    vertices, as the ear is open and the search never takes w1 == v.  Each
+    anchor path is proper: its edges follow each other on the base cycle,
+    or on an ear extended by an anchor path at each end, and there adjacent
+    colors differ.  So the search, exhaustive for each anchor prefix, finds
+    exactly the window-proper paths that start along an anchor path of u
+    and end along one of v; its cases ``w2 == v`` and ``w1 == v`` mirror
+    each other, and reversal maps these paths onto those from v to u.
     """
     found = _anchored_proper_path(adjacency, cmat, anchors, u, v)
     if found is None:
@@ -859,7 +866,8 @@ def color_2connected(g: Graph) -> ConstructionReport:
     one or two leftover edges, then color each ear so the walk from the
     chosen anchor of one endpoint through the ear stays window-proper while
     each vertex keeps an anchor set spanning at most 4 colors.  Remaining
-    edges of the input get color 1, and the result must verify.
+    edges of the input get color 1, and the result must pass
+    ``first_failing_pair``.  Ears are colored from ear[0] to ear[-1] only.
     """
     if not is_2_connected(g):
         raise ValueError("coloring requires a 2-connected graph")
@@ -890,21 +898,9 @@ def color_2connected(g: Graph) -> ConstructionReport:
         )
 
     for ear_index, ear in enumerate(decomp.ears):
-        attempts = [(ear[0], list(ear[1:-1]), ear[-1])]
-        attempts.append((ear[-1], list(reversed(ear[1:-1])), ear[0]))
-        last_error: Optional[InvariantViolation] = None
-        for u, interior, v in attempts:
-            try:
-                trial, new_anchors = _color_ear(
-                    cmat, anchors, adjacency, ear_index, u, interior, v
-                )
-                break
-            except InvariantViolation as err:
-                last_error = err
-        else:
-            raise InvariantViolation(
-                f"ear {ear_index} {ear} admits no orientation: {last_error}"
-            )
+        trial, new_anchors = _color_ear(
+            cmat, anchors, adjacency, ear_index, ear[0], list(ear[1:-1]), ear[-1]
+        )
         for (a, b), c in trial.items():
             add_edge(a, b, c)
         anchors.update(new_anchors)
@@ -916,17 +912,15 @@ def color_2connected(g: Graph) -> ConstructionReport:
                 )
 
     coloring = EdgeColoring({(a, b): cmat[a][b] or 1 for a, b in g.edges})
-    cert = verify_coloring(g, coloring, 2)
-    if not cert.ok:
-        raise InvariantViolation(
-            f"2-connected coloring failed verification at pair {cert.failing_pair}"
-        )
+    failing = first_failing_pair(g, coloring, 2)
+    if failing is not None:
+        raise InvariantViolation(f"2-connected coloring failed verification at pair {failing}")
     return ConstructionReport(
         coloring,
         5,
         "two_connected",
         f"reduced to {reduced.m} edges, base cycle {r}, {len(decomp.ears)} ears",
-        cert,
+        verified=True,
     )
 
 
@@ -994,11 +988,11 @@ def color_permutation_graph(
     for j in range(2, n):
         colors[normalize_edge(v_label(j), u_label(sigma(j)))] = cyc(j - 1)
     coloring = EdgeColoring(colors, num_colors=span)
-    cert = verify_coloring(pg, coloring, ell)
-    if not cert.ok:
+    failing = first_failing_pair(pg, coloring, ell)
+    if failing is not None:
         raise InvariantViolation(
-            f"permutation-graph coloring failed verification at pair {cert.failing_pair}"
+            f"permutation-graph coloring failed verification at pair {failing}"
         )
     return ConstructionReport(
-        coloring, span, "permutation", f"split position {i} of {n}", cert
+        coloring, span, "permutation", f"split position {i} of {n}", verified=True
     )

@@ -47,14 +47,13 @@ never a silent bound.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Generator, Optional, Union
 
 from .graphs import EdgeColoring, Graph, normalize_edge
 from .structure import automorphism_generators, is_connected, twin_swaps
-from .verify import _failing_source, _validate_window
+from .verify import _Deadline, _failing_source, _validate_window
 
 
 @dataclass(frozen=True)
@@ -389,11 +388,7 @@ def min_colors_exact(
     if g.m > budget.max_edges:
         return Inconclusive((), 0, f"graph has {g.m} edges, budget allows {budget.max_edges}")
     top = g.m if budget.max_colors is None else min(budget.max_colors, g.m)
-    deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
-
-    def expired() -> bool:
-        return deadline is not None and time.monotonic() > deadline
-
+    deadline = None if budget.time_limit is None else _Deadline(budget.time_limit)
     n, m = g.n, g.m
     defer = n * m
     cmat = [[0] * n for _ in range(n)]
@@ -415,8 +410,8 @@ def min_colors_exact(
                 break
             visits += 1
             if visits == defer:
-                lex = _LexLeader(_edge_permutations(g, automorphism_generators(g, expired)))
-            if (visits % 512 == 1 or visits == defer) and expired():
+                lex = _LexLeader(_edge_permutations(g, automorphism_generators(g, deadline)))
+            if (visits % 512 == 1 or visits == defer) and deadline and deadline.expired():
                 examined += _rank(assignment, ways) + 1
                 return Inconclusive(tuple(exhausted), examined, "time limit")
             p = lex.skip(assignment, odometer.changed, used)

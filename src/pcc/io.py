@@ -1,10 +1,12 @@
 """Text formats for graphs and edge colorings.
 
 Edge-list format: line 1 is ``n m``, followed by m lines ``u v`` with
-0-indexed endpoints, u < v, space-separated, LF line endings.  Coloring
-format: m lines ``u v c`` with c >= 1, in the same edge order as the graph
-file.  Both round-trip exactly: read(write(x)) == x (a coloring written
-here is canonical, i.e. num_colors equals the maximum color used).
+0-indexed endpoints, u < v, space-separated, LF line endings; the edge
+lines may come in any order.  Coloring format: m lines ``u v c`` with
+c >= 1, in the graph's ascending edge order (``Graph.edges``, the order
+``write_graph`` writes), whatever the order of the graph file.  Both
+round-trip exactly: read(write(x)) == x (a coloring written here is
+canonical, i.e. num_colors equals the maximum color used).
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graphs import Edge, Graph, InvariantViolation, normalize_edge
 
@@ -386,9 +386,7 @@ def _ranked(keys: list) -> tuple[list[int], int]:
     return [rank[k] for k in keys], len(rank)
 
 
-def automorphism_generators(
-    g: Graph, expired: Callable[[], bool] = lambda: False
-) -> list[tuple[int, ...]]:
+def automorphism_generators(g: Graph, deadline=None) -> list[tuple[int, ...]]:
     """Vertex maps that generate Aut(g), by individualize-and-refine.
 
     An ordered partition (``cell[v]``, cells numbered in order) is refined
@@ -411,8 +409,9 @@ def automorphism_generators(
     swaps of its twin class generate the whole symmetric group of the
     class, which contains it; so no search runs and no map is added.  A
     twin class of k vertices thus costs k - 1 maps, not about k^2/2, and
-    on a star the searches alone would cost O(n^4).  Once ``expired()`` is
-    true the maps found so far are returned.
+    on a star the searches alone would cost O(n^4).  ``deadline`` is None
+    or a ``verify._Deadline``; once its ``expired()`` is true the maps
+    found so far are returned.
     """
     n, adj = g.n, g.adjacency
     edges = g._edge_set
@@ -458,7 +457,7 @@ def automorphism_generators(
                 stack.pop()
                 continue
             level = depth + len(stack) - 1
-            if expired():
+            if deadline is not None and deadline.expired():
                 return None
             if sizes(node) != shapes[level]:
                 continue
@@ -482,6 +481,6 @@ def automorphism_generators(
             found = search(individualize(path[i], w), i + 1)
             if found is not None:
                 generators.append(found)
-            if expired():
+            if deadline is not None and deadline.expired():
                 return generators
     return generators

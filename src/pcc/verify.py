@@ -118,11 +118,12 @@ def _validate_window(ell: int) -> int:
 
 
 class _Deadline:
-    """The one budget of a ``verify_coloring`` or ``first_failing_pair``
-    call, made on entry and passed unchanged to each of its searches, which
-    stop once ``time.monotonic()`` passes ``end``; the timeout names the
-    ``budget`` in seconds.  ValueError unless ``time_limit`` is a number
-    >= 0; NaN fails the test, so it cannot disable every check."""
+    """The one budget of a ``verify_coloring``, ``first_failing_pair`` or
+    ``exact.min_colors_exact`` call, made on entry and passed unchanged to
+    each of its searches, which stop once ``time.monotonic()`` passes
+    ``end`` (``expired()``; the hot loops read ``end`` inline); the timeout
+    names the ``budget`` in seconds.  ValueError unless ``time_limit`` is a
+    number >= 0; NaN fails the test, so it cannot disable every check."""
 
     __slots__ = ("end", "budget")
 
@@ -131,6 +132,9 @@ class _Deadline:
             raise ValueError(f"time_limit must be >= 0, got {time_limit}")
         self.end = time.monotonic() + time_limit
         self.budget = time_limit
+
+    def expired(self) -> bool:
+        return time.monotonic() > self.end
 
     def timeout(self, search: str) -> VerificationTimeout:
         return VerificationTimeout(f"{search} exceeded the time budget of {self.budget} s")

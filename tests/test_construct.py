@@ -465,7 +465,7 @@ def test_cartesian_surfaced_gap_falls_back_to_hamiltonian_path(monkeypatch):
         assert r.claimed_colors == 3 and len(r.coloring.used_colors()) == 3
         assert "Hamiltonian path" in r.notes
         assert_sound(r, pg, 2)
-        assert r.certificate == verify_coloring(pg, r.coloring, 2)
+        assert r.verified
     # Without a Hamiltonian path to fall back on, the failure stays loud.
     monkeypatch.setattr(construct, "hamiltonian_path", lambda g: None)
     with pytest.raises(InvariantViolation):
@@ -563,6 +563,43 @@ def test_2connected_exhaustive_up_to_six_vertices():
                 assert verify_coloring(g, r.coloring, 2).ok, g.edges
                 total += 1
     assert total == 11617
+
+
+def test_reversed_anchored_path_is_anchored_the_other_way(monkeypatch):
+    # color_2connected colors each ear from ear[0] to ear[-1] only.  That is
+    # enough because the reverse of the anchored u-v path that _color_ear
+    # starts from is an anchored v-u path, so the search in the other
+    # orientation finds a path exactly when this one does.  Checked at every
+    # ear of every 2-connected graph on at most 6 vertices and of seeded
+    # random 2-connected graphs.
+    real = construct._color_ear
+    ears = Counter()
+
+    def checked(cmat, anchors, adjacency, ear_index, u, interior, v):
+        found = construct._anchored_proper_path(adjacency, cmat, anchors, u, v)
+        assert found is not None and found[0] == u and found[-1] == v
+        back = found[::-1]
+        colors = [cmat[a][b] for a, b in zip(back, back[1:])]
+        assert len(set(back)) == len(back) and all(colors)
+        assert all(len(set(colors[i:i + 3])) == len(colors[i:i + 3]) for i in range(len(colors)))
+        assert back[:3] in anchors[v].paths and back[:-4:-1] in anchors[u].paths
+        assert construct._anchored_proper_path(adjacency, cmat, anchors, v, u) is not None
+        ears[len(interior)] += 1
+        return real(cmat, anchors, adjacency, ear_index, u, interior, v)
+
+    monkeypatch.setattr(construct, "_color_ear", checked)
+    for n in (3, 4, 5, 6):
+        possible = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(possible)):
+            g = Graph(n, [e for i, e in enumerate(possible) if bits >> i & 1])
+            if g.m and is_2_connected(g):
+                color_2connected(g)
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(6, 40)
+        m = rng.randint(n, min(n * (n - 1) // 2, 2 * n))
+        color_2connected(random_2connected(n, m, rng.randrange(10**6)))
+    assert ears[1] > 100 and ears[2] > 1000 and sum(ears.values()) - ears[1] - ears[2] > 50, ears
 
 
 def test_anchor_set_validation():

@@ -427,10 +427,10 @@ def test_deadline_trip_counts_on_a_ticking_clock(monkeypatch):
         ticks = itertools.count()
         return types.SimpleNamespace(monotonic=lambda: float(next(ticks)))
 
-    monkeypatch.setattr(pcc.exact, "time", ticking())
+    monkeypatch.setattr(pcc.verify, "time", ticking())
     r = min_colors_exact(wheel_graph(8), 2, SearchBudget(time_limit=1.5))
     assert r == Inconclusive((1,), 4609, "time limit")
-    monkeypatch.setattr(pcc.exact, "time", ticking())
+    monkeypatch.setattr(pcc.verify, "time", ticking())
     r = min_colors_exact(wheel_graph(16), 2, SearchBudget(max_edges=32, time_limit=1.5))
     assert r == Inconclusive((1,), 351797249, "time limit")
 

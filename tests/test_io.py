@@ -49,6 +49,17 @@ def test_coloring_parse_errors():
         read_coloring("0 1 0\n1 2 1", g)
 
 
+def test_coloring_follows_ascending_edge_order_not_the_graph_file():
+    # The graph file may list its edges in any order; a coloring follows
+    # the graph's ascending edge order all the same.
+    g = read_graph("3 2\n1 2\n0 1\n")
+    assert g.edges == ((0, 1), (1, 2))
+    assert read_coloring("0 1 2\n1 2 1\n", g) == EdgeColoring({(0, 1): 2, (1, 2): 1})
+    with pytest.raises(ParseError) as err:
+        read_coloring("1 2 1\n0 1 2\n", g)
+    assert err.value.line == 1
+
+
 @st.composite
 def graphs_with_colorings(draw):
     n = draw(st.integers(min_value=1, max_value=50))
