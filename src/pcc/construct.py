@@ -682,6 +682,14 @@ def _base_cycle_pattern(r: int) -> list[int]:
     return pattern
 
 
+def _color_edge(cmat: list[list[int]], adjacency: list[list[int]], a: int, b: int, c: int) -> None:
+    """Color edge ab with c in the matrix and add it to the sorted colored
+    adjacency, which keeps the path searches in ascending order."""
+    cmat[a][b] = cmat[b][a] = c
+    insort(adjacency[a], b)
+    insort(adjacency[b], a)
+
+
 def _anchored_proper_path(
     adjacency: list[list[int]],
     cmat: list[list[int]],
@@ -690,11 +698,11 @@ def _anchored_proper_path(
     v: int,
 ) -> Optional[tuple[int, ...]]:
     """Window-proper u-v path whose first two edges follow one of u's anchor
-    paths and whose last two match one of v's, searched by ascending DFS."""
+    paths and whose last two match one of v's, searched by ascending DFS.
+    Every anchor path is colored before its anchor is made, so each prefix
+    (u, w1, w2) already has both colors."""
     end_ok = {(p[1], p[2]) for p in anchors[v].paths}
     for _, w1, w2 in anchors[u].paths:
-        if not (cmat[u][w1] and cmat[w1][w2]):
-            continue
         if w1 == v or (w2 == v and (w1, u) not in end_ok):
             continue
         if w2 == v:
@@ -706,13 +714,13 @@ def _anchored_proper_path(
     return None
 
 
-def _near_window_colors(w_path: list[int], idx: int, lookup) -> set[int]:
+def _near_window_colors(w_path: list[int], idx: int, cmat: list[list[int]]) -> set[int]:
     """Colors already placed on the edges at distance <= 2 positions from
     edge idx along the working path."""
     out = set()
     for j in (idx - 2, idx - 1, idx + 1, idx + 2):
         if 0 <= j < len(w_path) - 1:
-            c = lookup(w_path[j], w_path[j + 1])
+            c = cmat[w_path[j]][w_path[j + 1]]
             if c:
                 out.add(c)
     return out
@@ -726,21 +734,28 @@ def _color_ear(
     u: int,
     interior: list[int],
     v: int,
-) -> tuple[dict[Edge, int], dict[int, AnchorSet]]:
-    """Assign colors to one ear attached at (u, v); returns the new edge
-    colors and the anchor sets for the interior vertices.
+) -> dict[int, AnchorSet]:
+    """Color one ear attached at (u, v) straight into ``cmat`` and
+    ``adjacency``; returns the anchor sets for the interior vertices.
+
+    The ear shares no edge with the colored ones, so each matrix entry is
+    written once and ``cmat`` holds exactly the old colors plus those this
+    ear has placed so far.  Nothing reads ``adjacency`` after
+    ``_anchored_proper_path``, and a raise aborts the whole coloring, so
+    no half-colored ear survives.
 
     Raises InvariantViolation only when ``_anchored_proper_path`` finds no
     path, and then the ear has none from v to u either, so one orientation
     is all there is to try.  While every anchor set spans at most 4 colors,
     as ``color_2connected`` checks, each ``_lowest`` call has more
     candidates than exclusions: palette calls exclude at most 4 of 5 colors,
-    the 3 distinct candidates {lookup(x, v), c_vv1, c_vv2} meet at most 2,
+    the 3 distinct candidates {cmat[x][v], c_vv1, c_vv2} meet at most 2,
     and the pinned edge's 2 meet 1.  Each new AnchorSet has distinct
     vertices, as the ear is open and the search never takes w1 == v.  Each
     anchor path is proper: its edges follow each other on the base cycle,
     or on an ear extended by an anchor path at each end, and there adjacent
-    colors differ.  So the search, exhaustive for each anchor prefix, finds
+    colors differ, except that a p=1 ear's start edge x-u may take the
+    color of x-v, a pair that no anchor path holds.  So the search, exhaustive for each anchor prefix, finds
     exactly the window-proper paths that start along an anchor path of u
     and end along one of v; its cases ``w2 == v`` and ``w1 == v`` mirror
     each other, and reversal maps these paths onto those from v to u.
@@ -755,90 +770,49 @@ def _color_ear(
     f_pv = anchors[v].edge_colors(cmat)
     c_vv1, c_vv2 = cmat[v][v1], cmat[v][v2]
     c_uw1, c_w1w2 = cmat[u][w1], cmat[w1][w2]
-    trial: dict[Edge, int] = {}
-
-    def lookup(a: int, b: int) -> int:
-        # 0 for an edge that is still uncolored; colors are >= 1.
-        return trial.get(normalize_edge(a, b)) or cmat[a][b]
-
-    def put(a: int, b: int, c: int) -> None:
-        trial[normalize_edge(a, b)] = c
-
     p = len(interior)
     ctx = f"ear {ear_index} (p={p})"
     palette = range(1, 6)
     if p == 1:
         x = interior[0]
-        put(x, v, _lowest(palette, f_pv, f"{ctx} end edge"))
+        _color_edge(cmat, adjacency, x, v, _lowest(palette, f_pv, f"{ctx} end edge"))
         if c_vv1 == c_vv2:
-            put(x, u, _lowest(palette, {c_w1w2, c_uw1}, f"{ctx} start edge"))
+            c = _lowest(palette, {c_w1w2, c_uw1}, f"{ctx} start edge")
         else:
-            cand = {lookup(x, v), c_vv1, c_vv2}
-            put(x, u, _lowest(cand, {c_w1w2, c_uw1}, f"{ctx} start edge"))
+            c = _lowest({cmat[x][v], c_vv1, c_vv2}, {c_w1w2, c_uw1}, f"{ctx} start edge")
+        _color_edge(cmat, adjacency, x, u, c)
         new_anchors = {x: AnchorSet(x, ((x, u, w1), (x, v, v1), (x, v, v2)))}
     else:
         w_path = [w2, w1, u] + interior + [v]
         last, second_last = interior[-1], interior[-2]
-        put(last, v, _lowest(palette, f_pv, f"{ctx} end edge"))
+        _color_edge(cmat, adjacency, last, v, _lowest(palette, f_pv, f"{ctx} end edge"))
         if c_vv1 == c_vv2:
-            put(
-                second_last,
-                last,
-                _lowest(palette, {lookup(last, v), c_vv1}, f"{ctx} next-to-end edge"),
-            )
+            c = _lowest(palette, {cmat[last][v], c_vv1}, f"{ctx} next-to-end edge")
+            _color_edge(cmat, adjacency, second_last, last, c)
             for idx in range(p, 1, -1):
-                put(
-                    w_path[idx],
-                    w_path[idx + 1],
-                    _lowest(
-                        palette,
-                        _near_window_colors(w_path, idx, lookup),
-                        f"{ctx} edge {idx}",
-                    ),
-                )
+                c = _lowest(palette, _near_window_colors(w_path, idx, cmat), f"{ctx} edge {idx}")
+                _color_edge(cmat, adjacency, w_path[idx], w_path[idx + 1], c)
         elif p == 2:
-            cand = {lookup(last, v), c_vv1, c_vv2}
-            put(u, interior[0], _lowest(cand, {c_uw1, c_w1w2}, f"{ctx} start edge"))
-            put(
-                interior[0],
-                interior[1],
-                _lowest(
-                    palette,
-                    {lookup(last, v), c_vv1, c_vv2, c_uw1},
-                    f"{ctx} middle edge",
-                ),
-            )
+            near_v = {cmat[last][v], c_vv1, c_vv2}
+            c = _lowest(near_v, {c_uw1, c_w1w2}, f"{ctx} start edge")
+            _color_edge(cmat, adjacency, u, interior[0], c)
+            c = _lowest(palette, near_v | {c_uw1}, f"{ctx} middle edge")
+            _color_edge(cmat, adjacency, interior[0], interior[1], c)
         else:
-            put(
-                interior[-3],
-                interior[-2],
-                _lowest({c_vv1, c_vv2}, {c_uw1}, f"{ctx} pinned edge"),
-            )
+            c = _lowest({c_vv1, c_vv2}, {c_uw1}, f"{ctx} pinned edge")
+            _color_edge(cmat, adjacency, interior[-3], interior[-2], c)
             for idx in range(2, p):
-                put(
-                    w_path[idx],
-                    w_path[idx + 1],
-                    _lowest(
-                        palette,
-                        _near_window_colors(w_path, idx, lookup),
-                        f"{ctx} edge {idx}",
-                    ),
-                )
-            put(
-                second_last,
-                last,
-                _lowest(
-                    palette,
-                    {
-                        lookup(last, v),
-                        c_vv1,
-                        c_vv2,
-                        lookup(interior[-3], interior[-2]),
-                        lookup(w_path[p - 1], w_path[p]),
-                    },
-                    f"{ctx} next-to-end edge",
-                ),
-            )
+                c = _lowest(palette, _near_window_colors(w_path, idx, cmat), f"{ctx} edge {idx}")
+                _color_edge(cmat, adjacency, w_path[idx], w_path[idx + 1], c)
+            near = {
+                cmat[last][v],
+                c_vv1,
+                c_vv2,
+                cmat[interior[-3]][interior[-2]],
+                cmat[w_path[p - 1]][w_path[p]],
+            }
+            c = _lowest(palette, near, f"{ctx} next-to-end edge")
+            _color_edge(cmat, adjacency, second_last, last, c)
         new_anchors = {}
         x2 = interior[0]
         new_anchors[x2] = AnchorSet(x2, ((x2, u, w1), (x2, w_path[4], w_path[5])))
@@ -855,7 +829,7 @@ def _color_ear(
         new_anchors[last] = AnchorSet(
             last, ((last, second_last, w_path[p]), (last, v, v1), (last, v, v2))
         )
-    return trial, new_anchors
+    return new_anchors
 
 
 def color_2connected(g: Graph) -> ConstructionReport:
@@ -868,6 +842,13 @@ def color_2connected(g: Graph) -> ConstructionReport:
     each vertex keeps an anchor set spanning at most 4 colors.  Remaining
     edges of the input get color 1, and the result must pass
     ``first_failing_pair``.  Ears are colored from ear[0] to ear[-1] only.
+
+    The n x n matrix ``cmat`` is the only color store, and each ear is
+    colored straight into it.  After an ear only its new anchors are
+    checked: every anchor-path edge is colored before its anchor is made
+    and no entry is written twice, so an old anchor's palette never
+    changes; interior vertices are new, so no anchor is replaced; and a
+    base-cycle anchor has only 4 edges.
     """
     if not is_2_connected(g):
         raise ValueError("coloring requires a 2-connected graph")
@@ -875,18 +856,12 @@ def color_2connected(g: Graph) -> ConstructionReport:
     decomp = ear_decomposition(reduced)
     cyc = list(decomp.base_cycle)
     r = len(cyc)
-    # cmat is the only color store (0: uncolored); sorted adjacency lists of
-    # the colored edges keep the path searches in ascending order.
+    # cmat is the only color store (0: uncolored); adjacency lists the
+    # colored edges, sorted.
     cmat = [[0] * g.n for _ in range(g.n)]
     adjacency: list[list[int]] = [[] for _ in range(g.n)]
-
-    def add_edge(a: int, b: int, c: int) -> None:
-        cmat[a][b] = cmat[b][a] = c
-        insort(adjacency[a], b)
-        insort(adjacency[b], a)
-
     for i, c in enumerate(_base_cycle_pattern(r)):
-        add_edge(cyc[i], cyc[(i + 1) % r], c)
+        _color_edge(cmat, adjacency, cyc[i], cyc[(i + 1) % r], c)
     anchors: dict[int, AnchorSet] = {}
     for i, x in enumerate(cyc):
         anchors[x] = AnchorSet(
@@ -898,18 +873,16 @@ def color_2connected(g: Graph) -> ConstructionReport:
         )
 
     for ear_index, ear in enumerate(decomp.ears):
-        trial, new_anchors = _color_ear(
+        new_anchors = _color_ear(
             cmat, anchors, adjacency, ear_index, ear[0], list(ear[1:-1]), ear[-1]
         )
-        for (a, b), c in trial.items():
-            add_edge(a, b, c)
-        anchors.update(new_anchors)
-        for x, anchor in anchors.items():
+        for x, anchor in new_anchors.items():
             palette = anchor.edge_colors(cmat)
             if len(palette) > 4:
                 raise InvariantViolation(
                     f"after ear {ear_index}: anchor at {x} spans {len(palette)} colors"
                 )
+        anchors.update(new_anchors)
 
     coloring = EdgeColoring({(a, b): cmat[a][b] or 1 for a, b in g.edges})
     failing = first_failing_pair(g, coloring, 2)

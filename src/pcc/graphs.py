@@ -25,6 +25,15 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _int_on_edge(value, what: str, edge) -> int:
+    """``value`` as a plain int, else ValueError naming the edge: int()
+    would floor a float such as 2.9 and take a bool as 0 or 1.  Callers
+    test ``type(value) is int`` first, the common case."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} {value!r} on edge {tuple(edge)!r} is not an int")
+    return int(value)
+
+
 class Graph:
     """Finite simple undirected graph on vertices 0..n-1.
 
@@ -39,7 +48,9 @@ class Graph:
             raise ValueError(f"graph needs n >= 1 vertices, got {n}")
         seen: set[Edge] = set()
         for e in edges:
-            u, v = int(e[0]), int(e[1])
+            u, v = e[0], e[1]
+            if type(u) is not int or type(v) is not int:
+                u, v = _int_on_edge(u, "vertex", e), _int_on_edge(v, "vertex", e)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
             if not (0 <= u < n and 0 <= v < n):
@@ -100,13 +111,20 @@ class EdgeColoring:
     def __init__(self, colors: Mapping[Sequence[int], int], num_colors: Optional[int] = None):
         norm: dict[Edge, int] = {}
         for e, c in colors.items():
-            c = int(c)
+            u, v = e[0], e[1]
+            if type(c) is not int or type(u) is not int or type(v) is not int:
+                c = _int_on_edge(c, "color", e)
+                u, v = _int_on_edge(u, "vertex", e), _int_on_edge(v, "vertex", e)
             if c < 1:
                 raise ValueError(f"color {c} on edge {tuple(e)} is not >= 1")
-            norm[normalize_edge(int(e[0]), int(e[1]))] = c
+            norm[(u, v) if u < v else (v, u)] = c
         if not norm:
             raise ValueError("coloring must cover at least one edge")
         max_used = max(norm.values())
+        if num_colors is not None and (
+            isinstance(num_colors, bool) or not isinstance(num_colors, int)
+        ):
+            raise ValueError(f"num_colors must be an int, got {num_colors!r}")
         t = max_used if num_colors is None else int(num_colors)
         if t < max_used:
             raise ValueError(f"num_colors={t} smaller than max used color {max_used}")

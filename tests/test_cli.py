@@ -6,15 +6,17 @@ import sys
 
 import pytest
 
-from pcc import cli, io, verify
+from pcc import cli, construct, io, verify
 from pcc.cli import main
 from pcc.graphs import (
     EdgeColoring,
+    InvariantViolation,
     cycle_graph,
     double_star_graph,
     hypercube_graph,
     path_graph,
     random_tree,
+    star_graph,
     wheel_graph,
 )
 
@@ -529,3 +531,118 @@ def test_table_output_is_pinned(tmp_path, capsys, monkeypatch):
         assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest, theorem
         csv_bytes = (tmp_path / "table.csv").read_bytes()
         assert hashlib.sha256(csv_bytes).hexdigest() == csv_digest, theorem
+
+
+@pytest.mark.parametrize(
+    "family_args, claimed",
+    [
+        (["complete_bipartite", "--m", "2", "--n", "4"], 2),
+        (["complete_multipartite", "--parts", "1,2,3"], 2),
+        (["star", "--n", "5"], 5),
+        (["double_star", "--n", "3", "--m", "4"], 6),
+        (["random_tree", "--n", "12", "--seed", "3"], 5),
+        (["path", "--n", "7"], 3),
+        (["cycle", "--n", "7"], 3),
+        (["complete", "--n", "5"], 1),
+        (["random_2connected", "--n", "12", "--seed", "3"], 5),
+    ],
+)
+def test_color_every_family(tmp_path, capsys, family_args, claimed):
+    out_file = tmp_path / "out.pcc"
+    code, out, err = run(
+        ["color", "--family", *family_args, "--ell", "2", "-o", str(out_file)], capsys
+    )
+    lines = out.splitlines()
+    assert (code, err) == (0, ""), family_args
+    assert "verified true" in lines and f"claimed {claimed}" in lines, out
+    assert out_file.exists()
+
+
+def _monochrome_wheel(n, ell):
+    g = wheel_graph(n)
+    coloring = EdgeColoring({e: 1 for e in g.edges})
+    return construct.ConstructionReport(coloring, 1, "wheel", "one color")
+
+
+def test_color_reports_a_failing_constructor(tmp_path, capsys, monkeypatch):
+    # A constructor that does not verify itself and returns a bad coloring
+    # gets `verified false` and the failing pair, and no file is written;
+    # one that raises InvariantViolation gets `construction failed`.
+    out_file = tmp_path / "out.pcc"
+    argv = ["color", "--family", "wheel", "--n", "9", "--ell", "2", "-o", str(out_file)]
+    monkeypatch.setattr(construct, "color_wheel", _monochrome_wheel)
+    assert run(argv, capsys) == (1, "verified false\nfailing_pair 0 2\n", "")
+    assert not out_file.exists()
+
+    def broken(n, ell):
+        raise InvariantViolation("no admissible color for rim edge 3")
+
+    monkeypatch.setattr(construct, "color_wheel", broken)
+    assert run(argv, capsys) == (1, "", "construction failed: no admissible color for rim edge 3\n")
+    assert not out_file.exists()
+
+
+def _table_rows(path):
+    return path.read_text(encoding="utf-8").splitlines()[1:]
+
+
+def test_table_cells_inconclusive_fail_and_mismatch(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "table.csv"
+    wheel = ["table", "--theorem", "wheel", "--max-n", "4", "--exact-edges", "10", "-o", str(out)]
+    # An exact search that runs out of time leaves the row ok.
+    code, _, _ = run(wheel + ["--time-limit", "1e-9"], capsys)
+    assert code == 0
+    assert _table_rows(out) == ["n=3,2,1,true,inconclusive,ok", "n=4,2,2,true,inconclusive,ok"]
+    # A coloring that fails verification is a fail row.
+    real_wheel = construct.color_wheel
+    monkeypatch.setattr(construct, "color_wheel", _monochrome_wheel)
+    code, _, _ = run(wheel, capsys)
+    assert code == 1
+    assert _table_rows(out) == ["n=3,2,1,true,1,ok", "n=4,2,1,false,2,fail"]
+
+    # A verified coloring whose claim differs from the exact minimum is a
+    # mismatch row.
+    def overclaimed(n, ell):
+        report = real_wheel(n, ell)
+        return construct.ConstructionReport(report.coloring, report.claimed_colors + 1, "wheel")
+
+    monkeypatch.setattr(construct, "color_wheel", overclaimed)
+    code, _, _ = run(wheel, capsys)
+    assert code == 1
+    assert _table_rows(out) == ["n=3,2,2,true,1,mismatch", "n=4,2,3,true,2,mismatch"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--family", "complete_multipartite", "--parts", "1,x"],
+         "parts must be comma-separated integers, got '1,x'"),
+        (["color", "--input", "{star}", "--method", "traceable", "--ell", "2"],
+         "input graph has no Hamiltonian path"),
+        (["color", "--input", "{c5}", "--method", "2connected", "--ell", "3"],
+         "the 2-connected construction is specific to --ell 2"),
+        (["color", "--family", "random_2connected", "--n", "12", "--seed", "3", "--ell", "3"],
+         "the 2-connected construction is specific to --ell 2"),
+        (["color", "--input", "{c5}", "--method", "join", "--ell", "2"],
+         "--method join needs --input2 for the second factor"),
+        (["color", "--input", "{c5}", "--method", "cartesian", "--ell", "2"],
+         "--method cartesian needs --input2 for the second factor"),
+        (["color", "--input", "{c5}", "--input2", "{c5}", "--method", "join", "--ell", "3"],
+         "the join construction is specific to --ell 2"),
+        (["color", "--input", "{c5}", "--input2", "{c5}", "--method", "cartesian", "--ell", "3"],
+         "the cartesian construction is specific to --ell 2"),
+        (["color", "--input", "{c5}", "--method", "permutation", "--ell", "2"],
+         "--method permutation needs --alpha (1-indexed images)"),
+        (["color", "--input", "{star}", "--method", "permutation", "--alpha", "1,2,3,4",
+          "--ell", "2"],
+         "input graph has no Hamiltonian path"),
+    ],
+)
+def test_usage_errors_exit_2_with_their_message(tmp_path, capsys, argv, message):
+    files = {"star": tmp_path / "star.edges", "c5": tmp_path / "c5.edges"}
+    files["star"].write_text(io.write_graph(star_graph(3)))
+    files["c5"].write_text(io.write_graph(cycle_graph(5)))
+    out_file = tmp_path / "out"
+    argv = [arg.format(**files) for arg in argv] + ["-o", str(out_file)]
+    assert run(argv, capsys) == (2, "", f"error: {message}\n")
+    assert not out_file.exists()

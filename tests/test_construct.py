@@ -602,6 +602,30 @@ def test_reversed_anchored_path_is_anchored_the_other_way(monkeypatch):
     assert ears[1] > 100 and ears[2] > 1000 and sum(ears.values()) - ears[1] - ears[2] > 50, ears
 
 
+def test_p1_ear_may_repeat_the_end_color_and_still_verifies(monkeypatch):
+    # The p=1 start edge x-u takes the lowest of {cmat[x][v], c_vv1, c_vv2}
+    # not used on u's anchor path, which may be cmat[x][v] itself.  Then the
+    # anchored u-v walk through the ear repeats a color on adjacent edges,
+    # so a per-ear check that this walk is proper would reject the ear,
+    # although the whole coloring verifies.
+    real = construct._color_ear
+    ears = []
+
+    def recorded(cmat, anchors, adjacency, ear_index, u, interior, v):
+        v1, v2 = anchors[v].incident_neighbors()
+        new_anchors = real(cmat, anchors, adjacency, ear_index, u, interior, v)
+        x = interior[0]
+        ears.append((u, tuple(interior), v, cmat[v][v1] == cmat[v][v2], cmat[x][u], cmat[x][v]))
+        return new_anchors
+
+    monkeypatch.setattr(construct, "_color_ear", recorded)
+    g = random_2connected(8, 11, seed=0)
+    coloring = color_2connected(g).coloring
+    assert ears[-1] == (4, (2,), 5, False, 2, 2)
+    assert coloring.color(2, 4) == coloring.color(2, 5) == 2
+    assert verify_coloring(g, coloring, 2).ok
+
+
 def test_anchor_set_validation():
     with pytest.raises(InvariantViolation):
         AnchorSet(0, ((0, 1, 2),))

@@ -58,6 +58,40 @@ def test_edge_coloring_validation():
     assert c.used_colors() == {1, 2}
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Graph(3, [(0.7, 1)]), r"vertex 0\.7 on edge \(0\.7, 1\) is not an int"),
+        (lambda: Graph(3, [(0, 2), (1, 2.0)]),
+         r"vertex 2\.0 on edge \(1, 2\.0\) is not an int"),
+        (lambda: Graph(3, [(True, 2)]), r"vertex True on edge \(True, 2\) is not an int"),
+        (lambda: Graph(3, [("0", 1)]), r"vertex '0' on edge \('0', 1\) is not an int"),
+        (lambda: EdgeColoring({(0, 1): 2.9}), r"color 2\.9 on edge \(0, 1\) is not an int"),
+        (lambda: EdgeColoring({(0, 1): True}), r"color True on edge \(0, 1\) is not an int"),
+        (lambda: EdgeColoring({(0, 1.5): 1}), r"vertex 1\.5 on edge \(0, 1\.5\) is not an int"),
+        (lambda: EdgeColoring({(0, 1): 2}, num_colors=2.5),
+         r"num_colors must be an int, got 2\.5"),
+        (lambda: EdgeColoring({(0, 1): 1}, num_colors=True),
+         r"num_colors must be an int, got True"),
+    ],
+)
+def test_non_int_vertices_and_colors_are_rejected_not_floored(build, message):
+    # int() would floor 2.9 to 2 and 0.7 to 0 and read True as 1.
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_int_subclass_vertices_and_colors_become_plain_ints():
+    class Label(int):
+        pass
+
+    g = Graph(3, [(Label(2), Label(0))])
+    c = EdgeColoring({(Label(0), Label(2)): Label(3)}, num_colors=Label(4))
+    assert g.edges == ((0, 2),) and type(g.edges[0][0]) is int
+    assert c.colors == {(0, 2): 3} and type(c.colors[(0, 2)]) is int
+    assert type(c.num_colors) is int
+
+
 def test_family_counts():
     assert (hypercube_graph(3).n, hypercube_graph(3).m) == (8, 12)
     assert (wheel_graph(5).n, wheel_graph(5).m) == (6, 10)
