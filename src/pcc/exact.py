@@ -31,10 +31,24 @@ which begin with those swaps) replace them, found only then so that the
 many small searches never pay for them.  Any set of automorphisms is
 sound; a missing one costs pruning, never an answer.
 
-The colorings come from one odometer (``_Odometer``), which knows what
-changed between one coloring and the next: it reports the first edge that
-changed since the coloring it yielded before, and the colors used by each
-prefix.  The lex-leader test reads both instead of recomputing them.
+The colorings of a level come from an odometer (``_Odometer``), which
+knows what changed between one coloring and the next: it reports the
+first edge that changed since the coloring it yielded before, and the
+colors used by each prefix.  The lex-leader test reads both instead of recomputing them.
+
+How far a refutation skips depends on the edge order, which follows the
+vertex labels.  A graph with a dominating vertex (one adjacent to all
+others, such as the hub of a wheel or a fan) needs that vertex's edges in
+most refutations, so with the hub last, as ``wheel_graph`` labels it,
+each refutation skips a small block.  A level still undecided after n*m
+visits of its own is therefore also walked to the end in the edge order
+of a copy of the graph relabelled breadth first from its lowest-labelled
+dominating vertex, the hub's edges first (fail first; Haralick & Elliott
+1980), unless that vertex is already vertex 0.  This is sound because a
+relabelling maps the valid colorings of one labelling onto those of the
+other, so a level that is empty in one order is empty in every order: if
+the copy exhausts the level, the level is exhausted.  If the copy finds a
+valid coloring, it is dropped and the walk in input order goes on.
 
 Only colorings that cannot be the witness are skipped, so the witness is
 still the canonically first valid coloring, and ``colorings_examined``
@@ -53,7 +67,7 @@ from typing import Generator, Optional, Union
 
 from .graphs import EdgeColoring, Graph, normalize_edge
 from .structure import automorphism_generators, is_connected, twin_swaps
-from .verify import _Deadline, _failing_source, _validate_window
+from .verify import _Deadline, _failing_source, _positive_int, _validate_window
 
 
 @dataclass(frozen=True)
@@ -65,12 +79,11 @@ class SearchBudget:
     max_edges: int = 18
 
     def __post_init__(self):
-        if self.max_colors is not None and self.max_colors < 1:
-            raise ValueError("max_colors must be >= 1")
+        if self.max_colors is not None:
+            _positive_int("max_colors", self.max_colors)
         if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError(f"time_limit must be positive, got {self.time_limit}")
-        if self.max_edges < 1:
-            raise ValueError("max_edges must be >= 1")
+        _positive_int("max_edges", self.max_edges)
 
 
 @dataclass(frozen=True)
@@ -354,6 +367,72 @@ class _LexLeader:
         return None
 
 
+class _Labelling:
+    """One labelling of the graph under search and what a visit reads: its
+    edge order, incident edges, a color matrix and the lex-leader test of
+    its automorphisms.  ``visit`` is the one visit routine of the search."""
+
+    __slots__ = ("g", "incident", "cmat", "lex")
+
+    def __init__(self, g: Graph, maps):
+        self.g = g
+        self.incident = _incident_edges(g)
+        self.cmat = [[0] * g.n for _ in range(g.n)]
+        self.lex = _LexLeader(_edge_permutations(g, maps))
+
+    def visit(self, assignment: tuple[int, ...], odometer: _Odometer, ell: int) -> Optional[int]:
+        """None if ``assignment``, the coloring ``odometer`` yielded last,
+        makes the graph (1, ell)-proper connected.  Otherwise the prefix
+        length to send ``odometer``: from the lex-leader test, or else from
+        ``_refuting_prefix`` on the source that the decision scan finds
+        failing, with the targets its search cut off."""
+        p = self.lex.skip(assignment, odometer.changed, odometer.used)
+        if p is not None:
+            return p
+        g, cmat = self.g, self.cmat
+        for (a, b), c in zip(g.edges, assignment):
+            cmat[a][b] = cmat[b][a] = c
+        failing = _failing_source(g.adjacency, cmat, g.n, ell)
+        if failing is None:
+            return None
+        return _refuting_prefix(self.incident, assignment, odometer.t, *failing, ell)
+
+
+def _hub_first(g: Graph, hub: int, maps) -> _Labelling:
+    """g relabelled in breadth-first order from its dominating vertex
+    ``hub``: hub first, then its neighbours, which are all the other
+    vertices, in ascending order.  The vertex maps ``maps`` of g's
+    automorphisms are carried through the relabelling."""
+    order = [hub] + [v for v in range(g.n) if v != hub]
+    label = [0] * g.n
+    for new, v in enumerate(order):
+        label[v] = new
+    copy = Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
+    return _Labelling(copy, [tuple(label[image[v]] for v in order) for image in maps])
+
+
+def _exhausts(labelling: _Labelling, t: int, ell: int, deadline) -> bool:
+    """True if the walk of level t in the edge order of ``labelling`` ends
+    without a valid coloring: the level has none.  False as soon as it
+    finds one, or once the deadline, read on the first and every 512th
+    visit, has expired."""
+    odometer = _Odometer(labelling.g.m, t)
+    colorings = iter(odometer)
+    p = None
+    visits = 0
+    while True:
+        try:
+            assignment = colorings.send(p)
+        except StopIteration:
+            return True
+        visits += 1
+        if visits % 512 == 1 and deadline and deadline.expired():
+            return False
+        p = labelling.visit(assignment, odometer, ell)
+        if p is None:
+            return False
+
+
 def min_colors_exact(
     g: Graph, ell: int, budget: Optional[SearchBudget] = None
 ) -> Union[ExactResult, Inconclusive]:
@@ -373,10 +452,25 @@ def min_colors_exact(
     without a proper path.
     Visits are counted over every level, skipped colorings included; on
     the n*m-th the generators of Aut(g) replace the twin swaps in the
-    lex-leader test.  The deadline is read on the first and every 512th
-    visit, and after the group search.  ``colorings_examined`` counts the
-    canonical colorings of the exhausted levels and those of the last
-    level up to and including the last one visited.
+    lex-leader test.
+
+    A level still undecided after n*m visits of its own, in a graph whose
+    lowest-labelled dominating vertex is not vertex 0, is then walked to
+    the end in the edge order of a copy of g relabelled hub first
+    (``_hub_first``, built at the first such level), whose lex-leader test
+    gets g's generators carried through the relabelling.  A relabelling
+    maps the valid colorings of one labelling onto those of the other, so
+    a level that is empty in one order is empty in every order: if the
+    copy exhausts the level, the level is exhausted.  If the copy finds a
+    valid coloring, it is dropped and the input-order walk goes on, so the
+    witness, its rank and every ``Inconclusive`` are those of the input
+    order alone.
+
+    The deadline is read on the first and every 512th visit, after the
+    group search, and after each walk of the copy, which also reads it on
+    its own first and every 512th visit.  ``colorings_examined`` counts
+    the canonical colorings of the exhausted levels and those of the last
+    level up to and including the last one visited in input order.
     """
     ell = _validate_window(ell)
     if not is_connected(g):
@@ -391,15 +485,18 @@ def min_colors_exact(
     deadline = None if budget.time_limit is None else _Deadline(budget.time_limit)
     n, m = g.n, g.m
     defer = n * m
-    cmat = [[0] * n for _ in range(n)]
-    incident = _incident_edges(g)
-    lex = _LexLeader(_edge_permutations(g, twin_swaps(g)))
+    maps = twin_swaps(g)
+    labelling = _Labelling(g, maps)
+    # 0 if vertex 0 dominates or no vertex does: then no copy is made.
+    hub = next((v for v, nbrs in enumerate(g.adjacency) if len(nbrs) == n - 1), 0)
+    copy = None
     visits = examined = 0
     exhausted: list[int] = []
     for t in range(1, top + 1):
         ways = _completion_counts(m, t)
         odometer = _Odometer(m, t)
-        colorings, used = iter(odometer), odometer.used
+        colorings = iter(odometer)
+        own = 0
         p = None
         while True:
             try:
@@ -409,21 +506,25 @@ def min_colors_exact(
                 # spans the level: it is exhausted.
                 break
             visits += 1
+            own += 1
             if visits == defer:
-                lex = _LexLeader(_edge_permutations(g, automorphism_generators(g, deadline)))
-            if (visits % 512 == 1 or visits == defer) and deadline and deadline.expired():
+                maps = automorphism_generators(g, deadline)
+                labelling.lex = _LexLeader(_edge_permutations(g, maps))
+            check = visits % 512 == 1 or visits == defer
+            if own == defer and hub:
+                copy = copy or _hub_first(g, hub, maps)
+                if _exhausts(copy, t, ell, deadline):
+                    # Empty in the copy's order, so empty in every order.
+                    break
+                check = True
+            if check and deadline and deadline.expired():
                 examined += _rank(assignment, ways) + 1
                 return Inconclusive(tuple(exhausted), examined, "time limit")
-            p = lex.skip(assignment, odometer.changed, used)
+            p = labelling.visit(assignment, odometer, ell)
             if p is None:
-                for (a, b), c in zip(g.edges, assignment):
-                    cmat[a][b] = cmat[b][a] = c
-                failing = _failing_source(g.adjacency, cmat, n, ell)
-                if failing is None:
-                    examined += _rank(assignment, ways) + 1
-                    witness = EdgeColoring(dict(zip(g.edges, assignment)), num_colors=t)
-                    return ExactResult(t, witness, examined, tuple(exhausted))
-                p = _refuting_prefix(incident, assignment, t, *failing, ell)
+                examined += _rank(assignment, ways) + 1
+                witness = EdgeColoring(dict(zip(g.edges, assignment)), num_colors=t)
+                return ExactResult(t, witness, examined, tuple(exhausted))
         examined += ways[0][0]
         exhausted.append(t)
     return Inconclusive(tuple(exhausted), examined, f"no valid coloring with <= {top} colors")

@@ -361,34 +361,43 @@ def generate(spec: FamilySpec) -> Graph:
     if f not in FAMILIES:
         raise ValueError(f"unknown family {f!r}; expected one of {FAMILIES}")
     if f == "path":
-        return path_graph(_require(spec.n, "n", f))
+        return path_graph(_param(spec, "n"))
     if f == "cycle":
-        return cycle_graph(_require(spec.n, "n", f))
+        return cycle_graph(_param(spec, "n"))
     if f == "star":
-        return star_graph(_require(spec.n, "n", f))
+        return star_graph(_param(spec, "n"))
     if f == "wheel":
-        return wheel_graph(_require(spec.n, "n", f))
+        return wheel_graph(_param(spec, "n"))
     if f == "complete":
-        return complete_graph(_require(spec.n, "n", f))
+        return complete_graph(_param(spec, "n"))
     if f == "complete_bipartite":
-        return complete_bipartite_graph(_require(spec.m, "m", f), _require(spec.n, "n", f))
+        return complete_bipartite_graph(_param(spec, "m"), _param(spec, "n"))
     if f == "complete_multipartite":
         if not spec.parts:
             raise ValueError("complete_multipartite requires parts")
         return complete_multipartite_graph(spec.parts)
     if f == "hypercube":
-        return hypercube_graph(_require(spec.t, "t", f))
+        return hypercube_graph(_param(spec, "t"))
     if f == "double_star":
-        return double_star_graph(_require(spec.n, "n", f), _require(spec.m, "m", f))
+        return double_star_graph(_param(spec, "n"), _param(spec, "m"))
     if f == "random_tree":
-        return random_tree(_require(spec.n, "n", f), spec.seed)
-    return random_2connected(_require(spec.n, "n", f), spec.m, spec.seed)
+        return random_tree(_param(spec, "n"), _param(spec, "seed"))
+    return random_2connected(_param(spec, "n"), _param(spec, "m", required=False),
+                             _param(spec, "seed"))
 
 
-def _require(value: Optional[int], name: str, family: str) -> int:
+def _param(spec: FamilySpec, name: str, required: bool = True) -> Optional[int]:
+    """The int parameter ``name`` of ``spec``, else ValueError naming the
+    family and the parameter: int() would floor a float such as 2.9 and
+    take a bool as 0 or 1.  None passes only when not ``required``."""
+    value = getattr(spec, name)
     if value is None:
-        raise ValueError(f"family {family!r} requires parameter {name}")
-    return int(value)
+        if required:
+            raise ValueError(f"family {spec.family!r} requires parameter {name}")
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"family {spec.family!r} parameter {name} must be an int, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

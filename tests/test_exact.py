@@ -27,6 +27,7 @@ from pcc.graphs import (
     complete_graph,
     cycle_graph,
     hypercube_graph,
+    join,
     path_graph,
     random_2connected,
     random_tree,
@@ -113,6 +114,16 @@ def test_budget_validation():
         SearchBudget(max_colors=0)
     with pytest.raises(ValueError):
         SearchBudget(time_limit=-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_colors", 2.5), ("max_colors", True), ("max_colors", "3"), ("max_colors", 0),
+    ("max_edges", True), ("max_edges", 18.0), ("max_edges", 0),
+])
+def test_budget_counts_must_be_ints(field, value):
+    # A float would crash inside range and a bool would run as 1.
+    with pytest.raises(ValueError, match=f"{field} must be an int >= 1, got {value!r}"):
+        SearchBudget(**{field: value})
 
 
 def test_window_must_be_an_int():
@@ -435,6 +446,25 @@ def test_deadline_trip_counts_on_a_ticking_clock(monkeypatch):
     assert r == Inconclusive((1,), 351797249, "time limit")
 
 
+def test_deadline_in_the_hub_first_copy_reports_the_input_order_position(monkeypatch):
+    # A clock that stands still until the copy of W_8 starts, at level 2's
+    # n*m = 144th visit, and then jumps past the 1 s budget.  The copy
+    # stops at its first visit and the search reports the position of the
+    # input order: level 1's one coloring plus the rank + 1 (4639 + 1) of
+    # the coloring at which the copy started.
+    now = [0.0]
+    monkeypatch.setattr(pcc.verify, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+    real_exhausts = pcc.exact._exhausts
+
+    def late(*args):
+        now[0] = 1e9
+        return real_exhausts(*args)
+
+    monkeypatch.setattr(pcc.exact, "_exhausts", late)
+    r = min_colors_exact(wheel_graph(8), 2, SearchBudget(time_limit=1.0))
+    assert r == Inconclusive((1,), 4641, "time limit")
+
+
 def _visit_trace_corpus():
     """(graph, ell, budget) of 315 seeded searches: random 2-connected graphs
     and random trees on 5-9 vertices and W_4-W_7, each at l = 1-3, then Q_3
@@ -457,8 +487,10 @@ def test_visit_trace_is_pinned(monkeypatch):
     # Each search's sequence of lex-leader skip results, failing sources
     # with their cut-off targets and refuting prefixes, with its outputs,
     # hashed with SHA-256; the pin is the SHA-256 of those digests in corpus
-    # order.  It was recorded when the search first backjumped on every
-    # target that the failing source cuts off.
+    # order.  It was recorded when stalled levels of graphs with a
+    # dominating vertex off label 0 were first walked in a hub-first copy,
+    # which changed the digests of W_7 at l=2 and l=3 and of the W_8 lower
+    # bound only.
     events = []
 
     def recording(kind, fn):
@@ -488,7 +520,7 @@ def test_visit_trace_is_pinned(monkeypatch):
     assert len(digests) == 315
     assert isinstance(r, Inconclusive) and r.exhausted_levels == (1, 2)
     pin = (total, hashlib.sha256("".join(digests).encode()).hexdigest())
-    assert pin == (35012, "2f722a17c53b74f3f3487b5a9ce89c339410ef2121f2aecf7bf8fe02b34fb10a")
+    assert pin == (32889, "c98d0b849d24dd89ce15bfbb61520a62b56c6f5d80a14266442a0fc3a51db5b4")
 
 
 def test_exact_outputs_are_pinned():
@@ -530,3 +562,63 @@ def test_each_verification_reads_the_matrix_of_the_coloring_it_checks(monkeypatc
     for g, ell, budget in random.Random(67).sample(_visit_trace_corpus(), 100):
         min_colors_exact(g, ell, budget)
     assert len(verified) >= 1000, len(verified)
+
+
+def test_hub_first_copy_cuts_the_wheel_lower_bound_scans(monkeypatch):
+    # W_8's hub has the last label.  Level 2 stalls at its n*m-th visit and
+    # the hub-first copy exhausts it: 149 decision scans where the input
+    # order alone makes 250.
+    scans = []
+    real_scan = pcc.exact._failing_source
+
+    def counted(*args):
+        scans.append(args[2])
+        return real_scan(*args)
+
+    monkeypatch.setattr(pcc.exact, "_failing_source", counted)
+    assert prove_lower_bound(wheel_graph(8), 2, 2) is True
+    assert len(scans) == 149
+
+
+def _hub_at(g, hub, where):
+    """g relabelled so that its dominating vertex ``hub`` gets label
+    ``where`` and the other vertices keep their order."""
+    rest = [v for v in range(g.n) if v != hub]
+    order = rest[:where] + [hub] + rest[where:]
+    label = [0] * g.n
+    for new, v in enumerate(order):
+        label[v] = new
+    return Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
+
+
+@pytest.mark.parametrize("g, ell", [(wheel_graph(7), 2), (join(path_graph(8), path_graph(1)), 2)],
+                         ids=["W_7", "fan_8"])
+def test_hub_position_changes_no_answer(g, ell, monkeypatch):
+    # The dominating vertex at label 0, at a middle label and at the last
+    # label: the same minimum and exhausted levels, and each witness
+    # verifies.  With the hub off label 0 the copy exhausts a level (and
+    # on the fan with the hub last it also finds level 3 feasible), and
+    # every output equals that of the input order alone.
+    walks = []
+    real_exhausts = pcc.exact._exhausts
+
+    def recorded(*args):
+        walks.append(real_exhausts(*args))
+        return walks[-1]
+
+    hub = g.n - 1
+    assert g.degree(hub) == g.n - 1
+    outcomes = set()
+    for where in (0, g.n // 2, g.n - 1):
+        h = _hub_at(g, hub, where)
+        monkeypatch.setattr(pcc.exact, "_exhausts", lambda *args: False)
+        alone = min_colors_exact(h, ell)
+        walks.clear()
+        monkeypatch.setattr(pcc.exact, "_exhausts", recorded)
+        r = min_colors_exact(h, ell)
+        assert isinstance(r, ExactResult), r
+        assert r == alone
+        assert verify_coloring(h, r.witness, ell).ok
+        outcomes.add((r.min_colors, r.exhausted_levels))
+        assert (True in walks) == (where != 0), (where, walks)
+    assert len(outcomes) == 1, outcomes

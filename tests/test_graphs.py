@@ -117,6 +117,19 @@ def test_family_parameter_errors():
         generate(FamilySpec("wheel"))
 
 
+@pytest.mark.parametrize("spec, name, value", [
+    (FamilySpec("path", n=2.9), "n", 2.9),
+    (FamilySpec("hypercube", t=True), "t", True),
+    (FamilySpec("random_2connected", n=6, m=7.5), "m", 7.5),
+    (FamilySpec("random_tree", n=6, seed=1.5), "seed", 1.5),
+])
+def test_generate_rejects_non_int_parameters(spec, name, value):
+    # A float would be floored and a bool taken as 0 or 1.
+    message = f"family '{spec.family}' parameter {name} must be an int, got {value!r}"
+    with pytest.raises(ValueError, match=message):
+        generate(spec)
+
+
 def test_generate_dispatch_and_connectivity():
     specs = [
         FamilySpec("path", n=6),
