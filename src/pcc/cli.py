@@ -380,7 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.set_defaults(func=_cmd_verify)
 
-    p_ex = sub.add_parser("exact", help="exhaustive minimum color count")
+    p_ex = sub.add_parser(
+        "exact",
+        help="exact minimum color count: each smaller count is proved impossible "
+        "by exhaustive search or by the diameter-and-bridge lower bound",
+    )
     p_ex.add_argument("--graph", required=True)
     p_ex.add_argument("--ell", type=int, required=True)
     p_ex.add_argument("--max-colors", type=int)

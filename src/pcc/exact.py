@@ -7,14 +7,25 @@ order, until one makes the graph (1, ell)-proper connected.  Canonical form
 breaks the color-relabeling symmetry only; there are S(m, t) (Stirling
 partition number) such colorings of m edges.
 
-Not all of them are verified.  When a coloring fails, the decision scan
-(``verify._failing_source``) names its first failing pair (u, v) and the
-later targets w of u that its search from u never reached, each of which
-fails too.  A relaxed search, in which the edges after a prefix may take
-any color, finds the shortest prefix of the edge colors that already
-leaves u and one of those targets without a proper path, and the search
-skips every coloring that shares that prefix (conflict-directed
-backjumping; Prosser 1993).  That relaxed search runs once per failure: it
+Not every level is walked.  Two vertices at distance D need min(ell+1, D)
+colors on every path between them, and the bridges of a path of at most
+ell+1 bridges lie on the only path between its ends, so they all need
+different colors.  Before its first level the search takes the larger of
+the two counts (``_level_bound``): D from two BFS sweeps (Magnien, Latapy
+& Habib 2009), the second from a vertex farthest from vertex 0, and the
+most bridges (lowpoint DFS, ``structure.bridges``; Tarjan 1972) in a
+bounded-diameter subtree of the bridge forest.  Each level below it is
+claimed exhausted without a visit.  On a tree or a star that is every
+level below the minimum.
+
+Not all colorings of a walked level are verified.  When a coloring
+fails, the decision scan (``verify._failing_source``) names its first
+failing pair (u, v) and the later targets w of u that its search from u
+never reached, each of which fails too.  A relaxed search, in which the
+edges after a prefix may take any color, finds the shortest prefix of the
+edge colors that already leaves u and one of those targets without a
+proper path, and the search skips every coloring that shares that prefix
+(conflict-directed backjumping; Prosser 1993).  That relaxed search runs once per failure: it
 starts with only the last edge free and frees one more edge at a time,
 keeping every walk state it has reached, until u reaches every target.
 
@@ -66,7 +77,7 @@ from itertools import accumulate
 from typing import Generator, Optional, Union
 
 from .graphs import EdgeColoring, Graph, normalize_edge
-from .structure import automorphism_generators, is_connected, twin_swaps
+from .structure import _bfs, automorphism_generators, bridges, distances, twin_swaps
 from .verify import _Deadline, _failing_source, _positive_int, _validate_window
 
 
@@ -433,6 +444,47 @@ def _exhausts(labelling: _Labelling, t: int, ell: int, deadline) -> bool:
             return False
 
 
+def _level_bound(g: Graph, ell: int, dist: list[int]) -> int:
+    """A color count L such that no coloring of g with fewer than L colors
+    is (1, ell)-proper connected: L = max(min(ell + 1, D), B).  ``dist``
+    holds the distances from vertex 0.
+
+    D is the largest distance seen by two BFS sweeps (Magnien, Latapy &
+    Habib 2009): ``dist`` and the distances from the lowest-labelled vertex
+    farthest from 0.  Every path between two vertices D apart has at least
+    D edges, and any ell + 1 consecutive edges of a proper path differ in
+    color.
+
+    B is the largest number of bridges (``structure.bridges``) in a
+    subtree of the bridge forest whose diameter is at most ell + 1.  Any
+    two of its edges lie on a path of at most ell + 1 bridges, each of
+    which separates the ends of that path, so the path is the only one
+    between its ends and must be proper: all its edges differ in color.
+    Such a subtree lies in a ball of the forest of radius (ell + 1) / 2
+    around a vertex when ell + 1 is even, or of radius ell / 2 around both
+    ends of a bridge when it is odd, and such a ball is a subtree.  This is
+    the scan of ``structure.max_subtree_size_with_diameter``, written again
+    so that the tree rows of ``pcc table`` still compare two computations.
+    """
+    far = dist.index(max(dist))
+    bound = min(ell + 1, max(distances(g, far)))
+    cut = bridges(g)
+    if len(cut) <= bound:
+        return bound
+    forest: list[list[int]] = [[] for _ in range(g.n)]
+    for a, b in cut:
+        forest[a].append(b)
+        forest[b].append(a)
+    centers = [(v,) for v in range(g.n) if forest[v]] if ell % 2 else cut
+    for ends in centers:
+        ball: list[int] = []
+        _bfs(forest, ends, (ell + 1) // 2, order=ball)
+        bound = max(bound, len(ball) - 1)
+        if bound == len(cut):
+            break
+    return bound
+
+
 def min_colors_exact(
     g: Graph, ell: int, budget: Optional[SearchBudget] = None
 ) -> Union[ExactResult, Inconclusive]:
@@ -440,7 +492,9 @@ def min_colors_exact(
 
     Searches t = 1, 2, ... ascending; at each level it walks the canonical
     exactly-t colorings in order, and the witness is the first of them that
-    verifies at the minimal level.
+    verifies at the minimal level.  The levels below ``_level_bound``
+    admit no valid coloring: each is claimed exhausted without a visit,
+    with its S(m, t) canonical colorings counted as examined.
 
     A coloring that the lex-leader test shows is not the least in its orbit
     is skipped unverified, with the block of colorings that share the
@@ -450,9 +504,9 @@ def min_colors_exact(
     by one incremental ``_refuting_prefix`` search, and every coloring
     sharing that prefix is skipped unverified: each leaves that pair
     without a proper path.
-    Visits are counted over every level, skipped colorings included; on
-    the n*m-th the generators of Aut(g) replace the twin swaps in the
-    lex-leader test.
+    Visits are counted over every walked level, skipped colorings
+    included, and the levels the bound claims add none; on the n*m-th the
+    generators of Aut(g) replace the twin swaps in the lex-leader test.
 
     A level still undecided after n*m visits of its own, in a graph whose
     lowest-labelled dominating vertex is not vertex 0, is then walked to
@@ -466,14 +520,17 @@ def min_colors_exact(
     witness, its rank and every ``Inconclusive`` are those of the input
     order alone.
 
-    The deadline is read on the first and every 512th visit, after the
-    group search, and after each walk of the copy, which also reads it on
-    its own first and every 512th visit.  ``colorings_examined`` counts
-    the canonical colorings of the exhausted levels and those of the last
-    level up to and including the last one visited in input order.
+    The deadline is read once after the bound, before the first level, so
+    a budget already spent claims no level; then on the first and every
+    512th visit, after the group search, and after each walk of the copy,
+    which also reads it on its own first and every 512th visit.
+    ``colorings_examined`` counts the canonical colorings of the exhausted
+    levels and those of the last level up to and including the last one
+    visited in input order.
     """
     ell = _validate_window(ell)
-    if not is_connected(g):
+    dist = distances(g, 0)
+    if -1 in dist:
         raise ValueError("exact search requires a connected graph")
     if budget is None:
         budget = SearchBudget()
@@ -483,6 +540,9 @@ def min_colors_exact(
         return Inconclusive((), 0, f"graph has {g.m} edges, budget allows {budget.max_edges}")
     top = g.m if budget.max_colors is None else min(budget.max_colors, g.m)
     deadline = None if budget.time_limit is None else _Deadline(budget.time_limit)
+    bound = _level_bound(g, ell, dist)
+    if deadline and deadline.expired():
+        return Inconclusive((), 0, "time limit")
     n, m = g.n, g.m
     defer = n * m
     maps = twin_swaps(g)
@@ -490,9 +550,16 @@ def min_colors_exact(
     # 0 if vertex 0 dominates or no vertex does: then no copy is made.
     hub = next((v for v, nbrs in enumerate(g.adjacency) if len(nbrs) == n - 1), 0)
     copy = None
-    visits = examined = 0
-    exhausted: list[int] = []
-    for t in range(1, top + 1):
+    visits = 0
+    # The levels below the bound are empty: claimed without a visit, with
+    # their S(m, t) canonical colorings, row[t] after m steps of the
+    # Stirling recurrence.
+    exhausted = list(range(1, min(bound, top + 1)))
+    row = [1] + [0] * len(exhausted)
+    for _ in range(m):
+        row = [0] + [t * row[t] + row[t - 1] for t in exhausted]
+    examined = sum(row)
+    for t in range(len(exhausted) + 1, top + 1):
         ways = _completion_counts(m, t)
         odometer = _Odometer(m, t)
         colorings = iter(odometer)
@@ -534,8 +601,9 @@ def prove_lower_bound(
     g: Graph, ell: int, t: int, budget: Optional[SearchBudget] = None
 ) -> Union[bool, Inconclusive]:
     """True iff no valid coloring with at most t colors exists (each level
-    1..t exhaustively refuted); False as soon as some valid coloring is
-    found.  Runs min_colors_exact with the color count capped at t."""
+    1..t proved empty, by the diameter-and-bridge bound or by an exhaustive
+    walk); False as soon as some valid coloring is found.  Runs
+    min_colors_exact with the color count capped at t."""
     result = min_colors_exact(g, ell, replace(budget or SearchBudget(), max_colors=t))
     if isinstance(result, ExactResult):
         return False

