@@ -383,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex = sub.add_parser(
         "exact",
         help="exact minimum color count: each smaller count is proved impossible "
-        "by exhaustive search or by the diameter-and-bridge lower bound",
+        "by exhaustive search or by a lower bound from distances, bridges, "
+        "twin vertices and unique common neighbours",
     )
     p_ex.add_argument("--graph", required=True)
     p_ex.add_argument("--ell", type=int, required=True)

@@ -14,9 +14,15 @@ different colors.  Before its first level the search takes the larger of
 the two counts (``_level_bound``): D from two BFS sweeps (Magnien, Latapy
 & Habib 2009), the second from a vertex farthest from vertex 0, and the
 most bridges (lowpoint DFS, ``structure.bridges``; Tarjan 1972) in a
-bounded-diameter subtree of the bridge forest.  Each level below it is
-claimed exhausted without a visit.  On a tree or a star that is every
-level below the minimum.
+bounded-diameter subtree of the bridge forest.  With t <= ell colors a
+proper path has at most t edges, all of different colors, so when ell >= 2
+the short-path rules (``_short_path_bound``) can raise that count to 3 or
+4: too many open twins for the 2^d or 3^d color vectors toward their d
+common neighbours, or an odd cycle of edges that must differ because they
+meet at the only common neighbour of two non-adjacent vertices.  Each
+level below the count is claimed exhausted without a visit.  That is every
+level below the minimum on a tree or a star, and for ell >= 2 on a wheel,
+K_2,n or K_3,n.
 
 Not all colorings of a walked level are verified.  When a coloring
 fails, the decision scan (``verify._failing_source``) names its first
@@ -77,7 +83,7 @@ from itertools import accumulate
 from typing import Generator, Optional, Union
 
 from .graphs import EdgeColoring, Graph, normalize_edge
-from .structure import _bfs, automorphism_generators, bridges, distances, twin_swaps
+from .structure import _bfs, automorphism_generators, bridges, distances, open_twins, twin_swaps
 from .verify import _Deadline, _failing_source, _positive_int, _validate_window
 
 
@@ -446,8 +452,9 @@ def _exhausts(labelling: _Labelling, t: int, ell: int, deadline) -> bool:
 
 def _level_bound(g: Graph, ell: int, dist: list[int]) -> int:
     """A color count L such that no coloring of g with fewer than L colors
-    is (1, ell)-proper connected: L = max(min(ell + 1, D), B).  ``dist``
-    holds the distances from vertex 0.
+    is (1, ell)-proper connected: the largest of min(ell + 1, D), B and,
+    when ell >= 2 and those leave L <= min(ell, 3), the short-path bound
+    (``_short_path_bound``).  ``dist`` holds the distances from vertex 0.
 
     D is the largest distance seen by two BFS sweeps (Magnien, Latapy &
     Habib 2009): ``dist`` and the distances from the lowest-labelled vertex
@@ -469,19 +476,83 @@ def _level_bound(g: Graph, ell: int, dist: list[int]) -> int:
     far = dist.index(max(dist))
     bound = min(ell + 1, max(distances(g, far)))
     cut = bridges(g)
-    if len(cut) <= bound:
+    if len(cut) > bound:
+        forest: list[list[int]] = [[] for _ in range(g.n)]
+        for a, b in cut:
+            forest[a].append(b)
+            forest[b].append(a)
+        centers = [(v,) for v in range(g.n) if forest[v]] if ell % 2 else cut
+        for ends in centers:
+            ball: list[int] = []
+            _bfs(forest, ends, (ell + 1) // 2, order=ball)
+            bound = max(bound, len(ball) - 1)
+            if bound == len(cut):
+                break
+    if ell >= 2 and bound <= min(ell, 3):
+        bound = _short_path_bound(g, ell, bound)
+    return bound
+
+
+def _short_path_bound(g: Graph, ell: int, bound: int) -> int:
+    """``bound`` raised to t + 1 when level t <= min(ell, 3) is shown empty
+    by its short paths; ell >= 2.
+
+    With t <= ell colors, any ell + 1 consecutive edges of a proper path
+    differ, so a proper path has at most t edges, all of different colors.
+    If level t is empty, so is every level below it, since recoloring one
+    edge with a new color keeps every proper path proper.  Open twins
+    (``structure.open_twins``) share a neighbourhood N of d vertices, are
+    not adjacent, and their paths of at most 3 edges run through N; so two
+    twins whose colors toward N agree have no proper path of 2 edges, nor
+    one of 3 if N is independent.  Level t is empty if:
+
+    - t = 3 <= ell: more than 3^d open twins have an independent N;
+    - t = 2: more than 2^d open twins have the same N;
+    - t = 2: two non-adjacent vertices have no common neighbour, or the
+      "must differ" links form an odd cycle: when non-adjacent a and b
+      have one common neighbour h, edges ah and hb must differ in color;
+    - t = 1: two vertices are not adjacent.
+
+    The twins are tested first, as they cost one pass over the vertices.
+    """
+    masks = [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
+    for nbrs, twins in open_twins(g).items():
+        k, d = len(twins), len(nbrs)
+        if k > 2 ** d:
+            joint = masks[twins[0]]
+            if ell >= 3 and k > 3 ** d and not any(masks[h] & joint for h in nbrs):
+                return 4
+            bound = max(bound, 3)
+    if bound >= 3:
         return bound
-    forest: list[list[int]] = [[] for _ in range(g.n)]
-    for a, b in cut:
-        forest[a].append(b)
-        forest[b].append(a)
-    centers = [(v,) for v in range(g.n) if forest[v]] if ell % 2 else cut
-    for ends in centers:
-        ball: list[int] = []
-        _bfs(forest, ends, (ell + 1) // 2, order=ball)
-        bound = max(bound, len(ball) - 1)
-        if bound == len(cut):
-            break
+    links: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            if masks[a] >> b & 1:
+                continue
+            common = masks[a] & masks[b]
+            if not common:
+                return 3
+            bound = 2
+            if not common & (common - 1):
+                h = common.bit_length() - 1
+                x, y = normalize_edge(a, h), normalize_edge(h, b)
+                links.setdefault(x, []).append(y)
+                links.setdefault(y, []).append(x)
+    side: dict[tuple[int, int], bool] = {}
+    for e in links:
+        if e in side:
+            continue
+        side[e] = False
+        stack = [e]
+        while stack:
+            x = stack.pop()
+            for y in links[x]:
+                if y not in side:
+                    side[y] = not side[x]
+                    stack.append(y)
+                elif side[y] == side[x]:
+                    return 3
     return bound
 
 
@@ -493,6 +564,7 @@ def min_colors_exact(
     Searches t = 1, 2, ... ascending; at each level it walks the canonical
     exactly-t colorings in order, and the witness is the first of them that
     verifies at the minimal level.  The levels below ``_level_bound``
+    (distance, bridges and, for ell >= 2, twins and must-differ links)
     admit no valid coloring: each is claimed exhausted without a visit,
     with its S(m, t) canonical colorings counted as examined.
 
@@ -601,9 +673,10 @@ def prove_lower_bound(
     g: Graph, ell: int, t: int, budget: Optional[SearchBudget] = None
 ) -> Union[bool, Inconclusive]:
     """True iff no valid coloring with at most t colors exists (each level
-    1..t proved empty, by the diameter-and-bridge bound or by an exhaustive
-    walk); False as soon as some valid coloring is found.  Runs
-    min_colors_exact with the color count capped at t."""
+    1..t proved empty, by the level bound or by an exhaustive walk); False
+    as soon as some valid coloring is found.  Runs min_colors_exact with
+    the color count capped at t, so a level the bound claims costs no
+    verification: ``prove_lower_bound(wheel_graph(8), 2, 2)`` makes none."""
     result = min_colors_exact(g, ell, replace(budget or SearchBudget(), max_colors=t))
     if isinstance(result, ExactResult):
         return False

@@ -383,21 +383,27 @@ def max_subtree_size_with_diameter(t: Graph, d: int) -> tuple[int, Graph]:
     return best_size, Graph(t.n, sub_edges)
 
 
+def open_twins(g: Graph) -> dict[tuple[int, ...], list[int]]:
+    """The vertices of g grouped by open neighbourhood, in ascending
+    order, keyed by that neighbourhood."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v, nbrs in enumerate(g.adjacency):
+        classes.setdefault(nbrs, []).append(v)
+    return classes
+
+
 def twin_swaps(g: Graph) -> list[tuple[int, ...]]:
     """Vertex maps that swap two consecutive members of a twin class.
 
-    Twins have the same open neighbourhood or the same closed one, so
-    swapping two of them is an automorphism.  One pass, keyed by the
-    neighbourhood tuples.
+    Twins have the same open neighbourhood (``open_twins``) or the same
+    closed one, so swapping two of them is an automorphism.
     """
-    open_twins: dict[tuple[int, ...], list[int]] = {}
     closed_twins: dict[tuple[int, ...], list[int]] = {}
     for v, nbrs in enumerate(g.adjacency):
-        open_twins.setdefault(nbrs, []).append(v)
         closed_twins.setdefault(tuple(sorted(nbrs + (v,))), []).append(v)
     return [
         _swap(g.n, a, b)
-        for members in itertools.chain(open_twins.values(), closed_twins.values())
+        for members in itertools.chain(open_twins(g).values(), closed_twins.values())
         if len(members) > 1
         for a, b in zip(members, members[1:])
     ]

@@ -6,7 +6,12 @@ import types
 
 import pytest
 
-from pcc.construct import color_hypercube
+from pcc.construct import (
+    color_complete_bipartite,
+    color_complete_multipartite,
+    color_hypercube,
+    color_wheel,
+)
 import pcc.exact
 from pcc.exact import (
     ExactResult,
@@ -26,6 +31,7 @@ from pcc.graphs import (
     Graph,
     complete_bipartite_graph,
     complete_graph,
+    complete_multipartite_graph,
     cycle_graph,
     hypercube_graph,
     join,
@@ -431,44 +437,48 @@ def test_plain_enumeration_corpus_runs_both_symmetry_sources(monkeypatch):
     assert used["twins"] > 100 and used["group"] > 5, used
 
 
+def _join_7():
+    """K_1 + H for a 7-vertex H, with the dominating vertex last (label 7).
+    Its level 2 is empty but passes every test of the level bound, so the
+    search walks it, and it is still undecided at its n*m = 104th visit:
+    the hub-first copy runs there and exhausts it."""
+    return join(Graph(7, [(0, 6), (1, 2), (2, 3), (2, 5), (3, 4), (4, 6)]), path_graph(1))
+
+
 def test_deadline_trip_counts_on_a_ticking_clock(monkeypatch):
     # A clock that moves one second per read; the budget starts at 0.  The
-    # read before the first level takes 1, and the diameter bound claims
-    # level 1 of both wheels with no read, so the first visit is level 2's
-    # and reads 2.  Against 1.5 s that read trips.  Against 2.5 s the next
-    # read trips: on W_8 the group search at visit n*m = 144 reads 3, then
-    # the hub-first copy, which starts on the same visit, reads 4 and the
-    # search 5; on W_16 (n*m = 544) visit 513 reads 3.  colorings_examined
-    # is level 1's one coloring plus the rank + 1 of the tripping coloring:
-    # 0, 4735 and 351928319.  Before the bound there was no read before
-    # the first level, and level 1's one visit read 1, so at 1.5 s the
-    # deadline tripped at those same later reads, one level-2 visit
-    # earlier: 4609 and 351797249.
+    # read before the first level takes 1, and the level bound claims the
+    # levels below 2 of the join and below 3 of W_16 with no read, so the
+    # first visit reads 2.  Against 1.5 s that read trips.  Against 2.5 s
+    # the next read trips: on the join the group search at visit n*m = 104
+    # reads 3, then the hub-first copy, which starts on the same visit,
+    # reads 4 and the search 5; on W_16 (n*m = 544) visit 513 reads 3.
+    # colorings_examined counts the claimed levels' S(m, t) colorings, 1 on
+    # the join and 1 + (2^31 - 1) on W_16, plus the rank + 1 of the
+    # tripping coloring: 0 + 1, 2047 + 1 and 2863 + 1.
     def ticking():
         ticks = itertools.count()
         return types.SimpleNamespace(monotonic=lambda: float(next(ticks)))
 
     monkeypatch.setattr(pcc.verify, "time", ticking())
-    r = min_colors_exact(wheel_graph(8), 2, SearchBudget(time_limit=1.5))
+    r = min_colors_exact(_join_7(), 2, SearchBudget(time_limit=1.5))
     assert r == Inconclusive((1,), 2, "time limit")
     monkeypatch.setattr(pcc.verify, "time", ticking())
-    r = min_colors_exact(wheel_graph(8), 2, SearchBudget(time_limit=2.5))
-    assert r == Inconclusive((1,), 4737, "time limit")
+    r = min_colors_exact(_join_7(), 2, SearchBudget(time_limit=2.5))
+    assert r == Inconclusive((1,), 2049, "time limit")
     monkeypatch.setattr(pcc.verify, "time", ticking())
     r = min_colors_exact(wheel_graph(16), 2, SearchBudget(max_edges=32, time_limit=2.5))
-    assert r == Inconclusive((1,), 351928321, "time limit")
+    assert r == Inconclusive((1, 2), 2147486512, "time limit")
 
 
 def test_deadline_in_the_hub_first_copy_reports_the_input_order_position(monkeypatch):
-    # A clock that stands still until the copy of W_8 starts, at level 2's
-    # n*m = 144th visit, and then jumps past the 1 s budget.  The copy
+    # A clock that stands still until the copy of the join starts, at level
+    # 2's n*m = 104th visit, and then jumps past the 1 s budget.  The copy
     # stops at its first visit and the search reports the position of the
-    # input order: level 1's one coloring plus the rank + 1 (4735 + 1) of
-    # the coloring at which the copy started.  The diameter bound claims
-    # level 1 without a visit, so the group search runs on that same visit,
-    # the search's 144th, and not on the one before.  That one (rank 4607)
-    # now meets no automorphism, since W_8 has no twins; it is refuted and
-    # skips to rank 4735, where with the group it skipped to rank 4639.
+    # input order: level 1's one coloring, which the level bound claims,
+    # plus the rank + 1 (2047 + 1) of the coloring at which the copy
+    # started.  The group search runs on that same visit, the search's
+    # 104th, since the claimed level adds no visit.
     now = [0.0]
     monkeypatch.setattr(pcc.verify, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
     real_exhausts = pcc.exact._exhausts
@@ -478,8 +488,8 @@ def test_deadline_in_the_hub_first_copy_reports_the_input_order_position(monkeyp
         return real_exhausts(*args)
 
     monkeypatch.setattr(pcc.exact, "_exhausts", late)
-    r = min_colors_exact(wheel_graph(8), 2, SearchBudget(time_limit=1.0))
-    assert r == Inconclusive((1,), 4737, "time limit")
+    r = min_colors_exact(_join_7(), 2, SearchBudget(time_limit=1.0))
+    assert r == Inconclusive((1,), 2049, "time limit")
 
 
 def _visit_trace_corpus():
@@ -504,13 +514,17 @@ def test_visit_trace_is_pinned(monkeypatch):
     # Each search's sequence of lex-leader skip results, failing sources
     # with their cut-off targets and refuting prefixes, with its outputs,
     # hashed with SHA-256; the pin is the SHA-256 of those digests in corpus
-    # order.  It was recorded when the levels below the diameter-and-bridge
-    # bound were first claimed without a visit.  That dropped the events
-    # of those levels, 32,889 -> 19,477, and nothing else, except in the
-    # 12 searches whose n*m-th visit, and so the group search, moved later
-    # or out of reach: the 2-connected graph 7 at l=3, the trees 7 (l=1-3),
-    # 9 (l=2, 3), 35 (l=2, 3) and 43 (l=2), W_7 at l=2 and l=3, and the
-    # W_8 lower bound (graphs numbered from 0 within their kind).
+    # order.  It was recorded when the short-path rules joined the level
+    # bound.  They claim level 2 of 20 searches, whose bound rose from 2 to
+    # 3: the 2-connected graphs 1, 4, 22, 33, 41, 43, 44 and 47 at l=2 and
+    # l=3 (two vertices with no common neighbour, which the two sweeps
+    # missed), W_7 at l=2 and l=3 (an odd cycle of must-differ links), K_2,5
+    # at l=2 (five twins with two neighbours) and the W_8 lower bound (an
+    # odd cycle).  That dropped the 1,843 events of level 2 of those
+    # searches, 19,477 -> 17,636, and nothing else, except in W_7 at l=2
+    # and l=3: level 3 now ends before the n*m-th visit, so its lex-leader
+    # test has no group generators (W_7 has no twins), and its 35 and 18
+    # events became 35 and 20 (graphs numbered from 0 within their kind).
     events = []
 
     def recording(kind, fn):
@@ -540,7 +554,7 @@ def test_visit_trace_is_pinned(monkeypatch):
     assert len(digests) == 315
     assert isinstance(r, Inconclusive) and r.exhausted_levels == (1, 2)
     pin = (total, hashlib.sha256("".join(digests).encode()).hexdigest())
-    assert pin == (19477, "7df6aec7339c6cc5e3de1d4c1414c6d5110362ddbd6055dc4b3b2b243f14da52")
+    assert pin == (17636, "7ff1a707113bce80c53d51414ab3e8cc8c27b03a46ce3839b65db6ae74802676")
 
 
 def test_exact_outputs_are_pinned():
@@ -584,10 +598,7 @@ def test_each_verification_reads_the_matrix_of_the_coloring_it_checks(monkeypatc
     assert len(verified) >= 1000, len(verified)
 
 
-def test_hub_first_copy_cuts_the_wheel_lower_bound_scans(monkeypatch):
-    # W_8's hub has the last label.  Level 2 stalls at its n*m-th visit and
-    # the hub-first copy exhausts it: 149 decision scans where the input
-    # order alone makes 250.
+def _counted_scans(monkeypatch):
     scans = []
     real_scan = pcc.exact._failing_source
 
@@ -596,8 +607,30 @@ def test_hub_first_copy_cuts_the_wheel_lower_bound_scans(monkeypatch):
         return real_scan(*args)
 
     monkeypatch.setattr(pcc.exact, "_failing_source", counted)
+    return scans
+
+
+def test_hub_first_copy_cuts_the_join_lower_bound_scans(monkeypatch):
+    # The join's hub has the last label.  Level 2 stalls at its n*m-th
+    # visit and the hub-first copy exhausts it: 85 decision scans where the
+    # input order alone makes 122.
+    scans = _counted_scans(monkeypatch)
+    assert prove_lower_bound(_join_7(), 2, 2) is True
+    assert len(scans) == 85
+    scans.clear()
+    monkeypatch.setattr(pcc.exact, "_exhausts", lambda *args: False)
+    assert prove_lower_bound(_join_7(), 2, 2) is True
+    assert len(scans) == 122
+
+
+def test_level_bound_proves_the_wheel_lower_bound_without_a_scan(monkeypatch):
+    # pc_{1,2}(W_8) > 2: the must-differ links of W_8's spokes form an odd
+    # cycle, so the level bound claims levels 1 and 2 and nothing is walked.
+    # A walk of level 2 takes 149 decision scans with the hub-first copy and
+    # 250 in input order alone.
+    scans = _counted_scans(monkeypatch)
     assert prove_lower_bound(wheel_graph(8), 2, 2) is True
-    assert len(scans) == 149
+    assert scans == []
 
 
 def _hub_at(g, hub, where):
@@ -611,14 +644,18 @@ def _hub_at(g, hub, where):
     return Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
 
 
-@pytest.mark.parametrize("g, ell", [(wheel_graph(7), 2), (join(path_graph(8), path_graph(1)), 2)],
-                         ids=["W_7", "fan_8"])
-def test_hub_position_changes_no_answer(g, ell, monkeypatch):
+@pytest.mark.parametrize("g, ell, walks_at", [
+    (_join_7(), 2, ([], [True], [True])),
+    (join(path_graph(8), path_graph(1)), 2, ([], [], [False])),
+], ids=["join_7", "fan_8"])
+def test_hub_position_changes_no_answer(g, ell, walks_at, monkeypatch):
     # The dominating vertex at label 0, at a middle label and at the last
     # label: the same minimum and exhausted levels, and each witness
-    # verifies.  With the hub off label 0 the copy exhausts a level (and
-    # on the fan with the hub last it also finds level 3 feasible), and
-    # every output equals that of the input order alone.
+    # verifies.  With the hub off label 0 the copy of the join exhausts
+    # level 2; on the fan, whose levels 1 and 2 the level bound claims, only
+    # the hub at the last label stalls level 3, where the copy finds a valid
+    # coloring that is dropped.  Every output equals that of the input
+    # order alone.
     walks = []
     real_exhausts = pcc.exact._exhausts
 
@@ -629,7 +666,7 @@ def test_hub_position_changes_no_answer(g, ell, monkeypatch):
     hub = g.n - 1
     assert g.degree(hub) == g.n - 1
     outcomes = set()
-    for where in (0, g.n // 2, g.n - 1):
+    for where, expected in zip((0, g.n // 2, g.n - 1), walks_at):
         h = _hub_at(g, hub, where)
         monkeypatch.setattr(pcc.exact, "_exhausts", lambda *args: False)
         alone = min_colors_exact(h, ell)
@@ -640,7 +677,7 @@ def test_hub_position_changes_no_answer(g, ell, monkeypatch):
         assert r == alone
         assert verify_coloring(h, r.witness, ell).ok
         outcomes.add((r.min_colors, r.exhausted_levels))
-        assert (True in walks) == (where != 0), (where, walks)
+        assert walks == expected, (where, walks)
     assert len(outcomes) == 1, outcomes
 
 
@@ -721,3 +758,64 @@ def test_level_bound_changes_no_output_on_the_trace_corpus(monkeypatch):
     bounded = [_outputs(min_colors_exact(*search)) for search in corpus]
     monkeypatch.setattr(pcc.exact, "_level_bound", lambda g, ell, dist: 0)
     assert [_outputs(min_colors_exact(*search)) for search in corpus] == bounded
+
+
+def _bound(g, ell):
+    return _level_bound(g, ell, distances(g, 0))
+
+
+def test_level_bound_is_the_constructors_count_on_bipartite_graphs_wheels_and_k11n():
+    # The paper's values of pc_{1,l} for K_m,n, W_n and K_1,1,n, as the
+    # constructors claim them, are the level bound itself: the twin rules
+    # give 3 past 2^m twins and, for l >= 3, 4 past 3^m; the must-differ
+    # links of the spokes of W_n with n >= 7 form an odd cycle.
+    for m in (2, 3):
+        for n in range(m, 30):
+            for ell in (2, 3, 4):
+                claimed = color_complete_bipartite(m, n, ell).claimed_colors
+                assert _bound(complete_bipartite_graph(m, n), ell) == claimed, (m, n, ell)
+    for n in range(3, 17):
+        for ell in (2, 3, 4):
+            assert _bound(wheel_graph(n), ell) == color_wheel(n, ell).claimed_colors, (n, ell)
+    for n in range(1, 30):
+        for ell in (2, 3, 4):
+            claimed = color_complete_multipartite((1, 1, n), ell).claimed_colors
+            assert _bound(complete_multipartite_graph((1, 1, n)), ell) == claimed, (n, ell)
+
+
+def test_short_path_bound_is_at_most_the_plain_minimum(monkeypatch):
+    # On graphs of diameter 2 where the short-path rules raise the bound at
+    # l=2, plain enumeration finds no valid coloring with fewer colors than
+    # the bound: the bound is at most pc_{1,2}.  With at most 2 colors a
+    # proper path has at most 2 edges for every l >= 2, so the same levels
+    # are empty at every such l.  W_7, the fan P_7 + K_1 and C_5 have odd
+    # cycles of must-differ links, K_2,5 and K_1,1,5 too many twins.  Among
+    # the 175 seeded random graphs, 6 have an odd cycle and 6 more a pair
+    # of non-adjacent vertices that the two sweeps missed.  K_2,10 at l=3
+    # has ten twins with two independent neighbours, too many colorings for
+    # plain enumeration; the pruned search with the bound patched to 0
+    # proves its level 3 empty instead.
+    graphs = [cycle_graph(5), wheel_graph(7), join(path_graph(7), path_graph(1)),
+              complete_bipartite_graph(2, 5), complete_multipartite_graph((1, 1, 5))]
+    rng = random.Random(71)
+    for _ in range(400):
+        g = random_connected_graph(rng.randint(5, 7), rng, extra=rng.choice((0.3, 0.5)))
+        if g.m <= 10 and max(max(distances(g, v)) for v in range(g.n)) == 2:
+            graphs.append(g)
+    bounds = [_bound(g, 2) for g in graphs]
+    monkeypatch.setattr(pcc.exact, "_short_path_bound", lambda g, ell, bound: bound)
+    claimed = 0
+    for g, bound in zip(graphs, bounds):
+        raised = bound - _bound(g, 2)
+        if not raised:
+            continue
+        claimed += raised
+        for t in range(1, bound):
+            for assignment in canonical_colorings(g.m, t):
+                coloring = EdgeColoring(dict(zip(g.edges, assignment)))
+                assert first_failing_pair(g, coloring, 2) is not None, (g.edges, assignment)
+    # 18 levels claimed by the rules alone, 12 of them on the random graphs.
+    assert claimed > 15, claimed
+    monkeypatch.setattr(pcc.exact, "_level_bound", lambda g, ell, dist: 0)
+    r = min_colors_exact(complete_bipartite_graph(2, 10), 3, SearchBudget(max_edges=20))
+    assert (r.min_colors, r.exhausted_levels) == (4, (1, 2, 3))

@@ -35,6 +35,7 @@ from pcc.structure import (
     is_star,
     max_subtree_size_with_diameter,
     minimally_2connected_spanning,
+    open_twins,
     radius,
     sigma2_prime,
     twin_swaps,
@@ -403,6 +404,11 @@ def test_twin_swaps_pair_consecutive_twins():
         (1, 0, 2, 3, 4), (0, 1, 3, 2, 4), (0, 1, 2, 4, 3)]
     assert twin_swaps(complete_graph(3)) == [(1, 0, 2), (0, 2, 1)]
     assert twin_swaps(path_graph(4)) == []
+
+
+def test_open_twins_group_every_vertex_by_neighbourhood():
+    assert open_twins(complete_bipartite_graph(2, 3)) == {(2, 3, 4): [0, 1], (0, 1): [2, 3, 4]}
+    assert open_twins(path_graph(4)) == {(1,): [0], (0, 2): [1], (1, 3): [2], (2,): [3]}
 
 
 def test_twin_classes_give_a_linear_number_of_maps():
