@@ -579,6 +579,10 @@ def min_colors_exact(
     Visits are counted over every walked level, skipped colorings
     included, and the levels the bound claims add none; on the n*m-th the
     generators of Aut(g) replace the twin swaps in the lex-leader test.
+    The twin swaps and the walk's own labelling of g (``_Labelling``: edge
+    permutations, incident edges, color matrix) are built at the first
+    level that is walked, so a search whose every level the bound claims,
+    such as most calls of ``prove_lower_bound``, costs only the bound.
 
     A level still undecided after n*m visits of its own, in a graph whose
     lowest-labelled dominating vertex is not vertex 0, is then walked to
@@ -617,11 +621,7 @@ def min_colors_exact(
         return Inconclusive((), 0, "time limit")
     n, m = g.n, g.m
     defer = n * m
-    maps = twin_swaps(g)
-    labelling = _Labelling(g, maps)
-    # 0 if vertex 0 dominates or no vertex does: then no copy is made.
-    hub = next((v for v, nbrs in enumerate(g.adjacency) if len(nbrs) == n - 1), 0)
-    copy = None
+    labelling = copy = None
     visits = 0
     # The levels below the bound are empty: claimed without a visit, with
     # their S(m, t) canonical colorings, row[t] after m steps of the
@@ -632,6 +632,12 @@ def min_colors_exact(
         row = [0] + [t * row[t] + row[t - 1] for t in exhausted]
     examined = sum(row)
     for t in range(len(exhausted) + 1, top + 1):
+        if labelling is None:
+            # The walk machinery, built at the first level that is walked.
+            maps = twin_swaps(g)
+            labelling = _Labelling(g, maps)
+            # 0 if vertex 0 dominates or no vertex does: then no copy is made.
+            hub = next((v for v, nbrs in enumerate(g.adjacency) if len(nbrs) == n - 1), 0)
         ways = _completion_counts(m, t)
         odometer = _Odometer(m, t)
         colorings = iter(odometer)
@@ -676,7 +682,10 @@ def prove_lower_bound(
     1..t proved empty, by the level bound or by an exhaustive walk); False
     as soon as some valid coloring is found.  Runs min_colors_exact with
     the color count capped at t, so a level the bound claims costs no
-    verification: ``prove_lower_bound(wheel_graph(8), 2, 2)`` makes none."""
+    verification, and when it claims every level up to t nothing is built
+    for a walk: ``prove_lower_bound(wheel_graph(8), 2, 2)`` costs only the
+    bound.  ``pcc table`` proves each verified row's color count minimal
+    this way."""
     result = min_colors_exact(g, ell, replace(budget or SearchBudget(), max_colors=t))
     if isinstance(result, ExactResult):
         return False

@@ -177,12 +177,17 @@ def minimally_2connected_spanning(g: Graph) -> Graph:
     preserves 2-connectivity.  A single pass suffices: once an edge is
     critical it stays critical as further edges disappear.  Each edge is
     taken out of one mutable adjacency, tested, and put back if critical.
+    An edge with an end of degree 2 needs no test: without it that end
+    has degree 1, and its one neighbour is a cut vertex.
     """
     if not is_2_connected(g):
         raise ValueError("minimally 2-connected reduction requires a 2-connected graph")
     adjacency = [list(nbrs) for nbrs in g.adjacency]
     kept = []
     for u, v in g.edges:
+        if len(adjacency[u]) == 2 or len(adjacency[v]) == 2:
+            kept.append((u, v))
+            continue
         adjacency[u].remove(v)
         adjacency[v].remove(u)
         if not _lowpoint(adjacency):

@@ -2,14 +2,17 @@
 
 Everything here recomputes results from first principles (exhaustive
 enumeration, direct definitions) and deliberately shares no code with the
-implementation paths it checks.  Two are references rather than oracles.
+implementation paths it checks.  Three are references rather than oracles.
 ``per_source_certificate`` rebuilds a k = 1 certificate from a tuple-state
 search of its own, ``shortest_proper_walks``, one search per source, which
 the certificate scan must reproduce exactly; from the library it takes only
 the color matrix and the DFS over simple paths (``_proper_paths``) that
 stands in for a walk that repeats a vertex.  ``cartesian_by_template_greedy``
 is the greedy product coloring whose output ``construct._cartesian_general``
-computes in closed form.
+computes in closed form.  ``minimally_2connected_unpruned`` is the
+reduction scan that runs the library's lowpoint DFS on every edge, which
+``structure.minimally_2connected_spanning`` skips for edges it can tell
+are critical from a degree.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import itertools
 import random
 
 from pcc.graphs import Graph, normalize_edge
+from pcc.structure import _lowpoint
 from pcc.verify import _color_matrix, _proper_paths
 
 
@@ -279,6 +283,22 @@ def minimally_2connected_by_rebuild(g: Graph) -> Graph:
         trial = [x for x in kept if x != e]
         if two_connected_by_definition(Graph(g.n, trial)):
             kept = trial
+    return Graph(g.n, kept)
+
+
+def minimally_2connected_unpruned(g: Graph) -> Graph:
+    """The reduction scan with no edge exempt from the test: in ascending
+    edge order, take each edge out of one mutable adjacency and put it back
+    if the lowpoint DFS finds the rest not 2-connected."""
+    adjacency = [list(nbrs) for nbrs in g.adjacency]
+    kept = []
+    for u, v in g.edges:
+        adjacency[u].remove(v)
+        adjacency[v].remove(u)
+        if not _lowpoint(adjacency):
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+            kept.append((u, v))
     return Graph(g.n, kept)
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from pcc import cli, construct, io, verify
+from pcc import cli, construct, exact, io, verify
 from pcc.cli import main
 from pcc.graphs import (
     EdgeColoring,
@@ -533,6 +533,31 @@ def test_table_output_is_pinned(tmp_path, capsys, monkeypatch):
         assert hashlib.sha256(csv_bytes).hexdigest() == csv_digest, theorem
 
 
+def test_table_cells_from_the_lower_bound_equal_the_exact_search(tmp_path, capsys):
+    # A table cell whose row verified is proved from below by the row's
+    # coloring; every decided cell must still be the full search's minimum.
+    grids = [(theorem, grid) for theorem, grid, _, _ in _TABLE_PINS]
+    grids.append(("tree", ["--count", "20", "--max-n", "40", "--seed", "3", "--exact-edges", "14"]))
+    decided = 0
+    for theorem, grid in grids:
+        argv = ["table", "--theorem", theorem, *grid, "-o", str(tmp_path / "table.csv")]
+        code, _, _ = run(argv, capsys)
+        assert code == 0, theorem
+        args = cli._parser().parse_args(argv)
+        cli._table_grid(args)
+        budget = exact.SearchBudget(time_limit=args.time_limit, max_edges=args.exact_edges)
+        for row, (params, ell, g, _) in zip(_table_rows(tmp_path / "table.csv"),
+                                            cli._table_rows(args), strict=True):
+            cell = row.split(",")[4]
+            if cell == "skipped":
+                assert g.m > args.exact_edges, (theorem, params, ell)
+                continue
+            assert cell == str(exact.min_colors_exact(g, ell, budget).min_colors), (
+                theorem, params, ell)
+            decided += 1
+    assert decided == 50, decided
+
+
 @pytest.mark.parametrize(
     "family_args, claimed",
     [
@@ -610,6 +635,43 @@ def test_table_cells_inconclusive_fail_and_mismatch(tmp_path, capsys, monkeypatc
     code, _, _ = run(wheel, capsys)
     assert code == 1
     assert _table_rows(out) == ["n=3,2,2,true,1,mismatch", "n=4,2,3,true,2,mismatch"]
+
+
+def test_table_cell_is_proved_from_the_colors_the_coloring_uses(tmp_path, capsys, monkeypatch):
+    # The cell proves the count of colors the verified coloring uses, not
+    # its claim.  A coloring with more colors than the minimum fails that
+    # proof, so its cell comes from the full search.
+    out = tmp_path / "table.csv"
+    wheel = ["table", "--theorem", "wheel", "--max-n", "4", "--exact-edges", "10", "-o", str(out)]
+    real_wheel, real_search = construct.color_wheel, exact.min_colors_exact
+    searched = []
+
+    def search(g, ell, budget):
+        searched.append((g.m, budget.max_colors))
+        return real_search(g, ell, budget)
+
+    def rainbow(n, ell):
+        g = wheel_graph(n)
+        coloring = EdgeColoring({e: i + 1 for i, e in enumerate(g.edges)})
+        return construct.ConstructionReport(coloring, g.m, "wheel", "all colors distinct")
+
+    monkeypatch.setattr(exact, "min_colors_exact", search)
+    monkeypatch.setattr(construct, "color_wheel", rainbow)
+    assert run(wheel, capsys)[0] == 1
+    assert _table_rows(out) == ["n=3,2,6,true,1,mismatch", "n=4,2,8,true,2,mismatch"]
+    assert searched == [(6, 5), (6, None), (8, 7), (8, None)]
+
+    # Claims one above the real colorings of W_3 and W_4, which use 1 and 2
+    # colors: W_3 is searched in full, W_4 only proved to need 2.
+    def overclaimed(n, ell):
+        report = real_wheel(n, ell)
+        return construct.ConstructionReport(report.coloring, report.claimed_colors + 1, "wheel")
+
+    searched.clear()
+    monkeypatch.setattr(construct, "color_wheel", overclaimed)
+    assert run(wheel, capsys)[0] == 1
+    assert _table_rows(out) == ["n=3,2,2,true,1,mismatch", "n=4,2,3,true,2,mismatch"]
+    assert searched == [(6, None), (8, 1)]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -169,6 +170,20 @@ def test_witness_is_canonically_first():
             break
 
 
+@functools.cache
+def _plain_corpus():
+    """50 seeded random connected graphs with at most 10 edges, then W_5,
+    K_2,4 and C_7: the graphs whose searches plain enumeration checks."""
+    rng = random.Random(29)
+    graphs = []
+    while len(graphs) < 50:
+        g = random_connected_graph(rng.randint(3, 7), rng, extra=rng.choice((0.1, 0.3)))
+        if g.m <= 10:
+            graphs.append(g)
+    return tuple(graphs) + (wheel_graph(5), complete_bipartite_graph(2, 4), cycle_graph(7))
+
+
+@functools.cache
 def _plain_search(g, ell):
     # Every canonical coloring, level by level, checked in full.
     examined = 0
@@ -184,14 +199,7 @@ def _plain_search(g, ell):
 
 
 def test_pruned_search_matches_plain_enumeration():
-    rng = random.Random(29)
-    graphs = []
-    while len(graphs) < 50:
-        g = random_connected_graph(rng.randint(3, 7), rng, extra=rng.choice((0.1, 0.3)))
-        if g.m <= 10:
-            graphs.append(g)
-    graphs += [wheel_graph(5), complete_bipartite_graph(2, 4), cycle_graph(7)]
-    for g in graphs:
+    for g in _plain_corpus():
         for ell in (1, 2, 3):
             r = min_colors_exact(g, ell)
             got = (r.min_colors, r.exhausted_levels, r.witness.colors, r.colorings_examined)
@@ -408,16 +416,9 @@ def test_lex_leader_skip_holds_for_every_completion():
 
 
 def test_plain_enumeration_corpus_runs_both_symmetry_sources(monkeypatch):
-    # The corpus of test_pruned_search_matches_plain_enumeration, rebuilt
-    # with the same seed, exercises the twin swaps and the deferred group:
-    # count the searches in which each one found any automorphism.
-    rng = random.Random(29)
-    graphs = []
-    while len(graphs) < 50:
-        g = random_connected_graph(rng.randint(3, 7), rng, extra=rng.choice((0.1, 0.3)))
-        if g.m <= 10:
-            graphs.append(g)
-    graphs += [wheel_graph(5), complete_bipartite_graph(2, 4), cycle_graph(7)]
+    # The corpus of test_pruned_search_matches_plain_enumeration exercises
+    # the twin swaps and the deferred group: count the searches in which
+    # each one found any automorphism.
     used = {"twins": 0, "group": 0}
 
     def counted(name, find):
@@ -430,7 +431,7 @@ def test_plain_enumeration_corpus_runs_both_symmetry_sources(monkeypatch):
     monkeypatch.setattr(pcc.exact, "twin_swaps", counted("twins", twin_swaps))
     monkeypatch.setattr(pcc.exact, "automorphism_generators",
                         counted("group", automorphism_generators))
-    for g in graphs:
+    for g in _plain_corpus():
         for ell in (1, 2, 3):
             min_colors_exact(g, ell)
     # 123 and 10 of the 159 searches.
@@ -510,6 +511,13 @@ def _visit_trace_corpus():
     return searches
 
 
+def _outputs(r):
+    if isinstance(r, ExactResult):
+        return (r.min_colors, sorted(r.witness.colors.items()), r.exhausted_levels,
+                r.colorings_examined)
+    return (r.exhausted_levels, r.colorings_examined, r.reason)
+
+
 def test_visit_trace_is_pinned(monkeypatch):
     # Each search's sequence of lex-leader skip results, failing sources
     # with their cut-off targets and refuting prefixes, with its outputs,
@@ -543,12 +551,7 @@ def test_visit_trace_is_pinned(monkeypatch):
     for g, ell, budget in _visit_trace_corpus():
         events.clear()
         r = min_colors_exact(g, ell, budget)
-        if isinstance(r, ExactResult):
-            outputs = (r.min_colors, sorted(r.witness.colors.items()), r.exhausted_levels,
-                       r.colorings_examined)
-        else:
-            outputs = (r.exhausted_levels, r.colorings_examined, r.reason)
-        text = repr((events, outputs))
+        text = repr((events, _outputs(r)))
         digests.append(hashlib.sha256(text.encode()).hexdigest())
         total += len(events)
     assert len(digests) == 315
@@ -562,13 +565,7 @@ def test_exact_outputs_are_pinned():
     # to how the search skips blocks must keep this pin as it is.
     digest = hashlib.sha256()
     for g, ell, budget in _visit_trace_corpus():
-        r = min_colors_exact(g, ell, budget)
-        if isinstance(r, ExactResult):
-            outputs = (r.min_colors, sorted(r.witness.colors.items()), r.exhausted_levels,
-                       r.colorings_examined)
-        else:
-            outputs = (r.exhausted_levels, r.colorings_examined, r.reason)
-        digest.update(repr(outputs).encode())
+        digest.update(repr(_outputs(min_colors_exact(g, ell, budget))).encode())
     assert digest.hexdigest() == "574ffccd30253ca09bc8e4488813302dd8bed7debe754a2acd92502082ae4172"
 
 
@@ -681,25 +678,12 @@ def test_hub_position_changes_no_answer(g, ell, walks_at, monkeypatch):
     assert len(outcomes) == 1, outcomes
 
 
-def _outputs(r):
-    if isinstance(r, ExactResult):
-        return (r.min_colors, sorted(r.witness.colors.items()), r.exhausted_levels,
-                r.colorings_examined)
-    return (r.exhausted_levels, r.colorings_examined, r.reason)
-
-
 def test_level_bound_is_at_most_the_plain_minimum():
     # The bound never claims a level that has a valid coloring: it is at
     # most pc_{1,l} from plain enumeration, on the corpus of
-    # test_pruned_search_matches_plain_enumeration, rebuilt with the same
-    # seed, and on random trees with at most 7 edges.
-    rng = random.Random(29)
-    graphs = []
-    while len(graphs) < 50:
-        g = random_connected_graph(rng.randint(3, 7), rng, extra=rng.choice((0.1, 0.3)))
-        if g.m <= 10:
-            graphs.append(g)
-    graphs += [wheel_graph(5), complete_bipartite_graph(2, 4), cycle_graph(7)]
+    # test_pruned_search_matches_plain_enumeration and on random trees with
+    # at most 7 edges.
+    graphs = list(_plain_corpus())
     graphs += [random_tree(n, seed) for n in range(2, 9) for seed in range(4)]
     claimed = 0
     for g in graphs:
