@@ -53,20 +53,6 @@ knows what changed between one coloring and the next: it reports the
 first edge that changed since the coloring it yielded before, and the
 colors used by each prefix.  The lex-leader test reads both instead of recomputing them.
 
-How far a refutation skips depends on the edge order, which follows the
-vertex labels.  A graph with a dominating vertex (one adjacent to all
-others, such as the hub of a wheel or a fan) needs that vertex's edges in
-most refutations, so with the hub last, as ``wheel_graph`` labels it,
-each refutation skips a small block.  A level still undecided after n*m
-visits of its own is therefore also walked to the end in the edge order
-of a copy of the graph relabelled breadth first from its lowest-labelled
-dominating vertex, the hub's edges first (fail first; Haralick & Elliott
-1980), unless that vertex is already vertex 0.  This is sound because a
-relabelling maps the valid colorings of one labelling onto those of the
-other, so a level that is empty in one order is empty in every order: if
-the copy exhausts the level, the level is exhausted.  If the copy finds a
-valid coloring, it is dropped and the walk in input order goes on.
-
 Only colorings that cannot be the witness are skipped, so the witness is
 still the canonically first valid coloring, and ``colorings_examined``
 counts the skipped ones too: it is the canonical rank of the witness plus
@@ -384,72 +370,6 @@ class _LexLeader:
         return None
 
 
-class _Labelling:
-    """One labelling of the graph under search and what a visit reads: its
-    edge order, incident edges, a color matrix and the lex-leader test of
-    its automorphisms.  ``visit`` is the one visit routine of the search."""
-
-    __slots__ = ("g", "incident", "cmat", "lex")
-
-    def __init__(self, g: Graph, maps):
-        self.g = g
-        self.incident = _incident_edges(g)
-        self.cmat = [[0] * g.n for _ in range(g.n)]
-        self.lex = _LexLeader(_edge_permutations(g, maps))
-
-    def visit(self, assignment: tuple[int, ...], odometer: _Odometer, ell: int) -> Optional[int]:
-        """None if ``assignment``, the coloring ``odometer`` yielded last,
-        makes the graph (1, ell)-proper connected.  Otherwise the prefix
-        length to send ``odometer``: from the lex-leader test, or else from
-        ``_refuting_prefix`` on the source that the decision scan finds
-        failing, with the targets its search cut off."""
-        p = self.lex.skip(assignment, odometer.changed, odometer.used)
-        if p is not None:
-            return p
-        g, cmat = self.g, self.cmat
-        for (a, b), c in zip(g.edges, assignment):
-            cmat[a][b] = cmat[b][a] = c
-        failing = _failing_source(g.adjacency, cmat, g.n, ell)
-        if failing is None:
-            return None
-        return _refuting_prefix(self.incident, assignment, odometer.t, *failing, ell)
-
-
-def _hub_first(g: Graph, hub: int, maps) -> _Labelling:
-    """g relabelled in breadth-first order from its dominating vertex
-    ``hub``: hub first, then its neighbours, which are all the other
-    vertices, in ascending order.  The vertex maps ``maps`` of g's
-    automorphisms are carried through the relabelling."""
-    order = [hub] + [v for v in range(g.n) if v != hub]
-    label = [0] * g.n
-    for new, v in enumerate(order):
-        label[v] = new
-    copy = Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
-    return _Labelling(copy, [tuple(label[image[v]] for v in order) for image in maps])
-
-
-def _exhausts(labelling: _Labelling, t: int, ell: int, deadline) -> bool:
-    """True if the walk of level t in the edge order of ``labelling`` ends
-    without a valid coloring: the level has none.  False as soon as it
-    finds one, or once the deadline, read on the first and every 512th
-    visit, has expired."""
-    odometer = _Odometer(labelling.g.m, t)
-    colorings = iter(odometer)
-    p = None
-    visits = 0
-    while True:
-        try:
-            assignment = colorings.send(p)
-        except StopIteration:
-            return True
-        visits += 1
-        if visits % 512 == 1 and deadline and deadline.expired():
-            return False
-        p = labelling.visit(assignment, odometer, ell)
-        if p is None:
-            return False
-
-
 def _level_bound(g: Graph, ell: int, dist: list[int]) -> int:
     """A color count L such that no coloring of g with fewer than L colors
     is (1, ell)-proper connected: the largest of min(ell + 1, D), B and,
@@ -579,30 +499,17 @@ def min_colors_exact(
     Visits are counted over every walked level, skipped colorings
     included, and the levels the bound claims add none; on the n*m-th the
     generators of Aut(g) replace the twin swaps in the lex-leader test.
-    The twin swaps and the walk's own labelling of g (``_Labelling``: edge
-    permutations, incident edges, color matrix) are built at the first
-    level that is walked, so a search whose every level the bound claims,
-    such as most calls of ``prove_lower_bound``, costs only the bound.
-
-    A level still undecided after n*m visits of its own, in a graph whose
-    lowest-labelled dominating vertex is not vertex 0, is then walked to
-    the end in the edge order of a copy of g relabelled hub first
-    (``_hub_first``, built at the first such level), whose lex-leader test
-    gets g's generators carried through the relabelling.  A relabelling
-    maps the valid colorings of one labelling onto those of the other, so
-    a level that is empty in one order is empty in every order: if the
-    copy exhausts the level, the level is exhausted.  If the copy finds a
-    valid coloring, it is dropped and the input-order walk goes on, so the
-    witness, its rank and every ``Inconclusive`` are those of the input
-    order alone.
+    The twin swaps and what a visit reads (the lex-leader test, incident
+    edges and a color matrix) are built at the first level that is walked,
+    so a search whose every level the bound claims, such as most calls of
+    ``prove_lower_bound``, costs only the bound.  Levels are walked in the
+    input edge order only.
 
     The deadline is read once after the bound, before the first level, so
     a budget already spent claims no level; then on the first and every
-    512th visit, after the group search, and after each walk of the copy,
-    which also reads it on its own first and every 512th visit.
-    ``colorings_examined`` counts the canonical colorings of the exhausted
-    levels and those of the last level up to and including the last one
-    visited in input order.
+    512th visit, and after the group search.  ``colorings_examined``
+    counts the canonical colorings of the exhausted levels and those of
+    the last level up to and including the last one visited.
     """
     ell = _validate_window(ell)
     dist = distances(g, 0)
@@ -621,7 +528,7 @@ def min_colors_exact(
         return Inconclusive((), 0, "time limit")
     n, m = g.n, g.m
     defer = n * m
-    labelling = copy = None
+    lex = None
     visits = 0
     # The levels below the bound are empty: claimed without a visit, with
     # their S(m, t) canonical colorings, row[t] after m steps of the
@@ -632,16 +539,14 @@ def min_colors_exact(
         row = [0] + [t * row[t] + row[t - 1] for t in exhausted]
     examined = sum(row)
     for t in range(len(exhausted) + 1, top + 1):
-        if labelling is None:
+        if lex is None:
             # The walk machinery, built at the first level that is walked.
-            maps = twin_swaps(g)
-            labelling = _Labelling(g, maps)
-            # 0 if vertex 0 dominates or no vertex does: then no copy is made.
-            hub = next((v for v, nbrs in enumerate(g.adjacency) if len(nbrs) == n - 1), 0)
+            lex = _LexLeader(_edge_permutations(g, twin_swaps(g)))
+            incident = _incident_edges(g)
+            cmat = [[0] * n for _ in range(n)]
         ways = _completion_counts(m, t)
         odometer = _Odometer(m, t)
-        colorings = iter(odometer)
-        own = 0
+        colorings, used = iter(odometer), odometer.used
         p = None
         while True:
             try:
@@ -651,25 +556,21 @@ def min_colors_exact(
                 # spans the level: it is exhausted.
                 break
             visits += 1
-            own += 1
             if visits == defer:
-                maps = automorphism_generators(g, deadline)
-                labelling.lex = _LexLeader(_edge_permutations(g, maps))
-            check = visits % 512 == 1 or visits == defer
-            if own == defer and hub:
-                copy = copy or _hub_first(g, hub, maps)
-                if _exhausts(copy, t, ell, deadline):
-                    # Empty in the copy's order, so empty in every order.
-                    break
-                check = True
-            if check and deadline and deadline.expired():
+                lex = _LexLeader(_edge_permutations(g, automorphism_generators(g, deadline)))
+            if (visits % 512 == 1 or visits == defer) and deadline and deadline.expired():
                 examined += _rank(assignment, ways) + 1
                 return Inconclusive(tuple(exhausted), examined, "time limit")
-            p = labelling.visit(assignment, odometer, ell)
+            p = lex.skip(assignment, odometer.changed, used)
             if p is None:
-                examined += _rank(assignment, ways) + 1
-                witness = EdgeColoring(dict(zip(g.edges, assignment)), num_colors=t)
-                return ExactResult(t, witness, examined, tuple(exhausted))
+                for (a, b), c in zip(g.edges, assignment):
+                    cmat[a][b] = cmat[b][a] = c
+                failing = _failing_source(g.adjacency, cmat, n, ell)
+                if failing is None:
+                    examined += _rank(assignment, ways) + 1
+                    witness = EdgeColoring(dict(zip(g.edges, assignment)), num_colors=t)
+                    return ExactResult(t, witness, examined, tuple(exhausted))
+                p = _refuting_prefix(incident, assignment, t, *failing, ell)
         examined += ways[0][0]
         exhausted.append(t)
     return Inconclusive(tuple(exhausted), examined, f"no valid coloring with <= {top} colors")

@@ -441,8 +441,8 @@ def test_plain_enumeration_corpus_runs_both_symmetry_sources(monkeypatch):
 def _join_7():
     """K_1 + H for a 7-vertex H, with the dominating vertex last (label 7).
     Its level 2 is empty but passes every test of the level bound, so the
-    search walks it, and it is still undecided at its n*m = 104th visit:
-    the hub-first copy runs there and exhausts it."""
+    search walks it to the end, past its n*m = 104th visit, where the
+    group search runs."""
     return join(Graph(7, [(0, 6), (1, 2), (2, 3), (2, 5), (3, 4), (4, 6)]), path_graph(1))
 
 
@@ -452,8 +452,7 @@ def test_deadline_trip_counts_on_a_ticking_clock(monkeypatch):
     # levels below 2 of the join and below 3 of W_16 with no read, so the
     # first visit reads 2.  Against 1.5 s that read trips.  Against 2.5 s
     # the next read trips: on the join the group search at visit n*m = 104
-    # reads 3, then the hub-first copy, which starts on the same visit,
-    # reads 4 and the search 5; on W_16 (n*m = 544) visit 513 reads 3.
+    # reads 3 and the search 4; on W_16 (n*m = 544) visit 513 reads 3.
     # colorings_examined counts the claimed levels' S(m, t) colorings, 1 on
     # the join and 1 + (2^31 - 1) on W_16, plus the rank + 1 of the
     # tripping coloring: 0 + 1, 2047 + 1 and 2863 + 1.
@@ -470,27 +469,6 @@ def test_deadline_trip_counts_on_a_ticking_clock(monkeypatch):
     monkeypatch.setattr(pcc.verify, "time", ticking())
     r = min_colors_exact(wheel_graph(16), 2, SearchBudget(max_edges=32, time_limit=2.5))
     assert r == Inconclusive((1, 2), 2147486512, "time limit")
-
-
-def test_deadline_in_the_hub_first_copy_reports_the_input_order_position(monkeypatch):
-    # A clock that stands still until the copy of the join starts, at level
-    # 2's n*m = 104th visit, and then jumps past the 1 s budget.  The copy
-    # stops at its first visit and the search reports the position of the
-    # input order: level 1's one coloring, which the level bound claims,
-    # plus the rank + 1 (2047 + 1) of the coloring at which the copy
-    # started.  The group search runs on that same visit, the search's
-    # 104th, since the claimed level adds no visit.
-    now = [0.0]
-    monkeypatch.setattr(pcc.verify, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
-    real_exhausts = pcc.exact._exhausts
-
-    def late(*args):
-        now[0] = 1e9
-        return real_exhausts(*args)
-
-    monkeypatch.setattr(pcc.exact, "_exhausts", late)
-    r = min_colors_exact(_join_7(), 2, SearchBudget(time_limit=1.0))
-    assert r == Inconclusive((1,), 2049, "time limit")
 
 
 def _visit_trace_corpus():
@@ -607,15 +585,10 @@ def _counted_scans(monkeypatch):
     return scans
 
 
-def test_hub_first_copy_cuts_the_join_lower_bound_scans(monkeypatch):
-    # The join's hub has the last label.  Level 2 stalls at its n*m-th
-    # visit and the hub-first copy exhausts it: 85 decision scans where the
-    # input order alone makes 122.
+def test_join_lower_bound_scans_are_pinned(monkeypatch):
+    # The join's level 2 is walked to the end in input edge order, with its
+    # dominating vertex last: 122 decision scans.
     scans = _counted_scans(monkeypatch)
-    assert prove_lower_bound(_join_7(), 2, 2) is True
-    assert len(scans) == 85
-    scans.clear()
-    monkeypatch.setattr(pcc.exact, "_exhausts", lambda *args: False)
     assert prove_lower_bound(_join_7(), 2, 2) is True
     assert len(scans) == 122
 
@@ -623,8 +596,7 @@ def test_hub_first_copy_cuts_the_join_lower_bound_scans(monkeypatch):
 def test_level_bound_proves_the_wheel_lower_bound_without_a_scan(monkeypatch):
     # pc_{1,2}(W_8) > 2: the must-differ links of W_8's spokes form an odd
     # cycle, so the level bound claims levels 1 and 2 and nothing is walked.
-    # A walk of level 2 takes 149 decision scans with the hub-first copy and
-    # 250 in input order alone.
+    # A walk of level 2 takes 250 decision scans.
     scans = _counted_scans(monkeypatch)
     assert prove_lower_bound(wheel_graph(8), 2, 2) is True
     assert scans == []
@@ -641,41 +613,26 @@ def _hub_at(g, hub, where):
     return Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
 
 
-@pytest.mark.parametrize("g, ell, walks_at", [
-    (_join_7(), 2, ([], [True], [True])),
-    (join(path_graph(8), path_graph(1)), 2, ([], [], [False])),
+@pytest.mark.parametrize("g, ell, examined", [
+    (_join_7(), 2, (4575, 4118, 4118)),
+    (join(path_graph(8), path_graph(1)), 2, (16620, 17408, 19843)),
 ], ids=["join_7", "fan_8"])
-def test_hub_position_changes_no_answer(g, ell, walks_at, monkeypatch):
+def test_hub_position_changes_no_answer(g, ell, examined):
     # The dominating vertex at label 0, at a middle label and at the last
     # label: the same minimum and exhausted levels, and each witness
-    # verifies.  With the hub off label 0 the copy of the join exhausts
-    # level 2; on the fan, whose levels 1 and 2 the level bound claims, only
-    # the hub at the last label stalls level 3, where the copy finds a valid
-    # coloring that is dropped.  Every output equals that of the input
-    # order alone.
-    walks = []
-    real_exhausts = pcc.exact._exhausts
-
-    def recorded(*args):
-        walks.append(real_exhausts(*args))
-        return walks[-1]
-
+    # verifies.  colorings_examined depends on the labels, since the
+    # witness's rank follows the edge order, so each count is pinned.
     hub = g.n - 1
     assert g.degree(hub) == g.n - 1
     outcomes = set()
-    for where, expected in zip((0, g.n // 2, g.n - 1), walks_at):
+    for where, count in zip((0, g.n // 2, g.n - 1), examined):
         h = _hub_at(g, hub, where)
-        monkeypatch.setattr(pcc.exact, "_exhausts", lambda *args: False)
-        alone = min_colors_exact(h, ell)
-        walks.clear()
-        monkeypatch.setattr(pcc.exact, "_exhausts", recorded)
         r = min_colors_exact(h, ell)
         assert isinstance(r, ExactResult), r
-        assert r == alone
         assert verify_coloring(h, r.witness, ell).ok
+        assert r.colorings_examined == count, where
         outcomes.add((r.min_colors, r.exhausted_levels))
-        assert walks == expected, (where, walks)
-    assert len(outcomes) == 1, outcomes
+    assert outcomes == {(3, (1, 2))}, outcomes
 
 
 def test_level_bound_is_at_most_the_plain_minimum():
@@ -717,16 +674,17 @@ def test_level_bound_is_the_minimum_on_stars_paths_cycles_q3_and_trees():
 
 
 def test_level_bound_leaves_only_the_minimal_level_to_walk(monkeypatch):
-    # Every visit, in input order or in a hub-first copy, is at the level
-    # of the minimum: the bound proves all the levels below it empty.
+    # Every visit is at the level of the minimum: the bound proves all the
+    # levels below it empty.  Each visit calls the lex-leader test first,
+    # and a canonical coloring of level t has t as its largest color.
     levels = []
-    real_visit = pcc.exact._Labelling.visit
+    real_skip = pcc.exact._LexLeader.skip
 
-    def visit(self, assignment, odometer, ell):
-        levels.append(odometer.t)
-        return real_visit(self, assignment, odometer, ell)
+    def skip(self, assignment, changed, used):
+        levels.append(max(assignment))
+        return real_skip(self, assignment, changed, used)
 
-    monkeypatch.setattr(pcc.exact._Labelling, "visit", visit)
+    monkeypatch.setattr(pcc.exact._LexLeader, "skip", skip)
     for g, value in [(star_graph(9), 9), (random_tree(19, 5), 5), (hypercube_graph(3), 3)]:
         levels.clear()
         r = min_colors_exact(g, 2)
