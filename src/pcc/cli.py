@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--ell", type=int, required=True)
     p_ex.add_argument("--max-colors", type=int)
     p_ex.add_argument("--time-limit", type=float, default=60.0)
-    p_ex.add_argument("--max-edges", type=int, default=exact.SearchBudget.max_edges)
+    p_ex.add_argument("--max-edges", type=int, default=exact.SearchBudget().max_edges)
     p_ex.add_argument("-o", "--output")
     p_ex.set_defaults(func=_cmd_exact)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Optional, Sequence
 
@@ -24,6 +23,7 @@ from .graphs import (
     Graph,
     InvariantViolation,
     Permutation,
+    _Record,
     cartesian_product,
     complete_multipartite_graph,
     hypercube_graph,
@@ -50,48 +50,55 @@ from .structure import (
 from .verify import _proper_paths, _validate_window, first_failing_pair
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
+class ConstructionReport(_Record):
     """A constructed coloring together with the claimed color count.
 
     ``verified`` is True when the constructor found the coloring
     (1, l)-proper connected at its window before returning it.
     """
 
-    coloring: EdgeColoring
-    claimed_colors: int
-    theorem: str
-    notes: str = ""
-    verified: bool = False
+    __slots__ = ("coloring", "claimed_colors", "theorem", "notes", "verified")
 
-    def __post_init__(self):
-        if len(self.coloring.used_colors()) > self.claimed_colors:
+    def __init__(
+        self,
+        coloring: EdgeColoring,
+        claimed_colors: int,
+        theorem: str,
+        notes: str = "",
+        verified: bool = False,
+    ):
+        if len(coloring.used_colors()) > claimed_colors:
             raise InvariantViolation(
-                f"{self.theorem}: coloring uses {len(self.coloring.used_colors())} "
-                f"colors, more than the claimed {self.claimed_colors}"
+                f"{theorem}: coloring uses {len(coloring.used_colors())} "
+                f"colors, more than the claimed {claimed_colors}"
             )
+        object.__setattr__(self, "coloring", coloring)
+        object.__setattr__(self, "claimed_colors", claimed_colors)
+        object.__setattr__(self, "theorem", theorem)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "verified", verified)
 
 
-@dataclass(frozen=True)
-class AnchorSet:
+class AnchorSet(_Record):
     """Two or three length-2 paths with a common end, stored outward as
     (x, a, b) for the path x-a-b.  The paths use exactly two distinct
     edges at x, and their edges carry at most 4 colors in the color matrix
     that ``color_2connected`` keeps."""
 
-    vertex: int
-    paths: tuple[tuple[int, int, int], ...]
+    __slots__ = ("vertex", "paths")
 
-    def __post_init__(self):
-        if len(self.paths) not in (2, 3):
-            raise InvariantViolation(f"anchor set at {self.vertex} needs 2 or 3 paths")
-        for p in self.paths:
-            if p[0] != self.vertex or len(set(p)) != 3:
-                raise InvariantViolation(f"bad anchor path {p} at vertex {self.vertex}")
-        if len({p[1] for p in self.paths}) != 2:
+    def __init__(self, vertex: int, paths: tuple[tuple[int, int, int], ...]):
+        if len(paths) not in (2, 3):
+            raise InvariantViolation(f"anchor set at {vertex} needs 2 or 3 paths")
+        for p in paths:
+            if p[0] != vertex or len(set(p)) != 3:
+                raise InvariantViolation(f"bad anchor path {p} at vertex {vertex}")
+        if len({p[1] for p in paths}) != 2:
             raise InvariantViolation(
-                f"anchor set at {self.vertex} must touch exactly two incident edges"
+                f"anchor set at {vertex} must touch exactly two incident edges"
             )
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "paths", paths)
 
     def incident_neighbors(self) -> tuple[int, int]:
         return tuple(sorted({p[1] for p in self.paths}))

@@ -64,53 +64,67 @@ never a silent bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Generator, Optional, Union
 
-from .graphs import EdgeColoring, Graph, normalize_edge
+from .graphs import EdgeColoring, Graph, _Record, normalize_edge
 from .structure import _bfs, automorphism_generators, bridges, distances, open_twins, twin_swaps
 from .verify import _Deadline, _failing_source, _positive_int, _validate_window
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(_Record):
     """Limits for the exhaustive search; positive values only."""
 
-    max_colors: Optional[int] = None
-    time_limit: Optional[float] = None
-    max_edges: int = 18
+    __slots__ = ("max_colors", "time_limit", "max_edges")
 
-    def __post_init__(self):
-        if self.max_colors is not None:
-            _positive_int("max_colors", self.max_colors)
-        if self.time_limit is not None and not self.time_limit > 0:
-            raise ValueError(f"time_limit must be positive, got {self.time_limit}")
-        _positive_int("max_edges", self.max_edges)
+    def __init__(
+        self,
+        max_colors: Optional[int] = None,
+        time_limit: Optional[float] = None,
+        max_edges: int = 18,
+    ):
+        if max_colors is not None:
+            _positive_int("max_colors", max_colors)
+        if time_limit is not None and not time_limit > 0:
+            raise ValueError(f"time_limit must be positive, got {time_limit}")
+        _positive_int("max_edges", max_edges)
+        object.__setattr__(self, "max_colors", max_colors)
+        object.__setattr__(self, "time_limit", time_limit)
+        object.__setattr__(self, "max_edges", max_edges)
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(_Record):
     """Minimum color count with a verifying witness.
 
     ``exhausted_levels`` lists every t below the minimum, each proven to
     admit no valid coloring.
     """
 
-    min_colors: int
-    witness: EdgeColoring
-    colorings_examined: int
-    exhausted_levels: tuple[int, ...]
+    __slots__ = ("min_colors", "witness", "colorings_examined", "exhausted_levels")
+
+    def __init__(
+        self,
+        min_colors: int,
+        witness: EdgeColoring,
+        colorings_examined: int,
+        exhausted_levels: tuple[int, ...],
+    ):
+        object.__setattr__(self, "min_colors", min_colors)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "colorings_examined", colorings_examined)
+        object.__setattr__(self, "exhausted_levels", exhausted_levels)
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(_Record):
     """The search budget tripped before a verdict.  ``exhausted_levels``
     lists the color counts proven impossible before the interruption."""
 
-    exhausted_levels: tuple[int, ...]
-    colorings_examined: int
-    reason: str
+    __slots__ = ("exhausted_levels", "colorings_examined", "reason")
+
+    def __init__(self, exhausted_levels: tuple[int, ...], colorings_examined: int, reason: str):
+        object.__setattr__(self, "exhausted_levels", exhausted_levels)
+        object.__setattr__(self, "colorings_examined", colorings_examined)
+        object.__setattr__(self, "reason", reason)
 
 
 def canonical_colorings(m: int, t: int) -> Generator[tuple[int, ...], Optional[int], None]:
@@ -587,7 +601,8 @@ def prove_lower_bound(
     for a walk: ``prove_lower_bound(wheel_graph(8), 2, 2)`` costs only the
     bound.  ``pcc table`` proves each verified row's color count minimal
     this way."""
-    result = min_colors_exact(g, ell, replace(budget or SearchBudget(), max_colors=t))
+    budget = budget or SearchBudget()
+    result = min_colors_exact(g, ell, SearchBudget(t, budget.time_limit, budget.max_edges))
     if isinstance(result, ExactResult):
         return False
     if len(result.exhausted_levels) == min(t, g.m):

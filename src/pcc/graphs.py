@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 Edge = tuple[int, int]
@@ -156,16 +155,51 @@ class EdgeColoring:
         return f"EdgeColoring(m={len(self.colors)}, t={self.num_colors})"
 
 
-@dataclass(frozen=True)
-class Permutation:
+class _Record:
+    """Base of the immutable value records: a subclass names its fields in
+    ``__slots__`` and sets them in ``__init__`` with ``object.__setattr__``.
+    Equality holds within one class only and compares the field tuple, the
+    hash is that tuple's (TypeError if a field is unhashable), the repr has
+    the dataclass format, copies and pickles are rebuilt through
+    ``__init__``, and assignment and deletion raise AttributeError."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Permutation(_Record):
     """A permutation of [n] given by its 1-indexed image sequence."""
 
-    image: tuple[int, ...]
+    __slots__ = ("image",)
 
-    def __post_init__(self):
-        n = len(self.image)
-        if n < 1 or sorted(self.image) != list(range(1, n + 1)):
-            raise ValueError(f"image {self.image} is not a permutation of [{n}]")
+    def __init__(self, image: tuple[int, ...]):
+        n = len(image)
+        if n < 1 or sorted(image) != list(range(1, n + 1)):
+            raise ValueError(f"image {image} is not a permutation of [{n}]")
+        object.__setattr__(self, "image", image)
 
     def __len__(self) -> int:
         return len(self.image)
@@ -194,8 +228,7 @@ FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Record):
     """Parameters selecting one member of a named graph family.
 
     Integer parameters are family-specific: see :func:`generate`.  The seed
@@ -203,12 +236,23 @@ class FamilySpec:
     reproducible.
     """
 
-    family: str
-    n: Optional[int] = None
-    m: Optional[int] = None
-    t: Optional[int] = None
-    parts: Optional[tuple[int, ...]] = None
-    seed: int = 0
+    __slots__ = ("family", "n", "m", "t", "parts", "seed")
+
+    def __init__(
+        self,
+        family: str,
+        n: Optional[int] = None,
+        m: Optional[int] = None,
+        t: Optional[int] = None,
+        parts: Optional[tuple[int, ...]] = None,
+        seed: int = 0,
+    ):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "seed", seed)
 
 
 def path_graph(n: int) -> Graph:

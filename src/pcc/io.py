@@ -23,13 +23,17 @@ class ParseError(ValueError):
 
 
 def _split_ints(text_line: str, line_no: int, count: int) -> list[int]:
+    """The ``count`` fields of a line as ints.  A field is ASCII decimal
+    digits with an optional leading ``-``; int() alone would also take
+    ``+2``, ``1_0`` and non-ASCII digits."""
     fields = text_line.split()
     if len(fields) != count:
         raise ParseError(line_no, f"expected {count} fields, got {len(fields)}: {text_line!r}")
-    try:
-        return [int(f) for f in fields]
-    except ValueError:
-        raise ParseError(line_no, f"non-integer field in {text_line!r}") from None
+    for f in fields:
+        digits = f[1:] if f[0] == "-" else f
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(line_no, f"non-integer field in {text_line!r}")
+    return [int(f) for f in fields]
 
 
 def read_graph(text: str) -> Graph:

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graphs import Edge, Graph, InvariantViolation, normalize_edge
+from .graphs import Edge, Graph, InvariantViolation, _Record, normalize_edge
 
 
 def _bfs(
@@ -197,16 +196,18 @@ def minimally_2connected_spanning(g: Graph) -> Graph:
     return Graph(g.n, kept)
 
 
-@dataclass(frozen=True)
-class EarDecomposition:
+class EarDecomposition(_Record):
     """A base cycle plus ordered open ears.
 
     Each ear is a vertex sequence whose two endpoints already belong to the
     graph built so far and whose internal vertices (at least one) are new.
     """
 
-    base_cycle: tuple[int, ...]
-    ears: tuple[tuple[int, ...], ...]
+    __slots__ = ("base_cycle", "ears")
+
+    def __init__(self, base_cycle: tuple[int, ...], ears: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "base_cycle", base_cycle)
+        object.__setattr__(self, "ears", ears)
 
 
 def _shortest_cycle(g: Graph) -> list[int]:
@@ -336,18 +337,18 @@ def hamiltonian_path(g: Graph) -> Optional[tuple[int, ...]]:
     return None
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(_Record):
     """A spanning tree with parent pointers toward the root and per-vertex
     depths.  ``parent[root]`` is None."""
 
-    root: int
-    parent: tuple[Optional[int], ...]
-    depth: tuple[int, ...]
+    __slots__ = ("root", "parent", "depth")
 
-    def __post_init__(self):
-        if self.parent[self.root] is not None or self.depth[self.root] != 0:
+    def __init__(self, root: int, parent: tuple[Optional[int], ...], depth: tuple[int, ...]):
+        if parent[root] is not None or depth[root] != 0:
             raise ValueError("root must have no parent and depth 0")
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "depth", depth)
 
     @property
     def n(self) -> int:

@@ -75,10 +75,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .graphs import EdgeColoring, Graph, normalize_edge
+from .graphs import EdgeColoring, Graph, _Record, normalize_edge
 from .structure import is_tree
 
 Pair = tuple[int, int]
@@ -89,8 +88,7 @@ class VerificationTimeout(TimeoutError):
     """The verification time budget ran out before a verdict was reached."""
 
 
-@dataclass(frozen=True)
-class VerificationCertificate:
+class VerificationCertificate(_Record):
     """Outcome of a full (k, l)-proper connectivity check.
 
     When ok, ``witnesses`` maps every unordered vertex pair (u < v) to a
@@ -100,9 +98,14 @@ class VerificationCertificate:
     pairs iterate in lexicographic order.
     """
 
-    ok: bool
-    witnesses: dict[Pair, tuple[Path, ...]]
-    failing_pair: Optional[Pair]
+    __slots__ = ("ok", "witnesses", "failing_pair")
+
+    def __init__(
+        self, ok: bool, witnesses: dict[Pair, tuple[Path, ...]], failing_pair: Optional[Pair]
+    ):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "failing_pair", failing_pair)
 
 
 def _positive_int(name: str, value) -> int:

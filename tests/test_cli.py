@@ -481,14 +481,28 @@ def test_table_usage_errors(tmp_path, capsys):
     assert code == 0 and len(rows) == 2 and all(",skipped," in row for row in rows), rows
 
 
-def _python_m_pcc(*argv):
+def _python(*argv):
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "pcc", *argv], cwd=root, env=env, capture_output=True, text=True,
-        timeout=120,
+        [sys.executable, *argv], cwd=root, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def _python_m_pcc(*argv):
+    return _python("-m", "pcc", *argv)
+
+
+def test_import_pcc_cli_loads_neither_dataclasses_nor_inspect():
+    # Only the modules that the import adds count, so whatever site hooks
+    # load at start-up does not matter.
+    done = _python("-c", "import sys; before = set(sys.modules); import pcc.cli; "
+                   "print(*sorted(set(sys.modules) - before))")
+    assert done.returncode == 0, done.stderr
+    added = done.stdout.split()
+    assert "pcc.cli" in added
+    assert "dataclasses" not in added and "inspect" not in added, added
 
 
 def test_python_m_pcc_exit_status():

@@ -30,6 +30,14 @@ def test_read_coloring_p3():
         ("3 1\n0 5", 2),
         ("3 1\n1 0", 2),
         ("3 2\n0 1\n0 1", 3),
+        ("1_1 2\n0 1\n1 +2\n", 1),
+        ("11 2\n0 1\n1 +2\n", 3),
+        ("3 2\n0 \u0661\n1 2\n", 2),
+        ("3 2\n0 1\n1 \uff12\n", 3),
+        ("3 1\n0 \u00b2", 2),
+        ("3 1\n-0x1 1", 2),
+        ("3 1\n0 --1", 2),
+        ("3 1\n0 -", 2),
     ],
 )
 def test_graph_parse_errors_carry_line_numbers(text, line):
@@ -47,6 +55,17 @@ def test_coloring_parse_errors():
         read_coloring("1 2 1\n0 1 1", g)  # order must match the graph file
     with pytest.raises(ParseError):
         read_coloring("0 1 0\n1 2 1", g)
+    for text, line in [("0 1 1_0\n1 2 1", 1), ("0 1 1\n1 2 +1", 2),
+                       ("0 1 1\n1 2 \u0661", 2), ("0 1 1\n1 2 1.0", 2)]:
+        with pytest.raises(ParseError, match="non-integer field") as err:
+            read_coloring(text, g)
+        assert err.value.line == line
+    with pytest.raises(ParseError, match="color must be >= 1, got -3") as err:
+        read_coloring("0 1 1\n1 2 -3", g)
+    assert err.value.line == 2
+    with pytest.raises(ParseError, match="vertex count must be >= 1, got -3"):
+        read_graph("-3 0\n")
+    assert read_coloring("0 1 01\n1 2 2", g) == EdgeColoring({(0, 1): 1, (1, 2): 2})
 
 
 def test_coloring_follows_ascending_edge_order_not_the_graph_file():
