@@ -36,10 +36,9 @@ def _write_file(path: str, text: str) -> None:
 
 def _parse_parts(text: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        return tuple(io.integer(p) for p in text.split(","))
     except ValueError:
-        raise ValueError(f"parts must be comma-separated integers, got {text!r}")
-    return parts
+        raise ValueError(f"parts must be comma-separated integers, got {text!r}") from None
 
 
 def _family_spec(args) -> graphs.FamilySpec:
@@ -362,21 +361,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="write a family graph as an edge list")
     p_gen.add_argument("--family", required=True, choices=graphs.FAMILIES)
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--m", type=int)
-    p_gen.add_argument("--t", type=int)
+    p_gen.add_argument("--n", type=io.integer)
+    p_gen.add_argument("--m", type=io.integer)
+    p_gen.add_argument("--t", type=io.integer)
     p_gen.add_argument("--parts", help="comma-separated part sizes")
-    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--seed", type=io.integer)
     p_gen.add_argument("-o", "--output", required=True)
     p_gen.set_defaults(func=_cmd_generate)
 
     p_col = sub.add_parser("color", help="construct a coloring and verify it")
     p_col.add_argument("--family", choices=graphs.FAMILIES)
-    p_col.add_argument("--n", type=int)
-    p_col.add_argument("--m", type=int)
-    p_col.add_argument("--t", type=int)
+    p_col.add_argument("--n", type=io.integer)
+    p_col.add_argument("--m", type=io.integer)
+    p_col.add_argument("--t", type=io.integer)
     p_col.add_argument("--parts")
-    p_col.add_argument("--seed", type=int)
+    p_col.add_argument("--seed", type=io.integer)
     p_col.add_argument("--input", help="edge-list file for method-based coloring")
     p_col.add_argument("--input2", help="second factor for join/cartesian")
     p_col.add_argument("--alpha", help="1-indexed permutation images for --method permutation")
@@ -384,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("traceable", "tree", "2connected", "join", "cartesian", "permutation"),
     )
-    p_col.add_argument("--ell", type=int, required=True)
+    p_col.add_argument("--ell", type=io.integer, required=True)
     p_col.add_argument("-o", "--output", required=True)
     p_col.add_argument("--graph-out", help="also write the colored graph's edge list")
     p_col.set_defaults(func=_cmd_color)
@@ -392,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="check a coloring file against a graph")
     p_ver.add_argument("--graph", required=True)
     p_ver.add_argument("--coloring", required=True)
-    p_ver.add_argument("--ell", type=int, required=True)
-    p_ver.add_argument("--k", type=int, default=1)
+    p_ver.add_argument("--ell", type=io.integer, required=True)
+    p_ver.add_argument("--k", type=io.integer, default=1)
     p_ver.add_argument(
         "--time-limit",
         type=float,
@@ -409,10 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
         "twin vertices and unique common neighbours",
     )
     p_ex.add_argument("--graph", required=True)
-    p_ex.add_argument("--ell", type=int, required=True)
-    p_ex.add_argument("--max-colors", type=int)
+    p_ex.add_argument("--ell", type=io.integer, required=True)
+    p_ex.add_argument("--max-colors", type=io.integer)
     p_ex.add_argument("--time-limit", type=float, default=60.0)
-    p_ex.add_argument("--max-edges", type=int, default=exact.SearchBudget().max_edges)
+    p_ex.add_argument("--max-edges", type=io.integer, default=exact.SearchBudget().max_edges)
     p_ex.add_argument("-o", "--output")
     p_ex.set_defaults(func=_cmd_exact)
 
@@ -429,10 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
     # No defaults here: _table_grid tells an omitted grid flag from one
     # given, and fills in the defaults of the flags the theorem reads.
     for flag in _GRID_FLAGS:
-        p_tab.add_argument("--" + flag.replace("_", "-"), type=int)
+        p_tab.add_argument("--" + flag.replace("_", "-"), type=io.integer)
     p_tab.add_argument(
         "--exact-edges",
-        type=int,
+        type=io.integer,
         default=10,
         help="largest edge count whose row gets an exact value; 0 skips every row",
     )

@@ -35,6 +35,7 @@ from .graphs import (
 from .structure import (
     RootedTree,
     _bfs,
+    _largest_ball,
     bfs_tree,
     ear_decomposition,
     eccentricity,
@@ -44,7 +45,6 @@ from .structure import (
     is_connected,
     is_star,
     is_tree,
-    max_subtree_size_with_diameter,
     minimally_2connected_spanning,
 )
 from .verify import _proper_paths, _validate_window, first_failing_pair
@@ -150,24 +150,20 @@ def color_traceable(g: Graph, ham_path: Sequence[int], ell: int) -> Construction
 # ---------------------------------------------------------------------------
 
 
-def _tree_conflict_colors(
-    t: Graph, edge: Edge, ell: int, colors: dict[Edge, int]
-) -> set[int]:
-    """Colors of colored edges within edge-gap <= ell-1 of ``edge``.  Two
-    tree edges at gap g lie on a common path with g edges strictly between
-    them, so they conflict exactly when g <= ell-1, that is when the other
-    edge touches a vertex at most ell-1 steps from the nearer end of
-    ``edge``.  Both ends start the search at distance 0, so it never
-    crosses ``edge`` itself."""
+def _tree_conflict_colors(t: Graph, edge: Edge, ell: int, placed: list[int]) -> int:
+    """Bitmask of the colors of colored edges within edge-gap <= ell-1 of
+    the uncolored ``edge``, where bit c of ``placed[x]`` is set when an
+    edge at x has color c.  Two tree edges at gap g lie on a common path
+    with g edges strictly between them, so they conflict exactly when
+    g <= ell-1, that is when the other edge touches a vertex at most ell-1
+    steps from the nearer end of ``edge``.  Both ends start the search at
+    distance 0, so it never crosses ``edge`` itself."""
     reached: list[int] = []
     _bfs(t.adjacency, edge, ell - 1, order=reached)
-    out: set[int] = set()
+    conflict = 0
     for x in reached:
-        for y in t.adjacency[x]:
-            f = normalize_edge(x, y)
-            if f != edge and f in colors:
-                out.add(colors[f])
-    return out
+        conflict |= placed[x]
+    return conflict
 
 
 def color_tree(t: Graph, ell: int) -> ConstructionReport:
@@ -177,23 +173,37 @@ def color_tree(t: Graph, ell: int) -> ConstructionReport:
     In a tree every path is the unique path between its ends, so the
     coloring must make all paths window-proper.  The color count equals
     the maximum size of a subtree with diameter <= ell+1; for ell = 2 that
-    is the largest degree sum over adjacent pairs, minus one.
+    is the largest degree sum over adjacent pairs, minus one.  Each vertex
+    keeps a bitmask of the colors placed at it; a color is at most k, so
+    the masks hold no more bits than the core has edges.
     """
     ell = _validate_window(ell)
     if not is_tree(t):
         raise ValueError("tree coloring requires a tree")
     if t.m < 1:
         raise ValueError("tree coloring requires at least one edge")
-    k, core = max_subtree_size_with_diameter(t, ell + 1)
+    core = _largest_ball(t, ell + 1)
+    k = len(core) - 1
+    inside = set(core)
     colors: dict[Edge, int] = {}
-    for i, e in enumerate(core.edges):
-        colors[e] = i + 1
-    dist = _bfs(t.adjacency, sorted({v for e in core.edges for v in e}))[0]
+    placed = [0] * t.n
+    for a, b in t.edges:
+        if a in inside and b in inside:
+            colors[a, b] = c = len(colors) + 1
+            placed[a] |= 1 << c
+            placed[b] |= 1 << c
+    dist = _bfs(t.adjacency, sorted(core))[0]
     pending = [e for e in t.edges if e not in colors]
     pending.sort(key=lambda e: (max(dist[e[0]], dist[e[1]]), e))
     for e in pending:
-        conflict = _tree_conflict_colors(t, e, ell, colors)
-        colors[e] = _lowest(range(1, k + 1), conflict, f"tree edge {e}")
+        # The lowest clear bit above bit 0 is the lowest admissible color.
+        free = ~(_tree_conflict_colors(t, e, ell, placed) | 1)
+        bit = free & -free
+        if bit >> k > 1:
+            raise InvariantViolation(f"no admissible color for tree edge {e}")
+        colors[e] = bit.bit_length() - 1
+        placed[e[0]] |= bit
+        placed[e[1]] |= bit
     return ConstructionReport(
         EdgeColoring(colors, num_colors=k),
         k,

@@ -71,6 +71,12 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Graph is immutable")
+
+    def __reduce__(self):
+        return Graph, (self.n, self.edges)
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -134,6 +140,12 @@ class EdgeColoring:
 
     def __setattr__(self, name, value):
         raise AttributeError("EdgeColoring is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("EdgeColoring is immutable")
+
+    def __reduce__(self):
+        return EdgeColoring, (self.colors, self.num_colors)
 
     def color(self, u: int, v: int) -> int:
         return self.colors[normalize_edge(u, v)]

@@ -22,18 +22,25 @@ class ParseError(ValueError):
         self.line = line
 
 
+def integer(text: str) -> int:
+    """``text`` as an int when it is ASCII decimal digits with an optional
+    leading ``-``, else ValueError; int() alone would also take ``+2``,
+    ``1_0``, surrounding spaces and non-ASCII digits.  The file readers
+    and the integer flags of the command line parse with it."""
+    if text.isascii() and (text.isdigit() or text[:1] == "-" and text[1:].isdigit()):
+        return int(text)
+    raise ValueError(f"not an integer: {text!r}")
+
+
 def _split_ints(text_line: str, line_no: int, count: int) -> list[int]:
-    """The ``count`` fields of a line as ints.  A field is ASCII decimal
-    digits with an optional leading ``-``; int() alone would also take
-    ``+2``, ``1_0`` and non-ASCII digits."""
+    """The ``count`` fields of a line, each an ``integer``."""
     fields = text_line.split()
     if len(fields) != count:
         raise ParseError(line_no, f"expected {count} fields, got {len(fields)}: {text_line!r}")
-    for f in fields:
-        digits = f[1:] if f[0] == "-" else f
-        if not (digits.isascii() and digits.isdigit()):
-            raise ParseError(line_no, f"non-integer field in {text_line!r}")
-    return [int(f) for f in fields]
+    try:
+        return [integer(f) for f in fields]
+    except ValueError:
+        raise ParseError(line_no, f"non-integer field in {text_line!r}") from None
 
 
 def read_graph(text: str) -> Graph:

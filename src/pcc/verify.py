@@ -52,13 +52,15 @@ same pairs to the fallback and check the call's one deadline at the same
 points, so they return the same failing pair and raise the same timeouts.
 
 A tree joins each pair by one path, so it is (1, l)-proper connected
-exactly when its paths of at most l+1 edges are rainbow.
-``first_failing_pair`` checks that with ``_windows_rainbow``, one DFS per
-vertex over at most n - 1 paths, and returns None on a tree that passes it
-when no time limit is set.  A tree that fails still runs the scan, which
-names the failing pair, and a time limit keeps the scan, so its timeouts
-stay those of ``verify_coloring``.  On other graphs the verdict is not
-local.
+exactly when its paths of at most l+1 edges are rainbow.  With no time
+limit, ``first_failing_pair`` decides a tree without building anything
+n x n: ``_tree_failing_pair`` reads its colors into rows aligned with the
+adjacency, accepts it from its short paths (vertex palettes at l <= 2, one
+DFS per vertex over at most n - 1 paths at l >= 3), and names a failing
+tree's first failing pair by one walk per source that keeps O(n).  A time
+limit keeps the table scan and its matrix, so timeouts stay those of
+``verify_coloring``, which always builds the matrix: its certificate has
+n(n-1)/2 witnesses anyway.  On other graphs the verdict is not local.
 
 For k >= 2 a backtracking search draws each path from ``_proper_paths``
 with the earlier paths' interiors blocked; the DFS yields paths in
@@ -552,33 +554,96 @@ def first_failing_pair(
     CLI takes every k = 1 verdict from here.  The exact search runs the
     decision scan ``_failing_source`` instead.
 
-    A tree whose paths of at most ell+1 edges are all rainbow passes, as
-    each pair has one path, and returns None without the scan, unless a
-    time limit is set: then the scan runs, so the budget runs out where
+    A tree with no time limit is decided by ``_tree_failing_pair`` from
+    its edge colors alone, without the color matrix or the scan.  Under a
+    time limit a tree runs the scan too, so the budget runs out where
     ``verify_coloring``'s does."""
     ell = _validate_window(ell)
+    if time_limit is None and is_tree(g):
+        return _tree_failing_pair(g, coloring, ell)
     deadline = None if time_limit is None else _Deadline(time_limit)
     cmat = _color_matrix(g, coloring)
-    if deadline is None and is_tree(g) and _windows_rainbow(g.adjacency, cmat, ell):
-        return None
     return _certified_pairs(g.adjacency, cmat, g.n, ell, None, deadline)
 
 
-def _windows_rainbow(adjacency, cmat: list[list[int]], ell: int) -> bool:
+def _color_rows(g: Graph, coloring: EdgeColoring) -> list[list[int]]:
+    """The edge colors of g in rows aligned with ``g.adjacency``:
+    ``rows[x][i]`` colors the edge from x to ``g.adjacency[x][i]``.  The
+    edges are taken in ``g.edges`` order, which lists each vertex's edges
+    by ascending neighbour, the order of its adjacency; the first
+    uncolored one raises the ValueError of ``_color_matrix``."""
+    rows: list[list[int]] = [[] for _ in range(g.n)]
+    colors = coloring.colors
+    for e in g.edges:
+        c = colors.get(e)
+        if c is None:
+            raise ValueError(f"partial coloring: edge {e} has no color")
+        rows[e[0]].append(c)
+        rows[e[1]].append(c)
+    return rows
+
+
+def _tree_failing_pair(g: Graph, coloring: EdgeColoring, ell: int) -> Optional[Pair]:
+    """``first_failing_pair`` of the tree g with no time limit, in O(n + m)
+    memory: the colors are read into ``_color_rows``, not the matrix.
+
+    A tree joins each pair by one path, so it is (1, ell)-proper connected
+    exactly when its paths of at most ell+1 edges are rainbow.  At ell <= 2
+    that is read off the vertex palettes: each vertex's colors differ and,
+    at ell = 2, the palettes of an edge's ends share only its own color.
+    At ell >= 3 ``_windows_rainbow`` walks those paths.  A tree that fails
+    is walked from each source in turn, carrying the last ell colors of
+    the path; the first edge whose color is among them makes the path to
+    its far end, and every path through it, improper.  The first source
+    with an improper path, and the least vertex it reaches by one, are the
+    pair that the scan fails on: adjacent pairs never fail, and no earlier
+    vertex is such a target, or its own walk would have returned."""
+    adjacency, rows = g.adjacency, _color_rows(g, coloring)
+    if ell >= 3:
+        passes = _windows_rainbow(adjacency, rows, ell)
+    else:
+        # Sets, not bitmasks: a color file may hold colors of any size, and
+        # a bitmask's size grows with the largest color, not with the count.
+        palettes = [set(row) for row in rows]
+        passes = all(len(p) == len(row) for p, row in zip(palettes, rows)) and (
+            ell == 1 or all(len(palettes[u] & palettes[v]) == 1 for u, v in g.edges)
+        )
+    if passes:
+        return None
+    n = g.n
+    for u in range(n - 1):
+        first = n
+        stack: list = [(u, -1, ())]
+        while stack:
+            x, back, window = stack.pop()
+            for y, c in zip(adjacency[x], rows[x]):
+                if y == back:
+                    continue
+                if window is None or c in window:
+                    if y < first:
+                        first = y
+                    stack.append((y, x, None))
+                else:
+                    stack.append((y, x, window[len(window) >= ell:] + (c,)))
+        if first < n:
+            return (u, first)
+    return None
+
+
+def _windows_rainbow(adjacency, rows: list[list[int]], ell: int) -> bool:
     """True iff every path of at most ell+1 edges that a DFS from each
     vertex finds without turning straight back is rainbow; False at the
-    first whose last edge repeats a color on it.  In a tree these are all
-    such paths, at most n - 1 from each vertex, so it takes at most as many
-    steps as the scan."""
-    for u in range(len(cmat)):
+    first whose last edge repeats a color on it.  ``rows`` holds the edge
+    colors aligned with ``adjacency``.  In a tree these are all such paths,
+    at most n - 1 from each vertex, so it takes at most as many steps as
+    the scan."""
+    for u in range(len(rows)):
         stack = [(u, -1, ())]
         while stack:
             x, back, colors = stack.pop()
-            row = cmat[x]
-            for y in adjacency[x]:
+            for y, c in zip(adjacency[x], rows[x]):
                 if y == back:
                     continue
-                c = row[y]
                 if c in colors:
                     return False
                 if len(colors) < ell:

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -722,3 +723,105 @@ def test_usage_errors_exit_2_with_their_message(tmp_path, capsys, argv, message)
     argv = [arg.format(**files) for arg in argv] + ["-o", str(out_file)]
     assert run(argv, capsys) == (2, "", f"error: {message}\n")
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--family", "path", "--n", "١_٠"],
+        ["generate", "--family", "path", "--n", "1_0"],
+        ["generate", "--family", "path", "--n", "+10"],
+        ["generate", "--family", "path", "--n", " 10"],
+        ["generate", "--family", "path", "--n", ""],
+        ["generate", "--family", "complete_bipartite", "--m", "٢", "--n", "3"],
+        ["generate", "--family", "hypercube", "--t", "³"],
+        ["generate", "--family", "random_tree", "--n", "6", "--seed", "0x4"],
+        ["color", "--family", "path", "--n", "6", "--ell", "+2"],
+        ["verify", "--graph", "g", "--coloring", "c", "--ell", "2", "--k", "1_0"],
+        ["table", "--theorem", "wheel", "--max-n", "1_0"],
+    ],
+)
+def test_integer_flags_take_ascii_digits_only(tmp_path, capsys, argv):
+    # int() would take each of these; the flags parse as the file readers do.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as done:
+        main([*argv, "-o", str(out)] if argv[0] != "verify" else argv)
+    assert done.value.code == 2
+    assert "invalid integer value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--family", "complete_multipartite", "--parts", "+1,2_0"],
+         "parts must be comma-separated integers, got '+1,2_0'"),
+        (["generate", "--family", "complete_multipartite", "--parts", "1, 2"],
+         "parts must be comma-separated integers, got '1, 2'"),
+        (["color", "--input", "{p4}", "--method", "permutation", "--alpha", "2,٤,1,3",
+          "--ell", "2"],
+         "parts must be comma-separated integers, got '2,٤,1,3'"),
+        (["generate", "--family", "path", "--n", "-3"], "path requires n >= 1, got -3"),
+        (["generate", "--family", "complete_multipartite", "--parts=-1,2"],
+         "multipartite requires >= 2 parts of size >= 1, got (-1, 2)"),
+        (["color", "--family", "path", "--n", "6", "--ell", "-1"],
+         "window parameter must be an int >= 1, got -1"),
+    ],
+)
+def test_parts_and_negative_integers_reach_their_errors(tmp_path, capsys, argv, message):
+    p4 = tmp_path / "p4.edges"
+    p4.write_text(io.write_graph(path_graph(4)))
+    out = tmp_path / "out"
+    argv = [arg.format(p4=p4) for arg in argv] + ["-o", str(out)]
+    assert run(argv, capsys) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+# SHA-256 of the coloring file that `pcc color ... --ell 2` writes for the
+# path and for random_tree seeds 1-3 at each n, pinned when every tree
+# verdict still built the n x n color matrix.
+_TREE_COLOR_PINS = {
+    ("path", 500): "d8a06f7ae278b79401dbf97c87d91094654f989a3729a113a568a1ea40acbb62",
+    ("random_tree --seed 1", 500):
+        "256746c0eaf5828dd9fa31f7f4a54627cdbad8c8e273e9eefdee6778ac9c81a0",
+    ("random_tree --seed 2", 500):
+        "37e4b9229ae682c9ba5e6905ed1a836c0534b5edce2a9a9162940228d24fb96b",
+    ("random_tree --seed 3", 500):
+        "3dd9670b591bb13ea2b4ae2d5709905de0e3a365adcc2833a47525a1788abe63",
+    ("path", 2000): "07642bb121428b93c23e9be5aa405e1567811ffe98ff8eac5d630d2e7174434e",
+    ("random_tree --seed 1", 2000):
+        "1ef23cbabdc1b8d718816214b21951210c4d46282ea7f69b4b97994ffc5c3266",
+    ("random_tree --seed 2", 2000):
+        "8ca009a2e57ad4f2ddbc88264abbf1b778627e30d52767220c30230a8a3fe54f",
+    ("random_tree --seed 3", 2000):
+        "7691f7db3bb5ca078653e7dcc2900c47e3b429356ae757cd2a1d725496dc9264",
+    ("path", 4000): "113f30be66ee9628c0fafc3ab363c949654598d808c1b0f5482c0b9706743ebb",
+    ("random_tree --seed 1", 4000):
+        "c1d3686256e0dad1009c99a9e6db8a3631b32ac29a046461210ffd0dde1fc0ab",
+    ("random_tree --seed 2", 4000):
+        "7dc71141fbb770a091e174a9a00d786e1c084f6f7fd42889723a258525317d3a",
+    ("random_tree --seed 3", 4000):
+        "647d9667cdd81e4bc9d5a3a6524a1b12783adf05ee24c627b12ac509ce982ad2",
+}
+
+
+def test_color_files_of_paths_and_trees_are_pinned(tmp_path, capsys):
+    out = tmp_path / "c.pcc"
+    for (family, n), digest in _TREE_COLOR_PINS.items():
+        argv = ["color", "--family", *family.split(), "--n", str(n), "--ell", "2", "-o", str(out)]
+        code, stdout, err = run(argv, capsys)
+        assert (code, err) == (0, "") and "verified true" in stdout.splitlines()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (family, n)
+
+
+def test_color_builds_long_paths_and_large_trees_in_little_memory(tmp_path):
+    # A tree's verdict reads its colors edge by edge and color_tree searches
+    # one ball per edge, so neither builds anything n x n: the color matrix
+    # of the path alone would take about 3 GB.
+    for family in (["path", "--n", "20000"], ["random_tree", "--n", "10000", "--seed", "4"]):
+        done = _python_m_pcc("color", "--family", *family, "--ell", "2",
+                             "-o", str(tmp_path / "c.pcc"))
+        assert done.returncode == 0, done.stderr
+        assert "verified true" in done.stdout.splitlines(), done.stdout
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert peak_mb < 150, peak_mb

@@ -23,6 +23,7 @@ from pcc.construct import (
     color_wheel,
 )
 from pcc.exact import min_colors_exact
+from pcc.io import write_coloring
 from pcc.graphs import (
     EdgeColoring,
     Graph,
@@ -150,6 +151,15 @@ def test_tree_general_window_matches_core_size():
             assert_sound(r, t, ell)
 
 
+def _placed_masks(n, colors):
+    """Per vertex, the bitmask of the colors on its colored edges."""
+    placed = [0] * n
+    for (a, b), c in colors.items():
+        placed[a] |= 1 << c
+        placed[b] |= 1 << c
+    return placed
+
+
 def test_tree_conflict_colors_match_full_scan():
     rng = random.Random(17)
     for seed in range(60):
@@ -158,7 +168,10 @@ def test_tree_conflict_colors_match_full_scan():
             colors = {e: rng.randint(1, 6) for e in t.edges if rng.random() < density}
             for e in t.edges:
                 for ell in (1, 2, 3, 4):
-                    got = construct._tree_conflict_colors(t, e, ell, colors)
+                    # The helper takes the edge uncolored, as color_tree calls it.
+                    placed = _placed_masks(t.n, {f: c for f, c in colors.items() if f != e})
+                    mask = construct._tree_conflict_colors(t, e, ell, placed)
+                    got = {c for c in range(mask.bit_length()) if mask >> c & 1}
                     assert got == tree_conflict_colors_full_scan(t, e, ell, colors), (
                         t.edges, e, ell, colors,
                     )
@@ -784,3 +797,31 @@ def test_constructor_outputs_are_pinned():
     # Colorings and notes must stay byte for byte what they are: a refactor
     # of the code behind the constructors must not move a single color.
     assert _pinned_digests() == PINNED_DIGESTS
+
+
+# SHA-256 over random_tree seeds 1-3 at each n of color_tree's claimed
+# count, color count, notes and coloring file, pinned when every edge's
+# conflict window was searched with n-long lists.
+_COLOR_TREE_PINS = {
+    (500, 2): "3f1052a363107e088147c9548aa4296d7715143353dc0679791c21bdf8c92ef1",
+    (500, 3): "1c0a0360468d2d519cb95722d0072d2081947c01b3ef4aeefb91311e04f0d30d",
+    (500, 4): "969a287dfe9db5f0682bd2e8d4cb6622e2cde2f44c1e6d9a2388a70a4c99ab9d",
+    (2000, 2): "30015bd9236930891ef39068a1a3e17acee92919ba3f68d66e84639374e203c9",
+    (2000, 3): "2d8dfd15a7559e13cedaa4e762fcfb3778a37918abede25bbcd51ef6dd3523ad",
+    (2000, 4): "9b82ffe99ebbc08955a052f8447948e99a367e201bb59144e6c56b0d0e2997a7",
+    (4000, 2): "a96dd65a40d21e38ba6c1773b1768c01ad138af1bad01e6d8446cb9a64a733a2",
+    (4000, 3): "8273daf7fa220e502eae829eefd939aaee183412a4117e79c605fb9c2da35374",
+    (4000, 4): "f0f6deb883f7734cbdd7901456044f89c2ccfff4e20fdbe69979707fad56b6e5",
+}
+
+
+def test_color_tree_on_large_trees_is_pinned():
+    trees = {(n, seed): random_tree(n, seed) for n in (500, 2000, 4000) for seed in (1, 2, 3)}
+    for (n, ell), digest in _COLOR_TREE_PINS.items():
+        h = hashlib.sha256()
+        for seed in (1, 2, 3):
+            t = trees[n, seed]
+            r = color_tree(t, ell)
+            h.update(f"{r.claimed_colors}|{r.coloring.num_colors}|{r.notes}\n".encode())
+            h.update(write_coloring(r.coloring, t).encode())
+        assert h.hexdigest() == digest, (n, ell)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -45,6 +47,23 @@ def test_graph_is_normalized_and_immutable():
     assert g.neighbors(1) == (3,)
     with pytest.raises(AttributeError):
         g.n = 5
+
+
+def test_graph_and_coloring_copy_pickle_and_refuse_deletion():
+    # Both are rebuilt through __init__, as the value records are, so a
+    # copy is equal and as immutable as the original.
+    g = Graph(4, [(3, 1), (0, 2)])
+    c = EdgeColoring({(3, 1): 2, (0, 2): 1}, num_colors=4)
+    for x in (g, c):
+        for again in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(again) is type(x) and again == x and repr(again) == repr(x)
+            with pytest.raises(AttributeError):
+                again.n = 1
+        for name in type(x).__slots__:
+            with pytest.raises(AttributeError, match="is immutable"):
+                delattr(x, name)
+    assert g.m == 2 and g.has_edge(1, 3) and c.color(1, 3) == 2 and c.num_colors == 4
+    assert pickle.loads(pickle.dumps(g)).adjacency == g.adjacency
 
 
 def test_edge_coloring_validation():

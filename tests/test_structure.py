@@ -366,6 +366,26 @@ def test_bfs_reach_and_skip_match_distances_without_the_edge():
                             assert normalize_edge(p, x) != e
 
 
+def test_bounded_bfs_with_order_stores_only_its_ball():
+    # A bounded search that fills ``order`` on a graph of 100 or more
+    # vertices keeps the reached vertices only, and every other vertex
+    # reads -1, as in the lists of the same search.
+    rng = random.Random(37)
+    for _ in range(12):
+        g = random_connected_graph(rng.randint(100, 130), rng, rng.choice((0.0, 0.02)))
+        for e in rng.sample(g.edges, 12):
+            for reach in (0, 1, 2, 3):
+                for sources in ((e[0],), e):
+                    order = []
+                    ball_dist, ball_parent = _bfs(g.adjacency, sources, reach, e, order)
+                    dist, parent = _bfs(g.adjacency, sources, reach, e)
+                    reached = [x for x in range(g.n) if dist[x] != -1]
+                    assert sorted(order) == sorted(ball_dist) == reached
+                    assert len(ball_parent) == len(order) - len(sources)
+                    assert [ball_dist[x] for x in range(g.n)] == dist
+                    assert [ball_parent[x] for x in range(g.n)] == parent
+
+
 def test_shortest_cycle_matches_unbounded_search():
     rng = random.Random(47)
     for seed in range(150):

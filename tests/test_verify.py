@@ -970,6 +970,61 @@ def test_tree_verdicts_from_short_paths_match_the_scans():
     assert verdicts["random", True] >= 100 and verdicts["random", False] >= 100, verdicts
 
 
+def test_failing_tree_walk_matches_the_certificate_scan_up_to_200_vertices():
+    # A failing tree's pair comes from one walk per source, not from the
+    # table scan; on trees of up to 200 vertices, colored by color_tree with
+    # one edge given a neighbouring edge's color or colored at random, it
+    # must be the failing pair of verify_coloring's certificate scan.
+    rng = random.Random(67)
+    verdicts = collections.Counter()
+    for _ in range(40):
+        t = rng.choice(
+            (
+                lambda: random_tree(rng.randint(2, 200), rng.randrange(10**6)),
+                lambda: path_graph(rng.randint(2, 200)),
+                lambda: double_star_graph(rng.randint(1, 30), rng.randint(1, 30)),
+            )
+        )()
+        for ell in range(1, 5):
+            cases = [("random", random_coloring(t, rng.randint(2, 6), rng).colors)]
+            if t.m >= 2:
+                colors = dict(color_tree(t, ell).coloring.colors)
+                e = rng.choice(t.edges)
+                f = rng.choice([f for f in t.edges if f != e and set(f) & set(e)])
+                cases.append(("recolored", {**colors, e: colors[f]}))
+            for kind, colors in cases:
+                c = EdgeColoring(colors)
+                failing = first_failing_pair(t, c, ell)
+                assert failing == verify_coloring(t, c, ell).failing_pair, (kind, t.edges, ell)
+                verdicts[kind, failing is None] += 1
+    assert verdicts["recolored", False] >= 100 and verdicts["random", False] >= 100, verdicts
+
+
+def test_tree_verdicts_build_no_color_matrix(monkeypatch):
+    # With no time limit a tree is decided from its edge colors alone;
+    # an uncolored edge is refused with the color matrix's message.
+    def refuse(*args):
+        raise AssertionError("a tree verdict built the color matrix")
+
+    t = random_tree(60, 5)
+    good = color_tree(t, 2).coloring
+    e, f = t.edges[0], next(f for f in t.edges[1:] if set(f) & set(t.edges[0]))
+    bad = EdgeColoring({**good.colors, e: good.colors[f]})
+    partial = EdgeColoring({g: c for g, c in good.colors.items() if g != t.edges[7]})
+    expected = {
+        (c, ell): verify_coloring(t, c, ell).failing_pair for c in (good, bad) for ell in (1, 2, 3)
+    }
+    with pytest.raises(ValueError) as matrix_err:
+        verify_coloring(t, partial, 2)
+    monkeypatch.setattr(pcc.verify, "_color_matrix", refuse)
+    for (c, ell), failing in expected.items():
+        assert first_failing_pair(t, c, ell) == failing
+    with pytest.raises(ValueError) as rows_err:
+        first_failing_pair(t, partial, 2)
+    assert str(rows_err.value) == str(matrix_err.value)
+    assert expected[good, 2] is None and expected[bad, 2] is not None
+
+
 def test_disconnected_graph_with_n_minus_one_edges_is_no_tree():
     # A rainbow triangle plus an isolated vertex has m = n - 1 and rainbow
     # short paths, but vertex 3 is reached from nowhere.
@@ -980,9 +1035,9 @@ def test_disconnected_graph_with_n_minus_one_edges_is_no_tree():
 
 
 def test_tree_verdict_skips_the_scan_only_without_a_time_limit(monkeypatch):
-    # A passing tree is decided without the table scan; a failing tree, a
-    # non-tree and any tree under a time limit run it once, so failing
-    # pairs, fallbacks and timeouts stay those of verify_coloring.
+    # A tree with no time limit, passing or failing, is decided without the
+    # table scan; a non-tree and any tree under a time limit run it once,
+    # so failing pairs, fallbacks and timeouts stay those of verify_coloring.
     calls = []
     real = pcc.verify._certified_pairs
 
@@ -999,7 +1054,7 @@ def test_tree_verdict_skips_the_scan_only_without_a_time_limit(monkeypatch):
     w = wheel_graph(9)
     for g, c, time_limit, scans in (
         (t, good, None, 0),
-        (t, bad, None, 1),
+        (t, bad, None, 0),
         (w, color_wheel(9, 2).coloring, None, 1),
         (t, good, 5.0, 1),
         (t, bad, 5.0, 1),
