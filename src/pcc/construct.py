@@ -720,7 +720,7 @@ def _anchored_proper_path(
     (u, w1, w2) already has both colors."""
     end_ok = {(p[1], p[2]) for p in anchors[v].paths}
     for _, w1, w2 in anchors[u].paths:
-        if w1 == v or (w2 == v and (w1, u) not in end_ok):
+        if w2 == v and (w1, u) not in end_ok:
             continue
         if w2 == v:
             return (u, w1, v)
@@ -753,7 +753,9 @@ def _color_ear(
     v: int,
 ) -> dict[int, AnchorSet]:
     """Color one ear attached at (u, v) straight into ``cmat`` and
-    ``adjacency``; returns the anchor sets for the interior vertices.
+    ``adjacency``; returns the anchor sets of its interior vertices, none
+    for a one-vertex ear, at whose vertex no later ear ends (fact (ii) of
+    ``color_2connected``).
 
     The ear shares no edge with the colored ones, so each matrix entry is
     written once and ``cmat`` holds exactly the old colors plus those this
@@ -766,16 +768,14 @@ def _color_ear(
     is all there is to try.  While every anchor set spans at most 4 colors,
     as ``color_2connected`` checks, each ``_lowest`` call has more
     candidates than exclusions: palette calls exclude at most 4 of 5 colors,
-    the 3 distinct candidates {cmat[x][v], c_vv1, c_vv2} meet at most 2,
-    and the pinned edge's 2 meet 1.  Each new AnchorSet has distinct
-    vertices, as the ear is open and the search never takes w1 == v.  Each
-    anchor path is proper: its edges follow each other on the base cycle,
-    or on an ear extended by an anchor path at each end, and there adjacent
-    colors differ, except that a p=1 ear's start edge x-u may take the
-    color of x-v, a pair that no anchor path holds.  So the search, exhaustive for each anchor prefix, finds
-    exactly the window-proper paths that start along an anchor path of u
-    and end along one of v; its cases ``w2 == v`` and ``w1 == v`` mirror
-    each other, and reversal maps these paths onto those from v to u.
+    the 3 candidates {cmat[last][v], c_vv1, c_vv2}, distinct by fact (iii),
+    meet at most 2, and the pinned edge's 2 meet 1.  Each new AnchorSet has
+    distinct vertices, as the ear is open.  Each anchor path is proper, as
+    adjacent colors differ along the base cycle and along an ear extended
+    by an anchor path at each end.  So the search, exhaustive for each
+    anchor prefix, finds exactly the window-proper paths that start along
+    an anchor path of u and end along one of v, and reversal maps them onto
+    those from v to u.
     """
     found = _anchored_proper_path(adjacency, cmat, anchors, u, v)
     if found is None:
@@ -790,62 +790,34 @@ def _color_ear(
     p = len(interior)
     ctx = f"ear {ear_index} (p={p})"
     palette = range(1, 6)
-    if p == 1:
-        x = interior[0]
-        _color_edge(cmat, adjacency, x, v, _lowest(palette, f_pv, f"{ctx} end edge"))
-        if c_vv1 == c_vv2:
-            c = _lowest(palette, {c_w1w2, c_uw1}, f"{ctx} start edge")
-        else:
-            c = _lowest({cmat[x][v], c_vv1, c_vv2}, {c_w1w2, c_uw1}, f"{ctx} start edge")
-        _color_edge(cmat, adjacency, x, u, c)
-        new_anchors = {x: AnchorSet(x, ((x, u, w1), (x, v, v1), (x, v, v2)))}
+    w_path = [w2, w1, u] + interior + [v]
+    last = interior[-1]
+    _color_edge(cmat, adjacency, last, v, _lowest(palette, f_pv, f"{ctx} end edge"))
+    if p <= 2:
+        near_v = {cmat[last][v], c_vv1, c_vv2}
+        c = _lowest(near_v, {c_uw1, c_w1w2}, f"{ctx} start edge")
+        _color_edge(cmat, adjacency, u, interior[0], c)
+        if p == 1:
+            return {}
+        c = _lowest(palette, near_v | {c_uw1}, f"{ctx} middle edge")
+        _color_edge(cmat, adjacency, interior[0], interior[1], c)
     else:
-        w_path = [w2, w1, u] + interior + [v]
-        last, second_last = interior[-1], interior[-2]
-        _color_edge(cmat, adjacency, last, v, _lowest(palette, f_pv, f"{ctx} end edge"))
-        if c_vv1 == c_vv2:
-            c = _lowest(palette, {cmat[last][v], c_vv1}, f"{ctx} next-to-end edge")
-            _color_edge(cmat, adjacency, second_last, last, c)
-            for idx in range(p, 1, -1):
-                c = _lowest(palette, _near_window_colors(w_path, idx, cmat), f"{ctx} edge {idx}")
-                _color_edge(cmat, adjacency, w_path[idx], w_path[idx + 1], c)
-        elif p == 2:
-            near_v = {cmat[last][v], c_vv1, c_vv2}
-            c = _lowest(near_v, {c_uw1, c_w1w2}, f"{ctx} start edge")
-            _color_edge(cmat, adjacency, u, interior[0], c)
-            c = _lowest(palette, near_v | {c_uw1}, f"{ctx} middle edge")
-            _color_edge(cmat, adjacency, interior[0], interior[1], c)
-        else:
-            c = _lowest({c_vv1, c_vv2}, {c_uw1}, f"{ctx} pinned edge")
-            _color_edge(cmat, adjacency, interior[-3], interior[-2], c)
-            for idx in range(2, p):
-                c = _lowest(palette, _near_window_colors(w_path, idx, cmat), f"{ctx} edge {idx}")
-                _color_edge(cmat, adjacency, w_path[idx], w_path[idx + 1], c)
-            near = {
-                cmat[last][v],
-                c_vv1,
-                c_vv2,
-                cmat[interior[-3]][interior[-2]],
-                cmat[w_path[p - 1]][w_path[p]],
-            }
-            c = _lowest(palette, near, f"{ctx} next-to-end edge")
-            _color_edge(cmat, adjacency, second_last, last, c)
-        new_anchors = {}
-        x2 = interior[0]
-        new_anchors[x2] = AnchorSet(x2, ((x2, u, w1), (x2, w_path[4], w_path[5])))
-        for i in range(1, p - 1):
-            x = interior[i]
-            widx = i + 3
-            new_anchors[x] = AnchorSet(
-                x,
-                (
-                    (x, w_path[widx - 1], w_path[widx - 2]),
-                    (x, w_path[widx + 1], w_path[widx + 2]),
-                ),
-            )
-        new_anchors[last] = AnchorSet(
-            last, ((last, second_last, w_path[p]), (last, v, v1), (last, v, v2))
-        )
+        pinned = _lowest({c_vv1, c_vv2}, {c_uw1}, f"{ctx} pinned edge")
+        _color_edge(cmat, adjacency, interior[-3], interior[-2], pinned)
+        for idx in range(2, p):
+            c = _lowest(palette, _near_window_colors(w_path, idx, cmat), f"{ctx} edge {idx}")
+            _color_edge(cmat, adjacency, w_path[idx], w_path[idx + 1], c)
+        near = {cmat[last][v], c_vv1, c_vv2, pinned, cmat[w_path[p - 1]][w_path[p]]}
+        c = _lowest(palette, near, f"{ctx} next-to-end edge")
+        _color_edge(cmat, adjacency, interior[-2], last, c)
+    # interior[i] is w_path[i + 3]; its anchor paths run two steps each way.
+    new_anchors = {
+        x: AnchorSet(x, ((x, w_path[i + 2], w_path[i + 1]), (x, w_path[i + 4], w_path[i + 5])))
+        for i, x in enumerate(interior[:-1])
+    }
+    new_anchors[last] = AnchorSet(
+        last, ((last, interior[-2], w_path[p]), (last, v, v1), (last, v, v2))
+    )
     return new_anchors
 
 
@@ -866,6 +838,23 @@ def color_2connected(g: Graph) -> ConstructionReport:
     and no entry is written twice, so an old anchor's palette never
     changes; interior vertices are new, so no anchor is replaced; and a
     base-cycle anchor has only 4 edges.
+
+    Every edge of the reduced graph H is critical, so no cycle of H has a
+    chord (Dirac 1967; Plummer 1968).  For every ear (u, ..., v) of
+    ``ear_decomposition(H)``, with G' the 2-connected graph before it:
+    (i) u and v are not adjacent in H: uv would be a chord of the cycle
+    that the ear closes through a u-v path of G' other than uv.
+    (ii) A one-vertex ear (u, x, v) leaves x with degree 2 in H, so x ends
+    no later ear (an end has two earlier edges and one in its ear).  A
+    third edge xw would start a path from w to G' that avoids x and ends at
+    some s; closing it to the other end through G' if s is u or v, else to
+    u through v (G' is 2-connected), makes xs or xv a chord.
+    (iii) So each ear end is on the base cycle or inside an ear with at
+    least two inner vertices, and its two anchor edges differ in color: the
+    base pattern repeats no color on adjacent edges, and of two adjacent ear
+    edges the one colored later excludes the other's color.  So
+    ``_color_ear`` never meets c_vv1 == c_vv2, and gives a one-vertex ear
+    no anchor set.
     """
     if not is_2_connected(g):
         raise ValueError("coloring requires a 2-connected graph")

@@ -69,7 +69,7 @@ from typing import Generator, Optional, Union
 
 from .graphs import EdgeColoring, Graph, _Record, normalize_edge
 from .structure import _bfs, automorphism_generators, bridges, distances, open_twins, twin_swaps
-from .verify import _Deadline, _failing_source, _positive_int, _validate_window
+from .verify import _Deadline, _failing_source, _number, _positive_int, _validate_window
 
 
 class SearchBudget(_Record):
@@ -85,7 +85,7 @@ class SearchBudget(_Record):
     ):
         if max_colors is not None:
             _positive_int("max_colors", max_colors)
-        if time_limit is not None and not time_limit > 0:
+        if time_limit is not None and not _number("time_limit", time_limit) > 0:
             raise ValueError(f"time_limit must be positive, got {time_limit}")
         _positive_int("max_edges", max_edges)
         object.__setattr__(self, "max_colors", max_colors)

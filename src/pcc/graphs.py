@@ -133,8 +133,6 @@ class EdgeColoring:
         t = max_used if num_colors is None else int(num_colors)
         if t < max_used:
             raise ValueError(f"num_colors={t} smaller than max used color {max_used}")
-        if t < 1:
-            raise ValueError("num_colors must be >= 1")
         object.__setattr__(self, "colors", dict(sorted(norm.items())))
         object.__setattr__(self, "num_colors", t)
 

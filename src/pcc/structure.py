@@ -266,9 +266,12 @@ def ear_decomposition(h: Graph) -> EarDecomposition:
     not-yet-covered edges, a shortest path between two covered vertices
     whose interior is uncovered.
 
-    Every ear must have at least one internal vertex; if an uncovered edge
-    ever joins two covered vertices no such ear can cover it, which on
-    minimally 2-connected input signals a broken invariant.
+    Every ear must have at least one internal vertex.  Some ear exists
+    while a vertex is uncovered, as the input is 2-connected, so once none
+    is found every uncovered edge joins two covered vertices; the raise
+    names the first.  No chord check runs between rounds: on minimally
+    2-connected input such an edge would be a chord of a cycle of the
+    covered, 2-connected graph through its two ends.
     """
     if not is_2_connected(h):
         raise ValueError("ear decomposition requires a 2-connected graph")
@@ -277,12 +280,6 @@ def ear_decomposition(h: Graph) -> EarDecomposition:
     covered_e = {normalize_edge(base[i], base[(i + 1) % len(base)]) for i in range(len(base))}
     ears: list[tuple[int, ...]] = []
     while len(covered_e) < h.m:
-        for u, v in h.edges:
-            if (u, v) not in covered_e and u in covered_v and v in covered_v:
-                raise InvariantViolation(
-                    f"uncovered edge ({u}, {v}) joins two covered vertices: "
-                    "it admits only an ear with no internal vertex"
-                )
         best: Optional[list[int]] = None
         for start in sorted(covered_v):
             # BFS through uncovered vertices over uncovered edges.
@@ -312,7 +309,11 @@ def ear_decomposition(h: Graph) -> EarDecomposition:
             if found is not None and (best is None or len(found) < len(best)):
                 best = found
         if best is None:
-            raise InvariantViolation("uncovered edges remain but no open ear exists")
+            u, v = next(e for e in h.edges if e not in covered_e)
+            raise InvariantViolation(
+                f"uncovered edge ({u}, {v}) joins two covered vertices: "
+                "it admits only an ear with no internal vertex"
+            )
         ears.append(tuple(best))
         covered_v.update(best)
         for i in range(len(best) - 1):

@@ -118,6 +118,13 @@ def _positive_int(name: str, value) -> int:
     return value
 
 
+def _number(name: str, value):
+    """``value`` if it is an int or a float (a bool is not), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def _validate_window(ell: int) -> int:
     return _positive_int("window parameter", ell)
 
@@ -133,7 +140,7 @@ class _Deadline:
     __slots__ = ("end", "budget")
 
     def __init__(self, time_limit: float) -> None:
-        if not time_limit >= 0:
+        if not _number("time_limit", time_limit) >= 0:
             raise ValueError(f"time_limit must be >= 0, got {time_limit}")
         self.end = time.monotonic() + time_limit
         self.budget = time_limit

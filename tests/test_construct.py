@@ -582,13 +582,28 @@ def test_reversed_anchored_path_is_anchored_the_other_way(monkeypatch):
     # color_2connected colors each ear from ear[0] to ear[-1] only.  That is
     # enough because the reverse of the anchored u-v path that _color_ear
     # starts from is an anchored v-u path, so the search in the other
-    # orientation finds a path exactly when this one does.  Checked at every
-    # ear of every 2-connected graph on at most 6 vertices and of seeded
-    # random 2-connected graphs.
+    # orientation finds a path exactly when this one does.  The facts of
+    # color_2connected's docstring hold too: (i) the ends are not adjacent
+    # in the reduced graph, (ii) a one-vertex ear's vertex has degree 2
+    # there, and (iii) each end's two anchor edges differ in color.
+    # Checked at every ear of every 2-connected graph on at most 6 vertices
+    # and of seeded random 2-connected graphs.
     real = construct._color_ear
+    real_reduce = construct.minimally_2connected_spanning
+    reduced = []
     ears = Counter()
 
+    def reduce(g):
+        reduced.append(real_reduce(g))
+        return reduced[-1]
+
     def checked(cmat, anchors, adjacency, ear_index, u, interior, v):
+        h = reduced[-1]
+        assert not h.has_edge(u, v)
+        assert len(interior) > 1 or len(h.adjacency[interior[0]]) == 2
+        for end in (u, v):
+            v1, v2 = anchors[end].incident_neighbors()
+            assert cmat[end][v1] != cmat[end][v2]
         found = construct._anchored_proper_path(adjacency, cmat, anchors, u, v)
         assert found is not None and found[0] == u and found[-1] == v
         back = found[::-1]
@@ -601,6 +616,7 @@ def test_reversed_anchored_path_is_anchored_the_other_way(monkeypatch):
         return real(cmat, anchors, adjacency, ear_index, u, interior, v)
 
     monkeypatch.setattr(construct, "_color_ear", checked)
+    monkeypatch.setattr(construct, "minimally_2connected_spanning", reduce)
     for n in (3, 4, 5, 6):
         possible = list(itertools.combinations(range(n), 2))
         for bits in range(1 << len(possible)):

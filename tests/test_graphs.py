@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from pcc import construct, exact, io, structure
 from pcc.graphs import (
     EdgeColoring,
     FamilySpec,
@@ -98,6 +99,72 @@ def test_non_int_vertices_and_colors_are_rejected_not_floored(build, message):
     # int() would floor 2.9 to 2 and 0.7 to 0 and read True as 1.
     with pytest.raises(ValueError, match=message):
         build()
+
+
+_P3 = path_graph(3)
+_TWO_VERTICES = Graph(2, [])
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: io.read_graph("2 -1\n"), io.ParseError, "line 1: edge count must be >= 0, got -1"),
+        (lambda: io.read_graph("3 1\n0 1\n1 2\n"), io.ParseError,
+         "line 3: expected 1 edge lines, got 2"),
+        (lambda: io.read_coloring("0 1 1\n1 2 2\n0 2 1\n", _P3), io.ParseError,
+         "line 3: expected 2 lines, got 3"),
+        (lambda: EdgeColoring({}), ValueError, "coloring must cover at least one edge"),
+        (lambda: EdgeColoring({(0, 1): 1}, num_colors=0), ValueError,
+         "num_colors=0 smaller than max used color 1"),
+        (lambda: cycle_graph(2), ValueError, "cycle requires n >= 3, got 2"),
+        (lambda: star_graph(0), ValueError, "star requires >= 1 leaf, got 0"),
+        (lambda: complete_graph(0), ValueError, "complete graph requires n >= 1, got 0"),
+        (lambda: complete_bipartite_graph(0, 1), ValueError,
+         "complete bipartite requires m, n >= 1, got (0, 1)"),
+        (lambda: random_tree(0), ValueError, "random tree requires n >= 1, got 0"),
+        (lambda: random_2connected(2), ValueError,
+         "random 2-connected graph requires n >= 3, got 2"),
+        (lambda: random_2connected(4, 3), ValueError,
+         "edge count m=3 must satisfy n <= m <= n(n-1)/2 = 6"),
+        (lambda: random_2connected(4, 7), ValueError,
+         "edge count m=7 must satisfy n <= m <= n(n-1)/2 = 6"),
+        (lambda: generate(FamilySpec("complete_multipartite")), ValueError,
+         "complete_multipartite requires parts"),
+        (lambda: construct.color_tree(Graph(1, []), 2), ValueError,
+         "tree coloring requires at least one edge"),
+        (lambda: construct.color_wheel(5, 1), ValueError,
+         "wheel coloring requires ell >= 2, got 1"),
+        (lambda: construct.color_wheel(2, 2), ValueError, "wheel requires n >= 3, got 2"),
+        (lambda: construct.color_hypercube(3, 1), ValueError,
+         "hypercube coloring requires ell >= 2, got 1"),
+        (lambda: construct.color_hypercube(0, 2), ValueError, "hypercube requires t >= 1, got 0"),
+        (lambda: construct.color_join(_TWO_VERTICES, _P3), ValueError,
+         "join coloring requires connected factors"),
+        (lambda: construct.color_cartesian(_P3, _TWO_VERTICES), ValueError,
+         "product coloring requires connected factors"),
+        (lambda: construct.color_permutation_graph(_P3, (0, 1, 2), Permutation((2, 1)), 2),
+         ValueError, "permutation length must match the vertex count"),
+        (lambda: construct.balanced_split([1, 2]), ValueError,
+         "balanced split requires at least 3 parts"),
+        (lambda: structure.ear_decomposition(_P3), ValueError,
+         "ear decomposition requires a 2-connected graph"),
+        (lambda: structure.bfs_tree(_TWO_VERTICES, 0), ValueError,
+         "BFS tree does not span the graph"),
+        (lambda: structure.max_subtree_size_with_diameter(_P3, 0), ValueError,
+         "diameter bound must be >= 1, got 0"),
+        (lambda: exact.min_colors_exact(Graph(1, []), 2), ValueError,
+         "exact search requires at least one edge"),
+    ],
+)
+def test_input_errors_name_their_cause(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_max_subtree_of_one_vertex_is_empty():
+    t = Graph(1, [])
+    assert structure.max_subtree_size_with_diameter(t, 2) == (0, t)
 
 
 def test_int_subclass_vertices_and_colors_become_plain_ints():

@@ -178,6 +178,12 @@ def test_records_copy_and_pickle(cls, fields, kwargs, text):
          "time_limit must be positive, got -1.5"),
         (lambda: SearchBudget(time_limit=math.nan), ValueError,
          "time_limit must be positive, got nan"),
+        (lambda: SearchBudget(time_limit=True), ValueError,
+         "time_limit must be a number, got True"),
+        (lambda: SearchBudget(time_limit=False), ValueError,
+         "time_limit must be a number, got False"),
+        (lambda: SearchBudget(time_limit="1"), ValueError,
+         "time_limit must be a number, got '1'"),
         (lambda: SearchBudget(max_edges=0), ValueError, "max_edges must be an int >= 1, got 0"),
         (lambda: SearchBudget(max_edges=None), ValueError,
          "max_edges must be an int >= 1, got None"),

@@ -367,7 +367,7 @@ def test_find_path_rejects_endpoints_outside_the_graph():
 def test_time_limit_must_be_a_number_at_least_zero():
     g = wheel_graph(9)
     c = EdgeColoring({e: 1 + (i % 4) for i, e in enumerate(g.edges)})
-    for bad in (float("nan"), -1.0, -1e-9):
+    for bad in (float("nan"), -1.0, -1e-9, True, False, "1", [1.0]):
         for k in (1, 2):
             with pytest.raises(ValueError, match="time_limit"):
                 verify_coloring(g, c, 3, k=k, time_limit=bad)
@@ -380,6 +380,9 @@ def test_first_failing_pair_checks_time_limit_as_verify_coloring_does():
     c = EdgeColoring({e: 1 + (i % 4) for i, e in enumerate(g.edges)})
     for bad in (float("nan"), -1):
         with pytest.raises(ValueError, match=f"^time_limit must be >= 0, got {bad}$"):
+            first_failing_pair(g, c, 3, time_limit=bad)
+    for bad, shown in ((True, "True"), (False, "False"), ("1", "'1'")):
+        with pytest.raises(ValueError, match=f"^time_limit must be a number, got {shown}$"):
             first_failing_pair(g, c, 3, time_limit=bad)
     with pytest.raises(VerificationTimeout, match=r"^search from vertex 0 .* 0\.0 s$"):
         first_failing_pair(g, c, 3, time_limit=0.0)
