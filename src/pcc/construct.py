@@ -25,7 +25,6 @@ from .graphs import (
     Permutation,
     _Record,
     cartesian_product,
-    complete_multipartite_graph,
     hypercube_graph,
     join,
     normalize_edge,
@@ -322,16 +321,18 @@ def color_complete_multipartite(parts: Sequence[int], ell: int) -> ConstructionR
         raise ValueError(f"requires at least 3 parts, got {len(parts)}")
     if list(parts) != sorted(parts) or parts[0] < 1:
         raise ValueError("parts must be positive and sorted ascending")
-    g = complete_multipartite_graph(parts)
     offsets = [0]
     for p in parts:
         offsets.append(offsets[-1] + p)
     groups = [list(range(offsets[i], offsets[i + 1])) for i in range(len(parts))]
+    edges = [
+        (u, v) for i, grp in enumerate(groups) for later in groups[i + 1:] for u in grp for v in later
+    ]
     n = parts[-1]
     m = sum(parts[:-1])
 
     if n == 1:
-        colors = {e: 1 for e in g.edges}
+        colors = dict.fromkeys(edges, 1)
         return ConstructionReport(
             EdgeColoring(colors), 1, "complete_multipartite", "complete graph"
         )
@@ -340,7 +341,7 @@ def color_complete_multipartite(parts: Sequence[int], ell: int) -> ConstructionR
         u_side = [v for grp in groups[:-1] for v in grp]
         vectors = _binary_lex(2**m, m) + [(1,) + (2,) * (m - 1)] * (n - 2**m)
         colors = _apply_vectors(u_side, groups[-1], vectors)
-        for e in g.edges:
+        for e in edges:
             colors.setdefault(e, 3)
         return ConstructionReport(
             EdgeColoring(colors),
@@ -368,7 +369,7 @@ def color_complete_multipartite(parts: Sequence[int], ell: int) -> ConstructionR
     if claimed != 2:
         raise InvariantViolation(f"expected a 2-color bipartite core, got {claimed}")
     colors = dict(cross)
-    for e in g.edges:
+    for e in edges:
         colors.setdefault(e, 1)
     return ConstructionReport(EdgeColoring(colors), 2, "complete_multipartite", note)
 
@@ -400,10 +401,9 @@ def color_wheel(n: int, ell: int) -> ConstructionReport:
         raise ValueError(f"wheel coloring requires ell >= 2, got {ell}")
     if n < 3:
         raise ValueError(f"wheel requires n >= 3, got {n}")
-    g = wheel_graph(n)
     if n == 3:
         return ConstructionReport(
-            EdgeColoring({e: 1 for e in g.edges}), 1, "wheel", "complete"
+            EdgeColoring(dict.fromkeys(wheel_graph(3).edges, 1)), 1, "wheel", "complete"
         )
     if n <= 6:
         return ConstructionReport(

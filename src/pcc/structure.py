@@ -418,9 +418,21 @@ def _largest_ball(t: Graph, d: int) -> list[int]:
     """The vertices of the first largest ball that
     ``max_subtree_size_with_diameter`` scans, for a caller that has checked
     that t is a tree with an edge and d >= 1.  A ball of a tree is a
-    subtree, so it has one edge fewer than vertices."""
+    subtree, so it has one edge fewer than vertices.
+
+    At radius 1 (d = 2 or 3) each ball is sized from degrees, with no
+    search: deg(v) + 1 vertices around a vertex v, and deg(a) + deg(b)
+    around an edge ab, whose two ends are each other's neighbours and
+    share no other.  Only the first largest is searched, so a star takes
+    O(n) rather than one search of its centre's n - 1 leaves per edge."""
     center_sets = [(v,) for v in range(t.n)] if d % 2 == 0 else t.edges
     best: list[int] = []
+    if d // 2 == 1:
+        # Every center set has the same size, so the degree sum ranks them.
+        deg = [len(nbrs) for nbrs in t.adjacency]
+        centers = max(center_sets, key=lambda c: sum(deg[x] for x in c))
+        _bfs(t.adjacency, centers, 1, order=best)
+        return best
     for centers in center_sets:
         ball: list[int] = []
         _bfs(t.adjacency, centers, d // 2, order=ball)

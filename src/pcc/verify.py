@@ -51,6 +51,15 @@ only longer walks are tested for a repeated vertex.  Both modes send the
 same pairs to the fallback and check the call's one deadline at the same
 points, so they return the same failing pair and raise the same timeouts.
 
+Before its search, each source of the table scan is tried on neighbour
+bitmasks (``_two_edge_hubs``).  When proper two-edge walks u-h-v reach all
+of u's targets, the source runs no search: the search would reach each
+target v at level 2, from the first neighbour h in ascending order that
+joins v by a color other than c(u,h), by the simple walk (u, h, v).  The
+certificate scan records those walks, and the verdict scan passes the
+source.  Most sources of the paper's diameter-2 families (complete
+bipartite and multipartite graphs, joins) are settled this way.
+
 A tree joins each pair by one path, so it is (1, l)-proper connected
 exactly when its paths of at most l+1 edges are rainbow.  With no time
 limit, ``first_failing_pair`` decides a tree without building anything
@@ -691,6 +700,48 @@ def _failing_source(
     return None
 
 
+def _two_edge_hubs(
+    adjacency, cmat: list[list[int]], nbrs: list[int], by_color: list, u: int, pending: int
+) -> Optional[list[tuple[int, int]]]:
+    """The hubs of a source u all of whose targets (the bitmask ``pending``)
+    a proper two-edge walk u-h-v reaches, or None if one of them is not.
+
+    ``nbrs[x]`` is the neighbour bitmask of x, and ``by_color[h]`` maps each
+    color at h to the bitmask of the neighbours it joins to h; it is built
+    on h's first use and kept for the rest of the scan.  The neighbours h of
+    u are walked in ascending order, and each takes the targets still
+    pending that it joins by a color other than that of uh.  Returns the
+    pairs ``(h, taken)`` of the hubs that took any, in that order.  A source
+    with a target outside every ``nbrs[h]`` returns None before any color is
+    read."""
+    hubs = adjacency[u]
+    cover = 0
+    for h in hubs:
+        cover |= nbrs[h]
+    if pending & ~cover:
+        return None
+    row = cmat[u]
+    taken = []
+    for h in hubs:
+        new = pending & nbrs[h]
+        if not new:
+            continue
+        masks = by_color[h]
+        if masks is None:
+            masks = by_color[h] = {}
+            hrow = cmat[h]
+            for y in adjacency[h]:
+                c = hrow[y]
+                masks[c] = masks.get(c, 0) | 1 << y
+        new &= ~masks[row[h]]
+        if new:
+            taken.append((h, new))
+            pending ^= new
+            if not pending:
+                return taken
+    return None
+
+
 def _certified_pairs(
     adjacency,
     cmat: list[list[int]],
@@ -713,10 +764,58 @@ def _certified_pairs(
     reads the walks that repeat a vertex off the predecessor chains, and the
     fallback runs on the same pairs under the same ``deadline``, so the
     failing pair and every timeout are those of the certificate scan.  Each
-    source's witnesses go into the dict in one batch, in pair order."""
+    source's witnesses go into the dict in one batch, in pair order.
+
+    A source u whose targets (the later vertices not adjacent to it) are
+    all reached by proper two-edge walks u-h-v is settled from neighbour
+    bitmasks by ``_two_edge_hubs`` and runs no ``reach``; on the diameter-2
+    graphs of the paper's closed forms that is most sources.  The bitmasks
+    are built in one O(m) pass at the first source with a non-neighbour, so
+    a complete graph builds none, and u's target mask is the vertices above
+    u less its neighbours.  The witnesses of a settled source are the walks
+    that ``reach`` and ``walks`` would return, for every l >= 1:
+    - the search's level-1 states are the neighbours h of u in ascending
+      order, each with the window (c(u,h));
+    - a target v is not adjacent to u, so it is first reached at level 2,
+      from the first h that joins it by a color c(h,v) != c(u,h); the step
+      from h back to u repeats c(u,h), so it is refused;
+    - so the walk to v is (u, h_v, v) for that first h_v, which is simple,
+      and no fallback runs.
+    Both modes skip the same sources and check the deadline at the same
+    points, so they still return the same failing pair and raise the same
+    timeouts.  A settled source checks it once, with the message that
+    ``reach`` would raise at its first check."""
     table = _WalkStateTable(adjacency, cmat, ell)
+    nbrs: list[int] = []
+    by_color: list = [None] * n
+    above = (1 << n) - 1
     for u in range(n - 1):
         row = cmat[u]
+        above ^= 1 << u
+        # Only a vertex with a non-neighbour can have a target, so a complete
+        # graph builds no mask.
+        if len(adjacency[u]) < n - 1:
+            if not nbrs:
+                for adj in adjacency:
+                    mask = 0
+                    for y in adj:
+                        mask |= 1 << y
+                    nbrs.append(mask)
+            pending = above & ~nbrs[u]
+            hubs = pending and _two_edge_hubs(adjacency, cmat, nbrs, by_color, u, pending)
+            if hubs:
+                if deadline is not None and time.monotonic() > deadline.end:
+                    raise deadline.timeout(f"search from vertex {u}")
+                if witnesses is not None:
+                    for v in range(u + 1, n):
+                        if row[v]:
+                            witnesses[u, v] = ((u, v),)
+                            continue
+                        for h, taken in hubs:
+                            if taken >> v & 1:
+                                break
+                        witnesses[u, v] = ((u, h, v),)
+                continue
         targets = [v for v in range(u + 1, n) if not row[v]]
         reached = table.reach(u, targets, deadline) if targets else {}
         if witnesses is None:

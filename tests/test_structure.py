@@ -330,6 +330,43 @@ def test_max_subtree_matches_brute_force():
             assert set(witness.edges) <= set(t.edges)
 
 
+def _first_largest_ball_by_search(t, d):
+    """The first largest ball, found by one bounded search per center."""
+    best = []
+    for centers in [(v,) for v in range(t.n)] if d % 2 == 0 else t.edges:
+        ball = []
+        pcc.structure._bfs(t.adjacency, centers, d // 2, order=ball)
+        if len(ball) > len(best):
+            best = ball
+    return best
+
+
+def test_radius_one_balls_are_sized_from_degrees(monkeypatch):
+    # At d = 2 and 3 a ball has deg(v) + 1 vertices around a vertex v and
+    # deg(a) + deg(b) around an edge ab, so only the first largest ball is
+    # searched: a star takes one search, not one of its n - 1 leaves per
+    # center.  The ball, in its search order, is the one a search per center
+    # picks, on trees below and above the ball-storage threshold.
+    for seed in range(60):
+        t = random_tree(2 + seed * 3, seed=seed)
+        for d in (2, 3):
+            assert pcc.structure._largest_ball(t, d) == _first_largest_ball_by_search(t, d)
+    searches = []
+    real = pcc.structure._bfs
+
+    def counting(adjacency, sources, reach=None, **kwargs):
+        if reach is not None:
+            searches.append(sources)
+        return real(adjacency, sources, reach, **kwargs)
+
+    monkeypatch.setattr(pcc.structure, "_bfs", counting)
+    star = star_graph(4000)
+    for d, centers in ((2, (0,)), (3, (0, 1))):
+        searches.clear()
+        size, witness = max_subtree_size_with_diameter(star, d)
+        assert (size, witness.edges, searches) == (4000, star.edges, [centers])
+
+
 def test_max_subtree_rejects_non_tree():
     with pytest.raises(ValueError):
         max_subtree_size_with_diameter(cycle_graph(4), 2)

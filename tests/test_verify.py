@@ -17,6 +17,7 @@ from pcc.construct import (
     color_2connected,
     color_cartesian,
     color_complete_bipartite,
+    color_complete_multipartite,
     color_hypercube,
     color_traceable,
     color_tree,
@@ -28,9 +29,11 @@ from pcc.graphs import (
     cartesian_product,
     complete_bipartite_graph,
     complete_graph,
+    complete_multipartite_graph,
     cycle_graph,
     double_star_graph,
     hypercube_graph,
+    join,
     path_graph,
     random_2connected,
     random_tree,
@@ -1074,3 +1077,102 @@ def test_tree_verdict_skips_the_scan_only_without_a_time_limit(monkeypatch):
     with pytest.raises(VerificationTimeout) as verdict_err:
         first_failing_pair(t, good, 2, time_limit=0.0)
     assert str(verdict_err.value) == str(cert_err.value)
+
+
+def _diameter_two_corpus(seed):
+    """The graphs of the paper's closed forms, all of diameter at most 2:
+    K_m,n, complete multipartite graphs, wheels and joins H + K_1 of random
+    connected H.  Each comes with its constructor's coloring (at l = 1 the
+    window-2 one where the constructor needs l >= 2) and two random
+    colorings of 2-4 colors, and each is verified at l = 1-4."""
+    rng = random.Random(seed)
+    graphs = []
+    for m, n in ((1, 4), (2, 3), (2, 6), (3, 5), (4, 7)):
+        g = complete_bipartite_graph(m, n)
+        graphs.append((g, lambda ell, m=m, n=n: color_complete_bipartite(m, n, max(ell, 2))))
+    for parts in ((1, 1, 1), (1, 2, 3), (2, 2, 3), (1, 1, 2, 4), (2, 3, 3, 3)):
+        g = complete_multipartite_graph(parts)
+        graphs.append((g, lambda ell, parts=parts: color_complete_multipartite(parts, ell)))
+    for n in (3, 4, 6, 7, 9, 12):
+        graphs.append((wheel_graph(n), lambda ell, n=n: color_wheel(n, max(ell, 2))))
+    for n in (3, 5, 7, 9):
+        g = join(random_connected_graph(n, rng), complete_graph(1))
+        graphs.append((g, lambda ell, g=g: color_2connected(g)))
+    for g, construct in graphs:
+        randoms = [random_coloring(g, rng.randint(2, 4), rng) for _ in range(2)]
+        for ell in (1, 2, 3, 4):
+            for c in (construct(ell).coloring, *randoms):
+                yield g, c, ell
+
+
+def _recording_reach(monkeypatch):
+    """Make every table record the sources it runs ``reach`` from, and
+    return the list of those records, one per scan."""
+    scans = []
+
+    class RecordingTable(pcc.verify._WalkStateTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.sources = []
+            scans.append(self.sources)
+
+        def reach(self, u, targets, deadline=None):
+            self.sources.append(u)
+            return super().reach(u, targets, deadline)
+
+    monkeypatch.setattr(pcc.verify, "_WalkStateTable", RecordingTable)
+    return scans
+
+
+def test_two_edge_shortcut_keeps_certificates_and_verdicts(monkeypatch):
+    # A source whose targets proper two-edge walks all reach is settled
+    # from neighbour bitmasks without running reach.  Its certificate must
+    # still be the one-search-per-source reference's, its witnesses the
+    # walks (u, h, v) through the first hub h that allows v, and both scan
+    # modes must skip the same sources, so that they stop at the same pair.
+    scans = _recording_reach(monkeypatch)
+    skipped = ran = mixed = 0
+    verdicts = collections.Counter()
+    for g, c, ell in _diameter_two_corpus(71):
+        cert = verify_coloring(g, c, ell)
+        assert (cert.ok, cert.failing_pair, cert.witnesses) == per_source_certificate(g, c, ell)
+        cert_sources = scans[-1]
+        # A time limit keeps a star on the table scan instead of the tree
+        # verdict; both verdicts are the certificate's.
+        assert first_failing_pair(g, c, ell) == cert.failing_pair
+        assert first_failing_pair(g, c, ell, time_limit=60.0) == cert.failing_pair
+        assert scans[-1] == cert_sources
+        verdicts[cert.ok] += 1
+        end = cert.failing_pair[0] + 1 if cert.failing_pair else g.n - 1
+        with_targets = {
+            u for u in range(end) if any(not g.has_edge(u, v) for v in range(u + 1, g.n))
+        }
+        assert set(cert_sources) <= with_targets
+        for u in with_targets - set(cert_sources):
+            for v in range(u + 1, g.n):
+                (path,) = cert.witnesses[u, v]
+                assert len(path) == (2 if g.has_edge(u, v) else 3)
+        skipped += len(with_targets) - len(cert_sources)
+        ran += len(cert_sources)
+        mixed += bool(cert_sources) and len(cert_sources) < len(with_targets)
+    assert verdicts[True] >= 150 and verdicts[False] >= 40, verdicts
+    assert skipped >= 500 and ran >= 150 and mixed >= 40, (skipped, ran, mixed)
+
+
+def test_two_edge_shortcut_checks_the_deadline_as_reach_would(monkeypatch):
+    # A clock that ticks once per reading runs out the budget at the first
+    # check.  Proper two-edge walks reach every target of every source of
+    # K_2,3, so no search runs; source 0 is the first with a target, and the
+    # shortcut's own check names it, with the message reach would raise, in
+    # both scan modes.
+    scans = _recording_reach(monkeypatch)
+    g = complete_bipartite_graph(2, 3)
+    c = color_complete_bipartite(2, 3, 2).coloring
+    assert first_failing_pair(g, c, 2, time_limit=60.0) is None and scans[-1] == []
+    ticks = itertools.count()
+    monkeypatch.setattr(pcc.verify, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    for scan in (verify_coloring, first_failing_pair):
+        with pytest.raises(VerificationTimeout) as err:
+            scan(g, c, 2, time_limit=0.0)
+        assert str(err.value) == "search from vertex 0 exceeded the time budget of 0.0 s"
+        assert scans[-1] == []
