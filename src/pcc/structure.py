@@ -420,22 +420,33 @@ def _largest_ball(t: Graph, d: int) -> list[int]:
     that t is a tree with an edge and d >= 1.  A ball of a tree is a
     subtree, so it has one edge fewer than vertices.
 
-    At radius 1 (d = 2 or 3) each ball is sized from degrees, with no
-    search: deg(v) + 1 vertices around a vertex v, and deg(a) + deg(b)
-    around an edge ab, whose two ends are each other's neighbours and
-    share no other.  Only the first largest is searched, so a star takes
-    O(n) rather than one search of its centre's n - 1 leaves per edge."""
+    At radius 1 and 2 (d = 2 to 5) each ball is sized from degrees, with
+    no search.  At radius 1 it has deg(v) + 1 vertices around a vertex v,
+    and deg(a) + deg(b) around an edge ab, whose two ends are each other's
+    neighbours and share no other.  At radius 2, with S(x) the sum of the
+    degrees of x's neighbours, it has 1 + S(v) vertices around v, since
+    each neighbour w adds itself and its deg(w) - 1 other neighbours, all
+    distinct in a tree; by the same count it has 2 + S(a) + S(b) - deg(a) -
+    deg(b) around ab.  Only the first largest is searched, so a star takes
+    O(n) rather than one search of its n - 1 leaves per center.  Radius 3
+    and more searches one ball per center."""
     center_sets = [(v,) for v in range(t.n)] if d % 2 == 0 else t.edges
+    radius = d // 2
     best: list[int] = []
-    if d // 2 == 1:
-        # Every center set has the same size, so the degree sum ranks them.
-        deg = [len(nbrs) for nbrs in t.adjacency]
-        centers = max(center_sets, key=lambda c: sum(deg[x] for x in c))
-        _bfs(t.adjacency, centers, 1, order=best)
+    if radius in (1, 2):
+        # Every center set has the same size, so a sum of per-vertex weights
+        # ranks them.
+        weight = deg = [len(nbrs) for nbrs in t.adjacency]
+        if radius == 2:
+            weight = [
+                sum(deg[w] for w in nbrs) - d % 2 * deg[x] for x, nbrs in enumerate(t.adjacency)
+            ]
+        centers = max(center_sets, key=lambda c: sum(weight[x] for x in c))
+        _bfs(t.adjacency, centers, radius, order=best)
         return best
     for centers in center_sets:
         ball: list[int] = []
-        _bfs(t.adjacency, centers, d // 2, order=ball)
+        _bfs(t.adjacency, centers, radius, order=ball)
         if len(ball) > len(best):
             best = ball
     return best

@@ -29,9 +29,9 @@ source u when its stamp is u, and its predecessor is kept beside the stamp.
 Every list has one entry per state reached, which on a coloring with many
 colors is a small share of windows x n.  The queue holds the same states in
 the same order, so both scans reach each target by the same walk.  A state's
-proper successors are kept as a list of ids from its second expansion on,
-which is always by a later source, and later expansions iterate that list;
-a state expanded once keeps nothing.  The sources of a full scan expand the
+first expansion keeps the ids of all its proper successors as a list, also
+those its own search skips, and every later expansion, which is always by a
+later source, iterates that list.  The sources of a full scan expand the
 same states many times (16x on Q_7 at l=3), so sharing pays; the exact
 search's scans are tiny and mostly stop at source 0, where the table only
 costs its set-up, so the decision scan stays on tuple states.  The table is
@@ -347,9 +347,11 @@ class _WalkStateTable:
     (``stamp``) and its predecessor in that source's search (``pred``), so
     each has one entry per state created and none per unreached pair of a
     window and a vertex.  ``successors[s]`` is None until s is first
-    expanded and False after that; its second expansion, which is always by
-    a later source, stores the ids of s's proper successors in
-    ascending-neighbor order, and later expansions iterate that list.
+    expanded.  That expansion stores there the ids of all of s's proper
+    successors in ascending-neighbor order, also those its search skips for
+    having seen them or for stepping back into its source, so a dead end
+    keeps an empty list; every later expansion, always by a later source,
+    iterates that list.
     """
 
     def __init__(self, adjacency, cmat: list[list[int]], ell: int) -> None:
@@ -411,45 +413,39 @@ class _WalkStateTable:
             if deadline is not None and not i & 255 and time.monotonic() > deadline.end:
                 raise deadline.timeout(f"search from vertex {u}")
             kept = successors[s]
-            if not kept:
+            if kept is None:
+                kept = successors[s] = []
                 w, x = window[s], vertex[s]
                 row, step = cmat[x], steps[w]
-                if kept is not None:
-                    # The first expansion gave every proper successor its id.
-                    # An empty list is built again, at the cost of one pass.
-                    kept = successors[s] = [
-                        ids[after * n + y] for y in adjacency[x] if (after := step[row[y]]) >= 0
-                    ]
-                else:
-                    for y in adjacency[x]:
-                        c = row[y]
-                        after = step.get(c)
-                        if after is None:
-                            after = self._step(w, c)
-                        if after < 0:
-                            continue
-                        t = ids.setdefault(after * n + y, size)
-                        if t == size:
-                            size += 1
-                            vertex.append(y)
-                            window.append(after)
-                            successors.append(None)
-                            stamp.append(u)
-                            pred.append(s)
-                        elif stamp[t] == u:
-                            continue
-                        else:
-                            stamp[t] = u
-                            pred[t] = s
-                        if y == u:
-                            continue
-                        queue.append(t)
-                        if wanted[y]:
-                            wanted[y] = 0
-                            left -= 1
-                            reached[y] = t
-                    successors[s] = False
-                    continue
+                for y in adjacency[x]:
+                    c = row[y]
+                    after = step.get(c)
+                    if after is None:
+                        after = self._step(w, c)
+                    if after < 0:
+                        continue
+                    t = ids.setdefault(after * n + y, size)
+                    kept.append(t)
+                    if t == size:
+                        size += 1
+                        vertex.append(y)
+                        window.append(after)
+                        successors.append(None)
+                        stamp.append(u)
+                        pred.append(s)
+                    elif stamp[t] == u:
+                        continue
+                    else:
+                        stamp[t] = u
+                        pred[t] = s
+                    if y == u:
+                        continue
+                    queue.append(t)
+                    if wanted[y]:
+                        wanted[y] = 0
+                        left -= 1
+                        reached[y] = t
+                continue
             for t in kept:
                 if stamp[t] == u:
                     continue
@@ -700,30 +696,44 @@ def _failing_source(
     return None
 
 
+def _neighbour_mask(adjacency, nbrs: list[int], x: int) -> int:
+    """The neighbour bitmask of x, also stored as ``nbrs[x]``.  The table
+    scan builds each mask on first use and reads 0 as not built: only an
+    isolated vertex has mask 0, and it is never a hub."""
+    mask = 0
+    for y in adjacency[x]:
+        mask |= 1 << y
+    nbrs[x] = mask
+    return mask
+
+
 def _two_edge_hubs(
     adjacency, cmat: list[list[int]], nbrs: list[int], by_color: list, u: int, pending: int
 ) -> Optional[list[tuple[int, int]]]:
     """The hubs of a source u all of whose targets (the bitmask ``pending``)
     a proper two-edge walk u-h-v reaches, or None if one of them is not.
 
-    ``nbrs[x]`` is the neighbour bitmask of x, and ``by_color[h]`` maps each
-    color at h to the bitmask of the neighbours it joins to h; it is built
-    on h's first use and kept for the rest of the scan.  The neighbours h of
-    u are walked in ascending order, and each takes the targets still
+    ``nbrs[x]`` is the neighbour bitmask of x, or 0 until
+    ``_neighbour_mask`` builds it, and ``by_color[h]`` maps each color at h
+    to the bitmask of the neighbours it joins to h; each is built on its
+    vertex's first use and kept for the rest of the scan.  The neighbours h
+    of u are walked in ascending order, and each takes the targets still
     pending that it joins by a color other than that of uh.  Returns the
     pairs ``(h, taken)`` of the hubs that took any, in that order.  A source
     with a target outside every ``nbrs[h]`` returns None before any color is
-    read."""
+    read; the masks are OR-ed only until they cover ``pending``."""
     hubs = adjacency[u]
     cover = 0
     for h in hubs:
-        cover |= nbrs[h]
-    if pending & ~cover:
+        cover |= nbrs[h] or _neighbour_mask(adjacency, nbrs, h)
+        if not pending & ~cover:
+            break
+    else:
         return None
     row = cmat[u]
     taken = []
     for h in hubs:
-        new = pending & nbrs[h]
+        new = pending & (nbrs[h] or _neighbour_mask(adjacency, nbrs, h))
         if not new:
             continue
         masks = by_color[h]
@@ -755,10 +765,10 @@ def _certified_pairs(
     it puts there the witnesses of the pairs before the failing one; with
     None (the verdict scan) it only decides them.
 
-    The table numbers the states densely and keeps the successor lists of
-    the states that more than one source expands, so a scan of every source
-    does not redo their edge steps; its walks are those whose masks the
-    decision scan reads.  A simple walk is the witness as it is; only
+    The table numbers the states densely and keeps each state's successor
+    list from its first expansion, so the later sources that expand it do
+    not redo its edge steps; its walks are those whose masks the decision
+    scan reads.  A simple walk is the witness as it is; only
     a walk that repeats a vertex goes to the DFS fallback ``_proper_paths``.
     The verdict scan skips adjacent pairs and builds no walk: ``repeating``
     reads the walks that repeat a vertex off the predecessor chains, and the
@@ -769,11 +779,12 @@ def _certified_pairs(
     A source u whose targets (the later vertices not adjacent to it) are
     all reached by proper two-edge walks u-h-v is settled from neighbour
     bitmasks by ``_two_edge_hubs`` and runs no ``reach``; on the diameter-2
-    graphs of the paper's closed forms that is most sources.  The bitmasks
-    are built in one O(m) pass at the first source with a non-neighbour, so
-    a complete graph builds none, and u's target mask is the vertices above
-    u less its neighbours.  The witnesses of a settled source are the walks
-    that ``reach`` and ``walks`` would return, for every l >= 1:
+    graphs of the paper's closed forms that is most sources.  A vertex's
+    neighbour bitmask is built the first time a source reads it, so a
+    complete graph builds none and a graph with few non-edges few, and u's
+    target mask is the vertices above u less its neighbours.  The witnesses
+    of a settled source are the walks that ``reach`` and ``walks`` would
+    return, for every l >= 1:
     - the search's level-1 states are the neighbours h of u in ascending
       order, each with the window (c(u,h));
     - a target v is not adjacent to u, so it is first reached at level 2,
@@ -786,7 +797,7 @@ def _certified_pairs(
     timeouts.  A settled source checks it once, with the message that
     ``reach`` would raise at its first check."""
     table = _WalkStateTable(adjacency, cmat, ell)
-    nbrs: list[int] = []
+    nbrs = [0] * n
     by_color: list = [None] * n
     above = (1 << n) - 1
     for u in range(n - 1):
@@ -795,13 +806,7 @@ def _certified_pairs(
         # Only a vertex with a non-neighbour can have a target, so a complete
         # graph builds no mask.
         if len(adjacency[u]) < n - 1:
-            if not nbrs:
-                for adj in adjacency:
-                    mask = 0
-                    for y in adj:
-                        mask |= 1 << y
-                    nbrs.append(mask)
-            pending = above & ~nbrs[u]
+            pending = above & ~(nbrs[u] or _neighbour_mask(adjacency, nbrs, u))
             hubs = pending and _two_edge_hubs(adjacency, cmat, nbrs, by_color, u, pending)
             if hubs:
                 if deadline is not None and time.monotonic() > deadline.end:

@@ -343,13 +343,16 @@ def _first_largest_ball_by_search(t, d):
 
 def test_radius_one_balls_are_sized_from_degrees(monkeypatch):
     # At d = 2 and 3 a ball has deg(v) + 1 vertices around a vertex v and
-    # deg(a) + deg(b) around an edge ab, so only the first largest ball is
-    # searched: a star takes one search, not one of its n - 1 leaves per
-    # center.  The ball, in its search order, is the one a search per center
-    # picks, on trees below and above the ball-storage threshold.
-    for seed in range(60):
-        t = random_tree(2 + seed * 3, seed=seed)
-        for d in (2, 3):
+    # deg(a) + deg(b) around an edge ab; at d = 4 and 5, with S(x) the degree
+    # sum of x's neighbours, 1 + S(v) and 2 + S(a) + S(b) - deg(a) - deg(b).
+    # So only the first largest ball is searched: a star takes one search,
+    # not one of its n - 1 leaves per center.  The ball, in its search
+    # order, is the one a search per center picks, on random trees below and
+    # above the ball-storage threshold and on stars, double stars and paths.
+    trees = [random_tree(2 + seed * 3, seed=seed) for seed in range(60)]
+    trees += [star_graph(7), double_star_graph(3, 5), double_star_graph(4, 4), path_graph(9)]
+    for t in trees:
+        for d in (2, 3, 4, 5):
             assert pcc.structure._largest_ball(t, d) == _first_largest_ball_by_search(t, d)
     searches = []
     real = pcc.structure._bfs
@@ -361,7 +364,7 @@ def test_radius_one_balls_are_sized_from_degrees(monkeypatch):
 
     monkeypatch.setattr(pcc.structure, "_bfs", counting)
     star = star_graph(4000)
-    for d, centers in ((2, (0,)), (3, (0, 1))):
+    for d, centers in ((2, (0,)), (3, (0, 1)), (4, (0,)), (5, (0, 1))):
         searches.clear()
         size, witness = max_subtree_size_with_diameter(star, d)
         assert (size, witness.edges, searches) == (4000, star.edges, [centers])

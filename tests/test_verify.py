@@ -673,23 +673,71 @@ def test_shared_state_scan_with_many_colors_stores_only_reached_states(monkeypat
 
 def test_shared_scan_timeout_names_a_source_iterating_kept_lists(monkeypatch):
     # A clock that ticks once per expansion that iterates a kept successor
-    # list, so the budget is spent only on the shared path.  Sources 0 and 1
-    # each pass three budget checks with the clock standing still: source 0
-    # keeps no list and source 1 only builds them.  Source 2 is the first to
-    # iterate kept lists; it runs out at its next check and is named.
+    # list, so the budget is spent only on the shared path.  Source 0 keeps
+    # a list at each of its expansions, all of them first ones, and passes
+    # its budget checks with the clock standing still.  Source 1 is the
+    # first to iterate kept lists; it runs out at its next check and is
+    # named.
     _count_reused_successor_lists(monkeypatch)
     clock = SimpleNamespace(monotonic=lambda: _CountingSuccessors.reuses)
     monkeypatch.setattr(pcc.verify, "time", clock)
     g, c = hypercube_graph(7), color_hypercube(7, 3).coloring
     with pytest.raises(VerificationTimeout) as err:
         verify_coloring(g, c, 3, time_limit=5.0)
-    assert str(err.value) == "search from vertex 2 exceeded the time budget of 5.0 s"
+    assert str(err.value) == "search from vertex 1 exceeded the time budget of 5.0 s"
     # A budget of 0 runs out at source 0, on its first budget check.
     ticks = itertools.count()
     monkeypatch.setattr(pcc.verify, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
     with pytest.raises(VerificationTimeout) as err:
         verify_coloring(g, c, 3, time_limit=0.0)
     assert str(err.value) == "search from vertex 0 exceeded the time budget of 0.0 s"
+
+
+def test_kept_successor_lists_hold_every_proper_successor(monkeypatch):
+    # A state keeps its successor list from its first expansion, which skips
+    # the successors its source has already seen and the steps back into the
+    # source, and later sources iterate that list instead of the adjacency.
+    # After each scan, each kept list must still be the ids of all of the
+    # state's proper successors in ascending-neighbour order, recomputed from
+    # the windows, the color matrix and the state ids.  The constructors'
+    # colorings pass, so their scans run every source; Q_5 at l = 4 reuses no
+    # state.  The trees and the random 2-colorings have dead-end states,
+    # which keep an empty list.
+    tables = []
+
+    class RecordingTable(pcc.verify._WalkStateTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(pcc.verify, "_WalkStateTable", RecordingTable)
+    rng = random.Random(47)
+    cases = [(hypercube_graph(5), color_hypercube(5, 4).coloring, 4)]
+    for _ in range(4):
+        n = rng.randint(20, 40)
+        g = random_2connected(n, rng.randint(n + n // 4, 2 * n), rng.randrange(10**6))
+        cases += [(g, color_2connected(g).coloring, ell) for ell in (1, 2)]
+        cases.append((g, random_coloring(g, 2, rng), 1))
+        t = random_tree(n, rng.randrange(10**6))
+        cases.append((t, color_tree(t, 2).coloring, 2))
+    kept = dead_ends = passed = 0
+    for g, c, ell in cases:
+        passed += verify_coloring(g, c, ell).ok
+        table = tables[-1]
+        window_ids = {w: i for i, w in enumerate(table.windows)}
+        for s, successors in enumerate(table.successors):
+            if successors is None:
+                continue
+            x, window = table.vertex[s], table.windows[table.window[s]]
+            row = table.cmat[x]
+            assert successors == [
+                table.ids[window_ids[window[len(window) >= ell :] + (row[y],)] * g.n + y]
+                for y in g.adjacency[x]
+                if row[y] not in window
+            ]
+            kept += 1
+            dead_ends += not successors
+    assert passed >= 13 and kept >= 3_000 and dead_ends >= 100, (passed, kept, dead_ends)
 
 
 def _verdict_corpus(seed, count):
@@ -1157,6 +1205,25 @@ def test_two_edge_shortcut_keeps_certificates_and_verdicts(monkeypatch):
         mixed += bool(cert_sources) and len(cert_sources) < len(with_targets)
     assert verdicts[True] >= 150 and verdicts[False] >= 40, verdicts
     assert skipped >= 500 and ran >= 150 and mixed >= 40, (skipped, ran, mixed)
+    # K_60 less the edge (0, 1) with 40 random colors: only source 0 has a
+    # target, and its first hub 2 reaches it.  Each scan builds the masks of
+    # 0, of 2 and of source 1, whose targets its own mask shows are none,
+    # not one per vertex.
+    built = []
+    real = pcc.verify._neighbour_mask
+
+    def counting(adjacency, nbrs, x):
+        built.append(x)
+        return real(adjacency, nbrs, x)
+
+    monkeypatch.setattr(pcc.verify, "_neighbour_mask", counting)
+    g = Graph(60, [e for e in complete_graph(60).edges if e != (0, 1)])
+    c = random_coloring(g, 40, random.Random(73))
+    cert = verify_coloring(g, c, 2)
+    assert (cert.ok, cert.failing_pair, cert.witnesses) == per_source_certificate(g, c, 2)
+    assert cert.ok and scans[-1] == [] and built == [0, 2, 1]
+    built.clear()
+    assert first_failing_pair(g, c, 2) is None and scans[-1] == [] and built == [0, 2, 1]
 
 
 def test_two_edge_shortcut_checks_the_deadline_as_reach_would(monkeypatch):
