@@ -155,13 +155,20 @@ def _tree_conflict_colors(t: Graph, edge: Edge, ell: int, placed: list[int]) -> 
     edge at x has color c.  Two tree edges at gap g lie on a common path
     with g edges strictly between them, so they conflict exactly when
     g <= ell-1, that is when the other edge touches a vertex at most ell-1
-    steps from the nearer end of ``edge``.  Both ends start the search at
-    distance 0, so it never crosses ``edge`` itself."""
-    reached: list[int] = []
-    _bfs(t.adjacency, edge, ell - 1, order=reached)
-    conflict = 0
-    for x in reached:
-        conflict |= placed[x]
+    steps from the nearer end of ``edge``.  The walk goes out from both
+    ends, one level per step, and each vertex carries the neighbour it was
+    reached from, which it does not step back to; in a tree that is the
+    only way back, so no vertex is reached twice and none is marked, and
+    ``edge`` itself is never crossed."""
+    a, b = edge
+    conflict = placed[a] | placed[b]
+    frontier = [(a, b), (b, a)]
+    for _ in range(ell - 1):
+        frontier = [(y, x) for x, back in frontier for y in t.adjacency[x] if y != back]
+        if not frontier:
+            break
+        for y, x in frontier:
+            conflict |= placed[y]
     return conflict
 
 

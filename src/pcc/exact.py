@@ -403,9 +403,10 @@ def _level_bound(g: Graph, ell: int, dist: list[int]) -> int:
     between its ends and must be proper: all its edges differ in color.
     Such a subtree lies in a ball of the forest of radius (ell + 1) / 2
     around a vertex when ell + 1 is even, or of radius ell / 2 around both
-    ends of a bridge when it is odd, and such a ball is a subtree.  This is
-    the scan of ``structure.max_subtree_size_with_diameter``, written again
-    so that the tree rows of ``pcc table`` still compare two computations.
+    ends of a bridge when it is odd, and such a ball is a subtree.  It
+    searches those balls one at a time, independently of the level sweep
+    in ``structure.max_subtree_size_with_diameter``, so that the tree rows
+    of ``pcc table`` still compare two computations.
     """
     far = dist.index(max(dist))
     bound = min(ell + 1, max(distances(g, far)))

@@ -2,12 +2,12 @@
 2-connected reduction, ear decompositions, Hamiltonian paths,
 bounded-diameter subtrees of trees, twins and automorphism generators.
 
-Every plain breadth-first search here and in ``construct`` runs on one
-multi-source helper, ``_bfs``, which can stop at a distance and avoid one
-edge; on 100 or more vertices, a bounded search that lists its visit
-order stores only its ball.  Only the ear search and the path-seeded
-Cartesian tree keep their own loops, because they stop or start
-differently.
+Every plain breadth-first search here and in ``construct`` and ``exact``
+runs on one multi-source helper, ``_bfs``, which can stop at a distance
+and avoid one edge, and keeps its distances and parents in n-long lists.
+Only the ear search, the path-seeded Cartesian tree and the tree conflict
+walk of ``construct`` keep their own loops, because they stop or start
+differently or need no visited marks.
 
 2-connectivity and bridges come from one lowpoint DFS, ``_lowpoint``; the
 minimally 2-connected reduction runs it on one mutable adjacency.  The
@@ -30,52 +30,23 @@ from typing import Optional, Sequence
 from .graphs import Edge, Graph, InvariantViolation, _Record, normalize_edge
 
 
-# The fewest vertices at which a bounded search that fills ``order`` keeps
-# ``_Ball`` dicts: below it two n-long lists cost less (a radius-1 ball of
-# a random tree took 1.0 against 1.4 us at n = 30, and 1.8 against 1.6 us
-# at n = 150), and the exact search's graphs all lie below it.
-_BALL_MIN_N = 100
-
-
-class _Ball(dict):
-    """The distances or parents of a bounded ``_bfs``, kept for the
-    vertices it reaches only, so its storage grows with its ball and not
-    with n; any other vertex reads -1, as in the lists of a full search."""
-
-    __slots__ = ()
-    # -1 | v is -1 for every int v; a C-level method keeps a miss, which
-    # each newly discovered vertex costs, about twice as fast.
-    __missing__ = (-1).__or__
-
-
 def _bfs(
     adjacency: Sequence[Sequence[int]],
     sources: Sequence[int],
     reach: Optional[int] = None,
     skip: Optional[Edge] = None,
     order: Optional[list[int]] = None,
-) -> tuple[list[int] | _Ball, list[int] | _Ball]:
+) -> tuple[list[int], list[int]]:
     """Breadth-first search from all sources at distance 0, in ascending
     neighbor order, one level at a time in discovery order (the order of a
-    FIFO queue).  Returns (dist, parent), indexed by vertex; -1 marks an
-    unreached vertex or a missing parent.  Vertices at distance ``reach``
-    are not expanded, so nothing farther is discovered, and the edge
-    ``skip`` is never crossed.  The reached vertices are appended to
-    ``order``, if given, in visit order, sources first, so a caller can
-    visit them without a scan over all n.
-
-    A search bounded by ``reach`` that fills ``order`` on a graph of at
-    least ``_BALL_MIN_N`` vertices keeps dist and parent in ``_Ball`` dicts
-    of the reached vertices, so its storage grows with its ball, not with
-    n: the tree searches run one small ball per edge or center and visit
-    it through ``order``.  Any other search keeps n-long lists, which are
-    faster to fill on small graphs and where the ball is most of the
-    graph, as in the shortest-cycle search of a sparse graph."""
-    if reach is None or order is None or len(adjacency) < _BALL_MIN_N:
-        dist = [-1] * len(adjacency)
-        parent = [-1] * len(adjacency)
-    else:
-        dist, parent = _Ball(), _Ball()
+    FIFO queue).  Returns (dist, parent), two n-long lists indexed by
+    vertex; -1 marks an unreached vertex or a missing parent.  Vertices at
+    distance ``reach`` are not expanded, so nothing farther is discovered,
+    and the edge ``skip`` is never crossed.  The reached vertices are
+    appended to ``order``, if given, in visit order, sources first, so a
+    caller can visit them without a scan over all n."""
+    dist = [-1] * len(adjacency)
+    parent = [-1] * len(adjacency)
     for s in sources:
         dist[s] = 0
     ends = skip or ()
@@ -405,6 +376,8 @@ def max_subtree_size_with_diameter(t: Graph, d: int) -> tuple[int, Graph]:
     """
     if not is_tree(t):
         raise ValueError("bounded-diameter subtree search requires a tree")
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise ValueError(f"diameter bound must be an int, got {d!r}")
     if d < 1:
         raise ValueError(f"diameter bound must be >= 1, got {d}")
     if t.n == 1:
@@ -416,39 +389,44 @@ def max_subtree_size_with_diameter(t: Graph, d: int) -> tuple[int, Graph]:
 
 def _largest_ball(t: Graph, d: int) -> list[int]:
     """The vertices of the first largest ball that
-    ``max_subtree_size_with_diameter`` scans, for a caller that has checked
-    that t is a tree with an edge and d >= 1.  A ball of a tree is a
-    subtree, so it has one edge fewer than vertices.
+    ``max_subtree_size_with_diameter`` scans, in the visit order of one
+    bounded ``_bfs`` from its center, for a caller that has checked that t
+    is a tree with an edge and d >= 1.  A ball of a tree is a subtree, so
+    it has one edge fewer than vertices.
 
-    At radius 1 and 2 (d = 2 to 5) each ball is sized from degrees, with
-    no search.  At radius 1 it has deg(v) + 1 vertices around a vertex v,
-    and deg(a) + deg(b) around an edge ab, whose two ends are each other's
-    neighbours and share no other.  At radius 2, with S(x) the sum of the
-    degrees of x's neighbours, it has 1 + S(v) vertices around v, since
-    each neighbour w adds itself and its deg(w) - 1 other neighbours, all
-    distinct in a tree; by the same count it has 2 + S(a) + S(b) - deg(a) -
-    deg(b) around ab.  Only the first largest is searched, so a star takes
-    O(n) rather than one search of its n - 1 leaves per center.  Radius 3
-    and more searches one ball per center."""
-    center_sets = [(v,) for v in range(t.n)] if d % 2 == 0 else t.edges
-    radius = d // 2
+    Every ball is sized by level sweeps over t rooted at vertex 0, O(n)
+    each.  After sweep j, down[v] counts the vertices of v's subtree within
+    j of v: 1 plus down_{j-1} of each child.  The vertices within j of v
+    outside its subtree are those within j - 1 of its parent p, less those
+    of v's subtree, which lie within j - 2 of v; so ball[v] = down[v] +
+    ball_{j-1}[p] - down_{j-2}[v], and the root's ball is its down.  The
+    ball of radius r around an edge ab, with b a child of a, is a's ball
+    plus the vertices r levels below b: ball[a] + down_r[b] - down_{r-1}[b].
+
+    Once a sweep grows no ball, every ball is the whole tree and no down
+    count grows either, so later sweeps would change nothing and the
+    sweeping stops: after at most diameter + 1 sweeps, however large d."""
+    n, radius = t.n, d // 2
+    parent = _bfs(t.adjacency, (0,))[1]
+    below, down, ball = [0] * n, [1] * n, [1] * n
+    for _ in range(radius):
+        grown = [1] * n
+        for v in range(1, n):
+            grown[parent[v]] += down[v]
+        larger = [x + ball[p] - y for x, p, y in zip(grown, parent, below)]
+        larger[0] = grown[0]
+        below, down = down, grown
+        if larger == ball:
+            break
+        ball = larger
+    if d % 2 == 0:
+        centers = (ball.index(max(ball)),)
+    else:
+        lower = [v if parent[v] == u else u for u, v in t.edges]
+        sizes = [ball[parent[b]] + down[b] - below[b] for b in lower]
+        centers = t.edges[sizes.index(max(sizes))]
     best: list[int] = []
-    if radius in (1, 2):
-        # Every center set has the same size, so a sum of per-vertex weights
-        # ranks them.
-        weight = deg = [len(nbrs) for nbrs in t.adjacency]
-        if radius == 2:
-            weight = [
-                sum(deg[w] for w in nbrs) - d % 2 * deg[x] for x, nbrs in enumerate(t.adjacency)
-            ]
-        centers = max(center_sets, key=lambda c: sum(weight[x] for x in c))
-        _bfs(t.adjacency, centers, radius, order=best)
-        return best
-    for centers in center_sets:
-        ball: list[int] = []
-        _bfs(t.adjacency, centers, radius, order=ball)
-        if len(ball) > len(best):
-            best = ball
+    _bfs(t.adjacency, centers, radius, order=best)
     return best
 
 

@@ -151,6 +151,15 @@ def test_tree_general_window_matches_core_size():
             assert_sound(r, t, ell)
 
 
+def test_tree_window_far_past_the_diameter_rainbows_the_tree():
+    # The ball sweeps stop once no ball grows, so a window of 10**9 costs
+    # no more than one past the diameter.
+    t = random_tree(50, 1)
+    r = color_tree(t, 10**9)
+    assert r.claimed_colors == 49
+    assert sorted(r.coloring.colors.values()) == list(range(1, 50))
+
+
 def _placed_masks(n, colors):
     """Per vertex, the bitmask of the colors on its colored edges."""
     placed = [0] * n

@@ -152,6 +152,10 @@ _TWO_VERTICES = Graph(2, [])
          "BFS tree does not span the graph"),
         (lambda: structure.max_subtree_size_with_diameter(_P3, 0), ValueError,
          "diameter bound must be >= 1, got 0"),
+        (lambda: structure.max_subtree_size_with_diameter(_P3, 2.5), ValueError,
+         "diameter bound must be an int, got 2.5"),
+        (lambda: structure.max_subtree_size_with_diameter(_P3, True), ValueError,
+         "diameter bound must be an int, got True"),
         (lambda: exact.min_colors_exact(Graph(1, []), 2), ValueError,
          "exact search requires at least one edge"),
     ],

@@ -341,18 +341,16 @@ def _first_largest_ball_by_search(t, d):
     return best
 
 
-def test_radius_one_balls_are_sized_from_degrees(monkeypatch):
-    # At d = 2 and 3 a ball has deg(v) + 1 vertices around a vertex v and
-    # deg(a) + deg(b) around an edge ab; at d = 4 and 5, with S(x) the degree
-    # sum of x's neighbours, 1 + S(v) and 2 + S(a) + S(b) - deg(a) - deg(b).
-    # So only the first largest ball is searched: a star takes one search,
-    # not one of its n - 1 leaves per center.  The ball, in its search
-    # order, is the one a search per center picks, on random trees below and
-    # above the ball-storage threshold and on stars, double stars and paths.
+def test_balls_at_every_radius_match_a_search_per_center(monkeypatch):
+    # One level sweep sizes every ball, so only the first largest ball is
+    # searched: a star takes one search, not one of its n - 1 leaves per
+    # center.  The ball, in its search order, is the one a search per center
+    # picks at every d from 1 to 13 and past the diameter (n - 1 at most),
+    # on random trees, stars, double stars and paths.
     trees = [random_tree(2 + seed * 3, seed=seed) for seed in range(60)]
     trees += [star_graph(7), double_star_graph(3, 5), double_star_graph(4, 4), path_graph(9)]
     for t in trees:
-        for d in (2, 3, 4, 5):
+        for d in (*range(1, 14), t.n, t.n + 1):
             assert pcc.structure._largest_ball(t, d) == _first_largest_ball_by_search(t, d)
     searches = []
     real = pcc.structure._bfs
@@ -364,9 +362,10 @@ def test_radius_one_balls_are_sized_from_degrees(monkeypatch):
 
     monkeypatch.setattr(pcc.structure, "_bfs", counting)
     star = star_graph(4000)
-    for d, centers in ((2, (0,)), (3, (0, 1)), (4, (0,)), (5, (0, 1))):
+    for d in range(2, 10):
         searches.clear()
         size, witness = max_subtree_size_with_diameter(star, d)
+        centers = (0,) if d % 2 == 0 else (0, 1)
         assert (size, witness.edges, searches) == (4000, star.edges, [centers])
 
 
@@ -391,7 +390,13 @@ def test_bfs_reach_and_skip_match_distances_without_the_edge():
             from_end = [distances(cut, x) for x in e]
             for reach in (None, 0, 1, 2, 3):
                 for sources in ((e[0],), (e[1],), e):
-                    dist, parent = _bfs(g.adjacency, sources, reach, e)
+                    order = []
+                    dist, parent = _bfs(g.adjacency, sources, reach, e, order)
+                    # ``order`` lists the reached vertices, sources first,
+                    # level by level.
+                    assert order[: len(sources)] == list(sources)
+                    assert sorted(order) == [x for x in range(g.n) if dist[x] != -1]
+                    assert [dist[x] for x in order] == sorted(dist[x] for x in order)
                     for x in range(g.n):
                         near = [from_end[e.index(s)][x] for s in sources]
                         near = min((d for d in near if d != -1), default=-1)
@@ -404,26 +409,6 @@ def test_bfs_reach_and_skip_match_distances_without_the_edge():
                         else:
                             assert dist[p] == dist[x] - 1 and g.has_edge(p, x)
                             assert normalize_edge(p, x) != e
-
-
-def test_bounded_bfs_with_order_stores_only_its_ball():
-    # A bounded search that fills ``order`` on a graph of 100 or more
-    # vertices keeps the reached vertices only, and every other vertex
-    # reads -1, as in the lists of the same search.
-    rng = random.Random(37)
-    for _ in range(12):
-        g = random_connected_graph(rng.randint(100, 130), rng, rng.choice((0.0, 0.02)))
-        for e in rng.sample(g.edges, 12):
-            for reach in (0, 1, 2, 3):
-                for sources in ((e[0],), e):
-                    order = []
-                    ball_dist, ball_parent = _bfs(g.adjacency, sources, reach, e, order)
-                    dist, parent = _bfs(g.adjacency, sources, reach, e)
-                    reached = [x for x in range(g.n) if dist[x] != -1]
-                    assert sorted(order) == sorted(ball_dist) == reached
-                    assert len(ball_parent) == len(order) - len(sources)
-                    assert [ball_dist[x] for x in range(g.n)] == dist
-                    assert [ball_parent[x] for x in range(g.n)] == parent
 
 
 def test_shortest_cycle_matches_unbounded_search():
